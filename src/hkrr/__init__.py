@@ -54,7 +54,6 @@ from .isosolver import (
     divisibility_residues,
     fujiki_from_pairing,
     gcd_constraint,
-    hyperbolic_exclusion,
     mx_upper_bounds,
     pairing_candidates,
     pairing_congruence,

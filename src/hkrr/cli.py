@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Any, Sequence
 
 from . import __version__

@@ -15,10 +15,6 @@ valuation of the product over all residue patterns mod p^(e+1) is computed
 exactly by a dynamic program over the trie of squares in Z/p^(e+1), and it
 certifies exponent e when it equals e (the residue minimum is always a
 lower bound for the true minimum, which the found tuples bound above).
-
-Tuple enumeration is an associative-commutative gcd reduction: any
-partition of a layer's tuple stream, reduced per part and combined,
-yields the same result (see ``layer_gcd``).
 """
 
 from __future__ import annotations
@@ -118,25 +114,10 @@ def cn_prime_support(n: int) -> list[int]:
     return support
 
 
-def layer_gcd(n: int, bound: int, part: tuple[int, int] = (0, 1)) -> int:
-    """gcd of tuple products over sorted tuples whose maximum equals bound.
-
-    ``part = (i, k)`` folds only the i-th of k equal slices of the layer's
-    tuple stream, so workers may split a layer arbitrarily and combine the
-    partial gcds; the reduction is associative and commutative.
-    """
-    i, k = part
-    if not (0 <= i < k):
-        raise ValueError("part must satisfy 0 <= i < k")
-    total = math.comb(bound, n)
-    lo = total * i // k
-    hi = total * (i + 1) // k
+def layer_gcd(n: int, bound: int) -> int:
+    """gcd of tuple products over sorted tuples whose maximum equals bound."""
     g = 0
-    for idx, rest in enumerate(combinations(range(bound), n)):
-        if idx < lo:
-            continue
-        if idx >= hi:
-            break
+    for rest in combinations(range(bound), n):
         g = math.gcd(g, tuple_product(rest + (bound,)))
     return g
 
@@ -154,6 +135,7 @@ def _factor_over(value: int, primes: Iterable[int]) -> tuple[dict[int, int], int
     return fact, rem
 
 
+@cache
 def cn_value(n: int, stability: int = 3, max_bound: int | None = None) -> CnCertificate:
     """Layered gcd search for C(n), stopped only once fully certified.
 
@@ -225,87 +207,38 @@ def min_padic_valuation(p: int, points: int, depth: int) -> int:
     """
     if p < 2 or points < 1 or depth < 1:
         raise ValueError("need p >= 2, points >= 1, depth >= 1")
-
-    def own(t: int) -> int:
-        return t * (t - 1) // 2
-
-    def alloc(funcs: list, t: int) -> int:
-        # Minimum of sum funcs[i](t_i) over t_0 + ... = t.
-        best = [0] + [None] * t
-        for fn in funcs:
-            nxt = [None] * (t + 1)
-            for have, cost in enumerate(best):
-                if cost is None:
-                    continue
-                for extra in range(t - have + 1):
-                    cand = cost + fn(extra)
-                    slot = have + extra
-                    if nxt[slot] is None or cand < nxt[slot]:
-                        nxt[slot] = cand
-            best = nxt
-        assert best[t] is not None
-        return best[t]
-
-    if p == 2:
-
-        @cache
-        def unit_free(h: int, t: int) -> int:
-            if t < 2:
-                return 0
-            if h == 0:
-                return own(t)
-            return own(t) + min(
-                unit_free(h - 1, a) + unit_free(h - 1, t - a) for a in range(t + 1)
-            )
-
-        @cache
-        def unit_mod4(h: int, t: int) -> int:
-            if t < 2:
-                return 0
-            return own(t) + (unit_free(h - 1, t) if h else 0)
-
-        @cache
-        def unit_mod2(h: int, t: int) -> int:
-            if t < 2:
-                return 0
-            return own(t) + (unit_mod4(h - 1, t) if h else 0)
-
-        @cache
-        def zero(h: int, t: int) -> int:
-            if t < 2:
-                return 0
-            d = depth - h
-            node = own(t) if d >= 1 else 0
-            if h == 0:
-                return node
-            children = [lambda c: zero(h - 1, c)]
-            if d % 2 == 0:
-                children.append(lambda c: unit_mod2(h - 1, c))
-            return node + alloc(children, t)
-
-        return zero(depth, points)
-
-    qr_count = (p - 1) // 2
-
-    @cache
-    def unit(h: int, t: int) -> int:
-        if t < 2:
-            return 0
-        if h == 0:
-            return own(t)
-        return own(t) + alloc([lambda c: unit(h - 1, c)] * p, t)
-
-    @cache
-    def zero_odd(h: int, t: int) -> int:
-        if t < 2:
-            return 0
+    # Fan-out of a unit node, pinned unit digit levels, and unit children
+    # of a zero node at even depth: the only ways p = 2 differs.
+    fan, pinned, zero_units = (2, 2, 1) if p == 2 else (p, 0, (p - 1) // 2)
+    # Each table maps t = 0..points to the least cost of t points below one
+    # node of a given height; a node's own cost counts the pairs it holds.
+    own = [t * (t - 1) // 2 for t in range(points + 1)]
+    free = [own]
+    for _ in range(depth - 1 - pinned):
+        free.append(_add(own, _minplus_power(free[-1], fan)))
+    unit = [[(k + 1) * c for c in own] for k in range(pinned)]
+    unit += [_add([pinned * c for c in own], row) for row in free]
+    zero = own
+    for h in range(1, depth + 1):
         d = depth - h
-        node = own(t) if d >= 1 else 0
-        if h == 0:
-            return node
-        children = [lambda c: zero_odd(h - 1, c)]
         if d % 2 == 0:
-            children.extend([lambda c: unit(h - 1, c)] * qr_count)
-        return node + alloc(children, t)
+            zero = _minplus(zero, _minplus_power(unit[h - 1], zero_units))
+        if d:
+            zero = _add(own, zero)
+    return zero[points]
 
-    return zero_odd(depth, points)
+
+def _add(a: list[int], b: list[int]) -> list[int]:
+    return [x + y for x, y in zip(a, b)]
+
+
+def _minplus(a: list[int], b: list[int]) -> list[int]:
+    """Least a[s] + b[t - s] for every t: the cost of splitting t points."""
+    return [min(a[s] + b[t - s] for s in range(t + 1)) for t in range(len(a))]
+
+
+def _minplus_power(a: list[int], k: int) -> list[int]:
+    out = a
+    for _ in range(k - 1):
+        out = _minplus(out, a)
+    return out

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Optional, Union
 
 Rat = Fraction
 RatLike = Union[Fraction, int, str]

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 from .cnconst import cn_value
 from .exactpoly import (
@@ -43,13 +42,6 @@ __all__ = [
     "RootVerdict",
     "real_root_classifier",
 ]
-
-# Reference constants attached to the n = 2 classification: either
-# (b2, b3) = (23, 0) with a_x = 25/32, or b2 <= 8 with a_x in [5/6, 131/144].
-# Stored as inert data; nothing in this artifact consumes Betti numbers.
-N2_BETTI_SPLIT = {"b2": 23, "b3": 0, "a_x": Fraction(25, 32)}
-N2_BETTI_SMALL = {"b2_max": 8, "a_x_min": Fraction(5, 6), "a_x_max": Fraction(131, 144)}
-
 
 class ProfileError(ValueError):
     """A candidate polynomial violates a profile invariant."""
@@ -182,11 +174,6 @@ def cubic_prr(c_x: RatLike, n_x: RatLike) -> Poly:
     return shifted**3 * (c_x / 720) + shifted * b
 
 
-@cache
-def _cn(n: int) -> int:
-    return cn_value(n).value
-
-
 @dataclass(frozen=True)
 class DenominatorReport:
     """Coefficient denominators against the gcd-constant lattice bound."""
@@ -218,7 +205,7 @@ def denominator_check(n: int, p: Poly, even_form: bool, c_n: int | None = None) 
     """
     if p.degree > n:
         raise ValueError("polynomial degree exceeds n")
-    cn = _cn(n) if c_n is None else c_n
+    cn = cn_value(n).value if c_n is None else c_n
     flags = []
     for i in range(n + 1):
         scale = cn * 2**i if even_form else cn

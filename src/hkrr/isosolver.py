@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from typing import Optional
 
 from .cnconst import cn_value
@@ -54,7 +53,6 @@ __all__ = [
     "pairing_congruence",
     "divisibility_residues",
     "square_closure",
-    "hyperbolic_exclusion",
     "gcd_constraint",
     "TraceStep",
     "CandidateAnalysis",
@@ -68,10 +66,6 @@ class UnsupportedCase(ValueError):
     """Only the fully mechanized configurations are solved end to end."""
 
 
-def _cn(n: int, c_n: int | None) -> int:
-    return cn_value(n).value if c_n is None else c_n
-
-
 def pairing_candidates(n: int, a: int, even_form: bool, c_n: int | None = None) -> list[int]:
     """All pairing values q > 0 allowed by the divisibility constraint.
 
@@ -80,7 +74,7 @@ def pairing_candidates(n: int, a: int, even_form: bool, c_n: int | None = None) 
     """
     if n < 1 or a < 1:
         raise ValueError("need n >= 1 and a >= 1")
-    cn = _cn(n, c_n)
+    cn = cn_value(n).value if c_n is None else c_n
     budget = a * cn
     base = math.factorial(n) * (1 if even_form else 2**n)
     out = []
@@ -135,7 +129,8 @@ def mx_upper_bounds(n: int, a: int, q_lm: int, c_n: int | None = None) -> MxBoun
         raise ValueError("bound is meaningful only for a <= n!")
     eps = Fraction(1, 100)
     pairing = 2 * q_lm * _nth_root_upper(Fraction(math.factorial(n), a), n, eps / (2 * q_lm))
-    gcd_b = 2 * _nth_root_upper(Fraction(_cn(n, c_n)), n, eps / 2)
+    cn = cn_value(n).value if c_n is None else c_n
+    gcd_b = 2 * _nth_root_upper(Fraction(cn), n, eps / 2)
     return MxBounds(pairing_bound=pairing, gcd_bound=gcd_b)
 
 
@@ -241,27 +236,6 @@ def square_closure(rs: ResidueSet) -> ResidueSet:
         if viable == allowed:
             return ResidueSet(m, frozenset(viable))
         allowed = viable
-
-
-def hyperbolic_exclusion(odd_residue: int, modulus: int) -> bool:
-    """Whether a lone odd residue class is impossible for the represented values.
-
-    If every odd value falls in one residue class, adding isotropic-pair
-    multiples forces t*u + t*x + u*y = 0 mod 4 for all t, u and the pair
-    products x, y.  Exhausting (x, y) and (t, u) over (Z/4)^2 shows some
-    choice of (t, u) always violates the congruence, which is the
-    contradiction; the modulus (8 or 16) only scopes the uniqueness
-    assumption made by the caller.
-    """
-    if modulus not in (8, 16):
-        raise ValueError("modulus must be 8 or 16")
-    if odd_residue % 2 == 0:
-        raise ValueError("residue must be odd")
-    r4 = range(4)
-    return all(
-        any((t * u + t * x + u * y) % 4 for t, u in product(r4, r4))
-        for x, y in product(r4, r4)
-    )
 
 
 def gcd_constraint(rs: ResidueSet, required_gcd: int) -> str:
@@ -478,7 +452,11 @@ def _analyze_candidate(
     odds = sorted(r for r in closed.allowed if r % 2)
     if odds:
         classes_mod8 = sorted({r % 8 for r in odds})
-        if len(classes_mod8) == 1 and hyperbolic_exclusion(classes_mod8[0], 8):
+        # If every odd value lies in one class mod 8, adding isotropic-pair
+        # multiples forces t*u + t*x + u*y = 0 mod 4 for all t, u and the
+        # pair products x, y; for every (x, y) in (Z/4)^2 some (t, u)
+        # violates it (checked exhaustively in the tests).
+        if len(classes_mod8) == 1:
             closed = ResidueSet(work, frozenset(set(closed.allowed) - set(odds)))
             trace.append(
                 TraceStep(

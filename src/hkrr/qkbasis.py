@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable
 
-from .exactpoly import ONE, Poly, RatLike, X, ZERO, as_rat, poly_compose_affine
+from .exactpoly import Poly, RatLike, X, ZERO, as_rat
 
 __all__ = [
     "NotInSpan",
@@ -161,20 +161,23 @@ def _sign_variations(chain: list[Poly], x: Fraction) -> int:
 
 def count_real_roots(p: Poly, lo: Fraction | None = None, hi: Fraction | None = None) -> int:
     """Number of distinct real roots of p in (lo, hi] (whole line by default)."""
-    if p.degree < 1:
-        return 0
-    ps = _squarefree_part(p)
-    bound = _root_bound(ps)
-    lo = -bound if lo is None else lo
-    hi = bound if hi is None else hi
-    chain = _sturm_chain(ps)
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+    return _count_squarefree(_squarefree_part(p), lo, hi)
 
 
 def all_roots_real(p: Poly) -> bool:
     """True iff every complex root of p is real (multiplicity discounted)."""
     ps = _squarefree_part(p)
-    return count_real_roots(ps) == ps.degree
+    return _count_squarefree(ps) == ps.degree
+
+
+def _count_squarefree(ps: Poly, lo: Fraction | None = None, hi: Fraction | None = None) -> int:
+    if ps.degree < 1:
+        return 0
+    bound = _root_bound(ps)
+    lo = -bound if lo is None else lo
+    hi = bound if hi is None else hi
+    chain = _sturm_chain(ps)
+    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
 
 
 def _root_bound(p: Poly) -> Fraction:

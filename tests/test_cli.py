@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,11 @@ class TestCnCommand:
         run(argv)
         second = capsys.readouterr().out
         assert first == second
+
+    def test_beyond_sixteen_certifies(self, capsys):
+        report = run_json(capsys, ["cn", "17"])
+        closed_form = math.prod(math.factorial(2 * k) // 2 for k in range(1, 18))
+        assert report["results"]["value"] == str(closed_form)
 
     def test_budget_exit_code(self, capsys):
         assert run(["cn", "2", "--max-bound", "3"]) == EXIT_RESOURCE

@@ -8,7 +8,6 @@ from hkrr.cnconst import (
     SearchBudgetExceeded,
     cn_prime_support,
     cn_value,
-    layer_gcd,
     min_padic_valuation,
     tuple_product,
 )
@@ -62,21 +61,6 @@ class TestPrimeSupport:
             assert distinct_squares <= n
 
 
-class TestLayerPartitioning:
-    @pytest.mark.parametrize("parts", [2, 3, 5])
-    def test_any_partition_gives_same_gcd(self, parts):
-        n, bound = 3, 9
-        whole = layer_gcd(n, bound)
-        combined = 0
-        for i in range(parts):
-            combined = math.gcd(combined, layer_gcd(n, bound, part=(i, parts)))
-        assert combined == whole
-
-    def test_bad_part_rejected(self):
-        with pytest.raises(ValueError):
-            layer_gcd(2, 5, part=(3, 2))
-
-
 class TestPadicMinimization:
     def test_two_adic_three_points(self):
         # Squares {0, 1, 4} realize total valuation 2 and nothing beats it.
@@ -112,12 +96,16 @@ class TestPadicMinimization:
         "p,points,depth",
         [(p, t, d) for p in (2, 3, 5) for t in (2, 3, 4) for d in (1, 2, 3)]
         # Deeper 2-adic cases exercise the pinned-unit digit levels.
-        + [(2, t, d) for t in (3, 4, 5) for d in (4, 5, 6)],
+        + [(2, t, d) for t in (3, 4, 5) for d in (4, 5, 6)]
+        # Deeper 3-adic tries; t + d <= 9 keeps each enumeration near a second.
+        + [(3, t, d) for t in (3, 4, 5) for d in (4, 5, 6) if t + d <= 9]
+        # A prime with (p - 1) / 2 = 3 unit children per even zero level.
+        + [(7, t, d) for t in (4, 5, 6) for d in (1, 2)],
     )
     def test_matches_brute_force_enumeration(self, p, points, depth):
-        # Literal minimum over all multisets of squares mod p^depth.
-        from itertools import combinations_with_replacement
-
+        # Literal minimum over all multisets of squares mod p^depth,
+        # enumerated as sorted index sequences; cost[k] is what square k
+        # adds to the pairwise sum of the squares chosen so far.
         modulus = p**depth
         squares = sorted({x * x % modulus for x in range(modulus)})
 
@@ -130,15 +118,17 @@ class TestPadicMinimization:
                 v += 1
             return v
 
-        best = None
-        for multiset in combinations_with_replacement(squares, points):
-            total = sum(
-                capped_valuation(multiset[j] - multiset[k])
-                for j in range(points)
-                for k in range(j + 1, points)
+        val = [[capped_valuation(a - b) for b in squares] for a in squares]
+
+        def best(cost, start, left):
+            if left == 1:
+                return min(cost[start:])
+            return min(
+                cost[k] + best([c + v for c, v in zip(cost, val[k])], k, left - 1)
+                for k in range(start, len(squares))
             )
-            best = total if best is None else min(best, total)
-        assert min_padic_valuation(p, points, depth) == best
+
+        assert min_padic_valuation(p, points, depth) == best([0] * len(squares), 0, points)
 
 
 class TestCnValue:
@@ -147,6 +137,12 @@ class TestCnValue:
         cert = cn_value(n)
         assert cert.value == reference_value(n)
         assert dict(cert.factorization) == REFERENCE_TABLE[n]
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_matches_closed_form(self, n):
+        # C(n) = prod_{k=1..n} (2k)!/2 (Bhargava, "The factorial function
+        # and generalizations", Amer. Math. Monthly 107, 2000).
+        assert cn_value(n).value == math.prod(math.factorial(2 * k) // 2 for k in range(1, n + 1))
 
     def test_value_divides_random_tuple_products(self):
         rng = random.Random(17)

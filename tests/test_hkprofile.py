@@ -22,16 +22,6 @@ class TestDoubleFactorial:
         assert [double_factorial(m) for m in (1, 3, 5, 7)] == [1, 3, 15, 105]
 
 
-class TestReferenceConstants:
-    def test_n2_classification_data_pinned(self):
-        from hkrr.hkprofile import N2_BETTI_SMALL, N2_BETTI_SPLIT
-
-        assert N2_BETTI_SPLIT == {"b2": 23, "b3": 0, "a_x": Fraction(25, 32)}
-        assert N2_BETTI_SMALL["b2_max"] == 8
-        assert N2_BETTI_SMALL["a_x_min"] == Fraction(5, 6)
-        assert N2_BETTI_SMALL["a_x_max"] == Fraction(131, 144)
-
-
 class TestKnownFamilies:
     def test_split_cubic_factored(self):
         p = known_family_prr("split-type", 3)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -9,7 +10,6 @@ from hkrr.isosolver import (
     divisibility_residues,
     fujiki_from_pairing,
     gcd_constraint,
-    hyperbolic_exclusion,
     mx_upper_bounds,
     pairing_candidates,
     pairing_congruence,
@@ -139,23 +139,14 @@ class TestSquareClosure:
 
 
 class TestHyperbolicExclusion:
-    @pytest.mark.parametrize("residue,modulus", [(7, 8), (5, 8), (15, 16), (1, 8), (13, 16)])
-    def test_every_odd_class_excluded(self, residue, modulus):
-        assert hyperbolic_exclusion(residue, modulus)
-
-    def test_monotone_under_refinement(self):
-        for r in (1, 3, 5, 7):
-            if hyperbolic_exclusion(r, 8):
-                assert hyperbolic_exclusion(r, 16)
-                assert hyperbolic_exclusion(r + 8, 16)
-
-    def test_rejects_even_residue(self):
-        with pytest.raises(ValueError):
-            hyperbolic_exclusion(6, 8)
-
-    def test_rejects_other_modulus(self):
-        with pytest.raises(ValueError):
-            hyperbolic_exclusion(3, 4)
+    def test_bilinear_congruence_has_no_solution_mod_4(self):
+        # The lemma behind the rule, for any lone odd class: whatever the
+        # pair products (x, y), some (t, u) breaks t*u + t*x + u*y = 0 mod 4.
+        r4 = range(4)
+        assert all(
+            any((t * u + t * x + u * y) % 4 for t, u in product(r4, r4))
+            for x, y in product(r4, r4)
+        )
 
 
 class TestGcdConstraint:
