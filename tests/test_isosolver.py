@@ -148,6 +148,32 @@ class TestHyperbolicExclusion:
             for x, y in product(r4, r4)
         )
 
+    @staticmethod
+    def _lone_class_broken(residue, modulus):
+        # q(v + t e + u f) = q(v) + 2 (t u + t x + u y) with x = b(v, e),
+        # y = b(v, f): for every pairing (x, y) some shift (t, u) moves the
+        # value out of the lone class residue mod modulus.
+        rm = range(modulus)
+        return all(
+            any(
+                (residue + 2 * (t * u + t * x + u * y)) % modulus != residue % modulus
+                for t, u in product(rm, rm)
+            )
+            for x, y in product(rm, rm)
+        )
+
+    @pytest.mark.parametrize("residue,modulus", [(7, 8), (5, 8), (15, 16), (1, 8), (13, 16)])
+    def test_every_odd_class_excluded(self, residue, modulus):
+        assert self._lone_class_broken(residue, modulus)
+
+    def test_monotone_under_refinement(self):
+        # A lone class mod 16 is a lone class mod 8, so exclusion mod 8
+        # carries over to both of its lifts mod 16.
+        for r in (1, 3, 5, 7):
+            if self._lone_class_broken(r, 8):
+                assert self._lone_class_broken(r, 16)
+                assert self._lone_class_broken(r + 8, 16)
+
 
 class TestGcdConstraint:
     def test_all_divisible_by_four_contradicts_even_form(self):
