@@ -10,12 +10,13 @@ products of cohomology classes commute.
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .chebbern import bernoulli, pk_poly
-from .exactpoly import ONE, Poly, RatLike, ZERO, as_rat, rat_str
+from .exactpoly import ONE, Poly, RatLike, ZERO, as_rat, rat_from_json, rat_str
 
 __all__ = ["ChernData", "Partition", "partitions", "q_rr_from_chern"]
 
@@ -85,12 +86,30 @@ class ChernData:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ChernData":
-        if not isinstance(obj, dict) or "n" not in obj or "values" not in obj:
-            raise ValueError("Chern data JSON must carry 'n' and 'values'")
-        return cls(obj["n"], {tuple(e["partition"]): e["value"] for e in obj["values"]})
+        if not isinstance(obj, dict) or "n" not in obj or not isinstance(obj.get("values"), list):
+            raise ValueError("Chern data JSON must carry 'n' and a 'values' list")
+        n = obj["n"]
+        if not _is_json_int(n):
+            raise ValueError(f"n: expected an integer, got {json.dumps(n, default=repr)}")
+        values = {}
+        for i, entry in enumerate(obj["values"]):
+            part = entry.get("partition") if isinstance(entry, dict) else None
+            if not isinstance(part, list) or "value" not in entry:
+                raise ValueError(f"values[{i}]: expected an object with a 'partition' list and a 'value'")
+            if not all(_is_json_int(k) for k in part):
+                got = json.dumps(part, default=repr)
+                raise ValueError(f"values[{i}].partition: expected integers, got {got}")
+            if tuple(part) in values:
+                raise ValueError(f"values[{i}]: duplicate partition {part}")
+            values[tuple(part)] = rat_from_json(entry["value"], f"values[{i}].value")
+        return cls(n, values)
 
     def __repr__(self) -> str:
         return f"ChernData(n={self.n}, values={self.values!r})"
+
+
+def _is_json_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _weight(key: Partition) -> int:

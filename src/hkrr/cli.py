@@ -117,7 +117,10 @@ def _cmd_cn(args: argparse.Namespace) -> dict:
     max_bound = args.max_bound
     if max_bound is None:
         env = os.environ.get("HKRR_MAX_BOUND")
-        max_bound = int(env) if env else None
+        try:
+            max_bound = int(env) if env else None
+        except ValueError:
+            raise _UsageError(f"HKRR_MAX_BOUND must be an integer, got {env!r}") from None
     cert = cn_value(args.n, stability=args.stability, max_bound=max_bound)
     return _report(
         "cn",
@@ -272,6 +275,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         report = _HANDLERS[args.command](args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except SearchBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -135,7 +135,6 @@ def _factor_over(value: int, primes: Iterable[int]) -> tuple[dict[int, int], int
     return fact, rem
 
 
-@cache
 def cn_value(n: int, stability: int = 3, max_bound: int | None = None) -> CnCertificate:
     """Layered gcd search for C(n), stopped only once fully certified.
 
@@ -143,13 +142,19 @@ def cn_value(n: int, stability: int = 3, max_bound: int | None = None) -> CnCert
     ``stability`` consecutive layers, its prime support lies within
     p <= 2n-1, and every prime exponent is confirmed by the residue
     minimization of ``min_padic_valuation``.  Raises SearchBudgetExceeded
-    if B passes ``max_bound`` first.
+    if B passes ``max_bound`` (default ``DEFAULT_MAX_BOUND``) first.
+    Certificates are cached per (n, stability, effective cap), however the
+    call spells its arguments.
     """
+    return _certified_cn(n, stability, DEFAULT_MAX_BOUND if max_bound is None else max_bound)
+
+
+@cache
+def _certified_cn(n: int, stability: int, cap: int) -> CnCertificate:
     if n < 1:
         raise ValueError("n must be >= 1")
     if stability < 1:
         raise ValueError("stability must be >= 1")
-    cap = DEFAULT_MAX_BOUND if max_bound is None else max_bound
     support = cn_prime_support(n)
     g = 0
     stable = 0

@@ -10,11 +10,12 @@ anywhere.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Rat = Fraction
 RatLike = Union[Fraction, int, str]
@@ -23,12 +24,15 @@ __all__ = [
     "Rat",
     "RatLike",
     "as_rat",
+    "rat_from_json",
     "rat_str",
     "Poly",
     "X",
     "ZERO",
     "ONE",
     "poly_eval",
+    "integer_form",
+    "int_horner",
     "poly_compose_affine",
     "binomial_poly",
     "symmetry_shift",
@@ -42,6 +46,23 @@ def as_rat(x: RatLike) -> Fraction:
     if isinstance(x, float):
         raise TypeError("floats are not exact; pass an int, Fraction, or 'p/q' string")
     return Fraction(x)
+
+
+def rat_from_json(value: object, where: str) -> Fraction:
+    """An exact rational read from JSON: an integer or a "p/q" string.
+
+    Floats (inexact) and booleans (not numbers) are refused, as is any other
+    JSON value, with a one-line ValueError that names ``where``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        got = json.dumps(value, default=repr)
+        raise ValueError(f"{where}: expected an integer or a 'p/q' string, got {got}")
+    try:
+        return Fraction(value)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    except ZeroDivisionError:
+        raise ValueError(f"{where}: zero denominator in {value!r}") from None
 
 
 def rat_str(x: Fraction) -> str:
@@ -201,9 +222,9 @@ class Poly:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Poly":
-        if not isinstance(obj, dict) or "coeffs" not in obj:
+        if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
             raise ValueError("polynomial JSON must be an object with a 'coeffs' list")
-        return cls(obj["coeffs"])
+        return cls(rat_from_json(c, f"coeffs[{i}]") for i, c in enumerate(obj["coeffs"]))
 
 
 def _as_poly(x: "Poly | RatLike") -> Poly:
@@ -220,6 +241,24 @@ def poly_eval(p: Poly, x: RatLike) -> Fraction:
     x = as_rat(x)
     acc = Fraction(0)
     for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def integer_form(p: Poly) -> tuple[list[int], int]:
+    """(N, M): M the lcm of the coefficient denominators, N = M*p as integers.
+
+    p(q) is an integer exactly when M divides N(q); M is 1 for the zero
+    polynomial and for integer polynomials.
+    """
+    m = math.lcm(1, *(c.denominator for c in p.coeffs))
+    return [c.numerator * (m // c.denominator) for c in p.coeffs], m
+
+
+def int_horner(coeffs: Sequence[int], x: int) -> int:
+    """Value at the integer x of the integer polynomial with ascending coeffs."""
+    acc = 0
+    for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
@@ -341,7 +380,23 @@ def integrality_residues(p: Poly) -> ResidueSet:
     Returns (M, S) with M the lcm of the coefficient denominators and
     S = {q mod M : p(q) is an integer}; then p(q) in Z iff q mod M in S,
     since p(q + M) - p(q) is always an integer.
+
+    With (N, M) = ``integer_form(p)``, p(q) is an integer iff every prime
+    power l^e exactly dividing M divides N(q), and N(q + l^e) = N(q) mod l^e.
+    So S is built one prime power at a time, S_l = {r < l^e : l^e | N(r)},
+    and the S_l are joined by the Chinese remainder theorem.  The cost is
+    sum(l^e) integer evaluations plus |S| joins, instead of M rational ones.
     """
-    m = math.lcm(1, *(c.denominator for c in p.coeffs)) if p.coeffs else 1
-    allowed = frozenset(q for q in range(m) if poly_eval(p, q).denominator == 1)
-    return ResidueSet(m, allowed)
+    coeffs, m = integer_form(p)
+    modulus, allowed = 1, [0]
+    for ell in sorted(_prime_factors(m)):
+        q = ell
+        while m % (q * ell) == 0:
+            q *= ell
+        reduced = [c % q for c in coeffs]
+        s_ell = [r for r in range(q) if int_horner(reduced, r) % q == 0]
+        # x = a (mod modulus) and x = b (mod q): x = a + modulus * ((b - a) / modulus mod q).
+        inv = pow(modulus, -1, q)
+        allowed = [a + modulus * ((b - a) * inv % q) for a in allowed for b in s_ell]
+        modulus *= q
+    return ResidueSet(m, frozenset(allowed))

@@ -22,6 +22,8 @@ from .exactpoly import (
     RatLike,
     as_rat,
     binomial_poly,
+    int_horner,
+    integer_form,
     poly_compose_affine,
     rat_str,
     symmetry_shift,
@@ -246,23 +248,22 @@ class EvenValuesReport:
 def even_values_check(n: int, p: Poly) -> EvenValuesReport:
     """Test integrality on even inputs and the induced leading-term bounds.
 
-    Samples p(2t) for t = 1 .. 2*lcm(denominators), which covers every even
-    residue class modulo the integrality period; on success the leading
-    coefficient must lie in 1/(n! 2^n) Z and (2n)! a_n in (2n-1)!! Z.
+    Integrality on even inputs is decided by Polya's criterion: g(t) = p(2t)
+    of degree d is integer valued on Z iff its forward differences
+    Delta^k g(0), k = 0..d, are integers.  With (N, M) = ``integer_form(p)``
+    that is M | Delta^k N(2t) at t = 0, so the test costs d + 1 integer
+    evaluations and O(d^2) subtractions, whatever the size of M.  On
+    success the leading coefficient must lie in 1/(n! 2^n) Z and
+    (2n)! a_n in (2n-1)!! Z.
     """
     if p.degree > n:
         raise ValueError("polynomial degree exceeds n")
-    lcm = math.lcm(1, *(c.denominator for c in p.coeffs)) if p.coeffs else 1
-    # Integer Horner on lcm * p: p(q) is an integer iff lcm | (lcm * p)(q).
-    scaled = [int(c * lcm) for c in p.coeffs]
-
-    def scaled_value(q: int) -> int:
-        acc = 0
-        for c in reversed(scaled):
-            acc = acc * q + c
-        return acc
-
-    integral = all(scaled_value(2 * t) % lcm == 0 for t in range(1, 2 * lcm + 1))
+    coeffs, m = integer_form(p)
+    diffs = [int_horner(coeffs, 2 * t) for t in range(p.degree + 1)]
+    integral = True
+    while diffs and integral:
+        integral = diffs[0] % m == 0
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     a_n = p.coeff(n)
     leading_ok = (a_n * math.factorial(n) * 2**n).denominator == 1
     c_x = math.factorial(2 * n) * a_n

@@ -55,6 +55,12 @@ class TestCnCommand:
         monkeypatch.setenv("HKRR_MAX_BOUND", "50")
         assert run(["cn", "2"]) == EXIT_OK
 
+    def test_bad_env_var_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("HKRR_MAX_BOUND", "abc")
+        assert run(["cn", "3"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: HKRR_MAX_BOUND must be an integer, got 'abc'"]
+
 
 class TestQkCommand:
     def test_roots_reported_with_tolerance(self, capsys):
@@ -154,6 +160,62 @@ class TestCheckCommand:
         report = run_json(capsys, ["check", "--poly", path, "--n", "3", "--even"])
         assert report["results"]["denominator"]["ok"] is True
         assert report["results"]["even_values"]["ok"] is True
+
+    def test_split_family_n10(self, capsys, tmp_path):
+        path = write_poly(tmp_path, known_family_prr("split", 10))
+        report = run_json(capsys, ["check", "--poly", path, "--n", "10", "--even"])
+        assert report["results"]["even_values"]["integral_on_even"] is True
+
+
+def _write(tmp_path, obj):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+class TestMalformedInput:
+    POLY_ARGV = [
+        ["check", "--n", "1", "--even"],
+        ["profile"],
+        ["decompose", "--basis", "qk"],
+    ]
+
+    @pytest.mark.parametrize("argv", POLY_ARGV)
+    @pytest.mark.parametrize(
+        "coeffs, where",
+        [
+            ([1.5, 1], "coeffs[0]"),
+            ([4, 0.25], "coeffs[1]"),
+            ([True, 1], "coeffs[0]"),
+            ([2, False], "coeffs[1]"),
+            ([2, None], "coeffs[1]"),
+            (["1/0", 1], "coeffs[0]"),
+            ([2, "x"], "coeffs[1]"),
+        ],
+    )
+    def test_bad_coefficient(self, capsys, tmp_path, argv, coeffs, where):
+        path = _write(tmp_path, {"coeffs": coeffs})
+        assert run(argv[:1] + ["--poly", path] + argv[1:]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {where}: ")
+
+    @pytest.mark.parametrize(
+        "chern, where",
+        [
+            ({"n": 1, "values": [{"partition": [1], "value": -24.0}]}, "values[0].value"),
+            ({"n": 1, "values": [{"partition": [1], "value": True}]}, "values[0].value"),
+            ({"n": 1, "values": [{"partition": [1.0], "value": -24}]}, "values[0].partition"),
+            ({"n": 1, "values": [{"partition": [True], "value": -24}]}, "values[0].partition"),
+            ({"n": 1, "values": [{"partition": [1]}]}, "values[0]"),
+            ({"n": 1, "values": [{"partition": [1], "value": 2}, {"partition": [1], "value": 3}]}, "values[1]"),
+            ({"n": 1.0, "values": []}, "n"),
+            ({"n": True, "values": []}, "n"),
+        ],
+    )
+    def test_bad_chern_data(self, capsys, tmp_path, chern, where):
+        assert run(["qrr", "--chern", _write(tmp_path, chern)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {where}: ")
 
 
 class TestExitCodes:

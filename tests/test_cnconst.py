@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from hkrr import cnconst
+from hkrr.cli import run
 from hkrr.cnconst import (
     CnCertificate,
     SearchBudgetExceeded,
@@ -172,6 +174,18 @@ class TestCnValue:
             CnCertificate(n=2, value=12, factorization=((2, 1),), search_bound=5, stable_layers=3)
         with pytest.raises(ValueError):
             CnCertificate(n=2, value=5, factorization=((5, 1),), search_bound=5, stable_layers=3)
+
+    def test_one_computation_per_effective_arguments(self, capsys):
+        # pairing_candidates spells cn_value(3); the cn command spells
+        # cn_value(3, stability=3, max_bound=None).  Both name one search.
+        from hkrr.isosolver import pairing_candidates
+
+        cnconst._certified_cn.cache_clear()
+        pairing_candidates(3, 1, True)
+        assert run(["cn", "3"]) == 0
+        capsys.readouterr()
+        info = cnconst._certified_cn.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_json_shape(self):
         blob = cn_value(3).to_json()

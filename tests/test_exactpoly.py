@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,8 @@ from hkrr.exactpoly import (
     ZERO,
     as_rat,
     binomial_poly,
+    int_horner,
+    integer_form,
     integrality_residues,
     poly_compose_affine,
     poly_eval,
@@ -232,6 +235,20 @@ class TestIntegralityResidues:
         assert mod16 == {0, 6, 8, 14, 15}
         assert set(rs.allowed) == {q for q in range(48) if q % 16 in mod16}
 
+    def test_equals_full_period_scan(self):
+        # Denominators mix the prime powers 2^4, 3^2, 5 and 7, so M runs
+        # from 1 to 5040; constants and integer polynomials give M = 1.
+        rng = random.Random(5)
+        denominators = (1, 1, 2, 4, 8, 16, 3, 9, 5, 7, 12, 18, 45, 63, 80, 112, 144)
+        moduli = set()
+        for i in range(80):
+            deg = rng.randint(-1, 4) if i % 4 else 0
+            p = Poly(Fraction(rng.randint(-30, 30), rng.choice(denominators)) for _ in range(deg + 1))
+            rs = integrality_residues(p)
+            assert rs == scanned_residues(p), p
+            moduli.add(rs.modulus)
+        assert 1 in moduli and max(moduli) >= 720
+
     def test_sound_and_complete_on_random_integers(self):
         rng = random.Random(7)
         for _ in range(20):
@@ -240,3 +257,24 @@ class TestIntegralityResidues:
             for _ in range(50):
                 q = rng.randint(-10**6, 10**6)
                 assert rs.contains(q) == (poly_eval(p, q).denominator == 1)
+
+
+def scanned_residues(p: Poly) -> ResidueSet:
+    """The former criterion: every q in range(M), evaluated over Fraction."""
+    m = math.lcm(1, *(c.denominator for c in p.coeffs))
+    return ResidueSet(m, frozenset(q for q in range(m) if poly_eval(p, q).denominator == 1))
+
+
+class TestIntegerForm:
+    def test_scales_to_lowest_common_denominator(self):
+        p = Poly((Fraction(1, 6), Fraction(-3, 4), 2))
+        assert integer_form(p) == ([2, -9, 24], 12)
+        assert integer_form(ZERO) == ([], 1)
+
+    def test_horner_matches_exact_value(self):
+        rng = random.Random(3)
+        for _ in range(20):
+            p = rand_poly(rng)
+            coeffs, m = integer_form(p)
+            for x in range(-5, 6):
+                assert Fraction(int_horner(coeffs, x), m) == poly_eval(p, x)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -168,6 +169,51 @@ class TestEvenValuesCheck:
     def test_surviving_denominator_fails(self):
         report = even_values_check(2, X**2 * Fraction(1, 5) + Poly((3, 1)))
         assert not report.integral_on_even and not report.ok
+
+    @pytest.mark.parametrize("kind", ["split", "product"])
+    def test_families_pass_at_n20(self, kind):
+        assert even_values_check(20, known_family_prr(kind, 20)).ok
+
+    @pytest.mark.parametrize("kind", ["split", "product"])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_agrees_with_sampling_on_families(self, kind, n):
+        p = known_family_prr(kind, n)
+        assert even_values_check(n, p).integral_on_even == sampled_integral_on_even(p)
+        if n <= 5:  # p/3 triples the sampled period
+            assert even_values_check(n, p / 3).integral_on_even == sampled_integral_on_even(p / 3)
+
+    def test_agrees_with_sampling_on_perturbed_families(self):
+        # Integer shifts keep integrality on even inputs, odd denominators
+        # break it, and a shift c/2^j of T^k keeps it exactly when j <= k.
+        rng = random.Random(11)
+        verdicts = set()
+        for i in range(240):
+            n = rng.randint(1, 5)
+            p = known_family_prr(rng.choice(("split", "product")), n)
+            shift = Fraction(rng.choice((-2, -1, 1, 2)))
+            if i % 3 == 1:
+                shift /= rng.choice((3, 5, 7, 9, 11, 13))
+            elif i % 3 == 2:
+                shift /= rng.choice((2, 4, 8))
+            p = p + X ** rng.randint(0, n) * shift
+            verdict = even_values_check(n, p).integral_on_even
+            assert verdict == sampled_integral_on_even(p), (n, p)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+
+def sampled_integral_on_even(p: Poly) -> bool:
+    """The former check: p(2t) for t = 1 .. 2*lcm(denominators), on integers."""
+    lcm = math.lcm(1, *(c.denominator for c in p.coeffs))
+    scaled = [int(c * lcm) for c in p.coeffs]
+
+    def scaled_value(q: int) -> int:
+        acc = 0
+        for c in reversed(scaled):
+            acc = acc * q + c
+        return acc
+
+    return all(scaled_value(2 * t) % lcm == 0 for t in range(1, 2 * lcm + 1))
 
 
 class TestRealRootClassifier:
