@@ -16,7 +16,7 @@ from typing import Any, Sequence
 from . import __version__
 from .chernrr import ChernData, q_rr_from_chern
 from .cnconst import SearchBudgetExceeded, cn_value
-from .exactpoly import Poly, as_rat, rat_str
+from .exactpoly import Poly, jsonable, rat_from_json
 from .hkprofile import (
     denominator_check,
     even_values_check,
@@ -109,8 +109,9 @@ def _load_json(path: str) -> Any:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _report(command: str, inputs: dict, results: dict, claims: list[str]) -> dict:
-    return {"command": command, "inputs": inputs, "results": results, "claims": claims}
+def _report(command: str, inputs: dict, results: Any, claims: list[str]) -> dict:
+    """The report of one command; library objects in it are written by ``jsonable``."""
+    return jsonable({"command": command, "inputs": inputs, "results": results, "claims": claims})
 
 
 def _cmd_cn(args: argparse.Namespace) -> dict:
@@ -125,7 +126,7 @@ def _cmd_cn(args: argparse.Namespace) -> dict:
     return _report(
         "cn",
         {"n": args.n, "stability": args.stability, "max_bound": max_bound},
-        cert.to_json(),
+        cert,
         [f"certified gcd constant for n={args.n}"],
     )
 
@@ -133,7 +134,7 @@ def _cmd_cn(args: argparse.Namespace) -> dict:
 def _cmd_qk(args: argparse.Namespace) -> dict:
     if args.k < 0:
         raise ValueError("k must be >= 0")
-    results: dict[str, Any] = {"k": args.k, "poly": qk_poly(args.k).to_json()}
+    results: dict[str, Any] = {"k": args.k, "poly": qk_poly(args.k)}
     claims = [f"basis polynomial of degree {args.k}"]
     if args.roots:
         results["roots"] = {"values": qk_roots(args.k), "tolerance": ROOT_TOLERANCE}
@@ -155,7 +156,7 @@ def _cmd_qrr(args: argparse.Namespace) -> dict:
     return _report(
         "qrr",
         {"chern": data.to_json()},
-        {"q_rr": q.to_json(), "degree": q.degree},
+        {"q_rr": q, "degree": q.degree},
         ["normalized Riemann-Roch polynomial from Chern numbers"],
     )
 
@@ -170,11 +171,9 @@ def _cmd_profile(args: argparse.Namespace) -> dict:
     else:
         p = Poly.from_json(_load_json(args.poly))
         n = args.n if args.n is not None else p.degree
-        inputs = {"poly": p.to_json(), "n": n}
+        inputs = {"poly": p, "n": n}
     profile = profile_from_prr(n, p)
-    verdict = real_root_classifier(profile)
-    results = profile.to_json()
-    results["roots"] = verdict.to_json()
+    results = {**profile.to_json(), "roots": real_root_classifier(profile)}
     return _report("profile", inputs, results, ["invariant bundle extracted and validated"])
 
 
@@ -184,19 +183,19 @@ def _cmd_decompose(args: argparse.Namespace) -> dict:
         if args.shift is not None:
             raise ValueError("--shift applies only to the shifted basis")
         coeffs = decompose_qk(p)
-        inputs = {"poly": p.to_json(), "basis": "qk"}
+        inputs = {"poly": p, "basis": "qk"}
         claim = "decomposition into the monic positive basis q_(n-2i)"
     else:
         if args.shift is None:
             raise ValueError("the shifted basis requires --shift")
-        shift = as_rat(args.shift)
+        shift = rat_from_json(args.shift, "--shift")
         coeffs = decompose_shifted(p, shift)
-        inputs = {"poly": p.to_json(), "basis": "shifted", "shift": rat_str(shift)}
+        inputs = {"poly": p, "basis": "shifted", "shift": shift}
         claim = "decomposition into shifted powers (T+s)^(n-2j)"
     return _report(
         "decompose",
         inputs,
-        {"coefficients": [rat_str(c) for c in coeffs]},
+        {"coefficients": coeffs},
         [claim],
     )
 
@@ -207,7 +206,7 @@ def _cmd_isotropic(args: argparse.Namespace) -> dict:
     return _report(
         "isotropic",
         {"n": args.n, "a": args.a},
-        case.to_json(),
+        case,
         [f"dimension-6 isotropic case a={args.a}: surviving n_x in {{{survivors}}}"],
     )
 
@@ -218,8 +217,8 @@ def _cmd_check(args: argparse.Namespace) -> dict:
     even_vals = even_values_check(args.n, p)
     return _report(
         "check",
-        {"poly": p.to_json(), "n": args.n, "even": args.even},
-        {"denominator": den.to_json(), "even_values": even_vals.to_json()},
+        {"poly": p, "n": args.n, "even": args.even},
+        {"denominator": den, "even_values": even_vals},
         ["coefficient denominator bounds and even-value integrality"],
     )
 

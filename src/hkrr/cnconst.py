@@ -20,10 +20,12 @@ lower bound for the true minimum, which the found tuples bound above).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
 from typing import Iterable, Sequence
+
+from .exactpoly import Report
 
 __all__ = [
     "SearchBudgetExceeded",
@@ -43,11 +45,11 @@ class SearchBudgetExceeded(RuntimeError):
 
 
 @dataclass(frozen=True)
-class CnCertificate:
+class CnCertificate(Report):
     """A certified gcd-constant value together with its search evidence."""
 
     n: int
-    value: int
+    value: int = field(metadata={"json": str})
     factorization: tuple[tuple[int, int], ...]
     search_bound: int
     stable_layers: int
@@ -60,15 +62,6 @@ class CnCertificate:
             raise ValueError("factorization does not multiply to value")
         if any(p > 2 * self.n - 1 for p, _ in self.factorization):
             raise ValueError("a factor prime exceeds 2n-1")
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "value": str(self.value),
-            "factorization": [[p, e] for p, e in self.factorization],
-            "search_bound": self.search_bound,
-            "stable_layers": self.stable_layers,
-        }
 
 
 def tuple_product(rs: Sequence[int]) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Optional, Sequence, Union
@@ -26,6 +26,8 @@ __all__ = [
     "as_rat",
     "rat_from_json",
     "rat_str",
+    "jsonable",
+    "Report",
     "Poly",
     "X",
     "ZERO",
@@ -52,11 +54,15 @@ def rat_from_json(value: object, where: str) -> Fraction:
     """An exact rational read from JSON: an integer or a "p/q" string.
 
     Floats (inexact) and booleans (not numbers) are refused, as is any other
-    JSON value, with a one-line ValueError that names ``where``.
+    JSON value, with a one-line ValueError that names ``where``.  So is a
+    string in exponent notation: ``Fraction("1e3000000")`` would expand the
+    power of ten, which takes minutes and memory in proportion.
     """
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         got = json.dumps(value, default=repr)
         raise ValueError(f"{where}: expected an integer or a 'p/q' string, got {got}")
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        raise ValueError(f"{where}: exponent notation is not accepted, got {value!r}")
     try:
         return Fraction(value)
     except ValueError as exc:
@@ -68,6 +74,39 @@ def rat_from_json(value: object, where: str) -> Fraction:
 def rat_str(x: Fraction) -> str:
     """Serialize a rational as "p/q", or just "p" when the denominator is 1."""
     return str(Fraction(x))
+
+
+def jsonable(value: object) -> object:
+    """The JSON form of a report value; the one place the report format is set.
+
+    A Fraction becomes "p/q", a Poly ``{"coeffs": [...]}``, a set a sorted
+    list, a named tuple an object, any other list or tuple a list, a dict a
+    dict, and a dataclass an object of its fields in declaration order.  A
+    field whose metadata carries ``"json"`` is written by that function
+    instead.  Every other value (int, bool, str, float, None) is kept as is.
+    """
+    if isinstance(value, Fraction):
+        return rat_str(value)
+    if isinstance(value, Poly):
+        return {"coeffs": jsonable(value.coeffs)}
+    if isinstance(value, (set, frozenset)):
+        return jsonable(sorted(value))
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return {name: jsonable(v) for name, v in zip(value._fields, value)}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {k: jsonable(v) for k, v in value.items()}
+    if is_dataclass(value):
+        return {f.name: f.metadata.get("json", jsonable)(getattr(value, f.name)) for f in fields(value)}
+    return value
+
+
+class Report:
+    """Base of the report dataclasses: ``to_json()`` is ``jsonable(self)``."""
+
+    def to_json(self) -> dict:
+        return jsonable(self)
 
 
 class Poly:
@@ -218,7 +257,7 @@ class Poly:
 
     def to_json(self) -> dict:
         """JSON form ``{"coeffs": ["p/q", ...]}``, ascending by degree."""
-        return {"coeffs": [rat_str(c) for c in self._coeffs]}
+        return jsonable(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "Poly":
@@ -347,7 +386,9 @@ class ResidueSet:
             for p in sorted(_prime_factors(m)):
                 m2 = m // p
                 proj = frozenset(r % m2 for r in allowed)
-                if frozenset(r for r in range(m) if r % m2 in proj) == allowed:
+                # allowed lies inside the preimage of proj, which has
+                # p * |proj| members, so equal sizes mean equal sets.
+                if len(allowed) == p * len(proj):
                     m, allowed = m2, proj
                     changed = True
                     break

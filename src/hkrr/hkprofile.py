@@ -13,20 +13,19 @@ checks, and real-root classification of Q_RR.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cnconst import cn_value
 from .exactpoly import (
     Poly,
     RatLike,
+    Report,
     as_rat,
     binomial_poly,
     int_horner,
     integer_form,
     poly_compose_affine,
-    rat_str,
-    symmetry_shift,
 )
 from .qkbasis import all_roots_real
 
@@ -58,19 +57,27 @@ def double_factorial(m: int) -> int:
 
 
 @dataclass(frozen=True)
-class HKProfile:
-    """Invariants (n, P_RR, Q_RR, c_x, n_x, m_x, a_x) of one candidate."""
+class HKProfile(Report):
+    """Invariants (n, c_x, n_x, m_x, a_x, P_RR, Q_RR) of one candidate.
+
+    ``n_x_is_integer`` is a reportable flag; integrality of n_x is
+    observed, never enforced.
+    """
 
     n: int
-    p_rr: Poly
-    q_rr: Poly
     c_x: Fraction
     n_x: Fraction
     m_x: Fraction
     a_x: Fraction
+    n_x_is_integer: bool = field(init=False)
+    p_rr: Poly
+    q_rr: Poly
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "n_x_is_integer", self.n_x.denominator == 1)
 
     def validate(self) -> None:
-        """Re-check every structural invariant (used by tests and the CLI)."""
+        """Check every structural invariant, in order; the first failure raises."""
         n = self.n
         fact2n = math.factorial(2 * n)
         if self.p_rr.leading() != self.c_x / fact2n:
@@ -79,7 +86,8 @@ class HKProfile:
             raise ProfileError("bad constant term")
         if self.q_rr != poly_compose_affine(self.p_rr, self.m_x, 0):
             raise ProfileError("q_rr is not p_rr(m_x T)")
-        if self.c_x != fact2n * self.a_x / self.m_x**n:
+        # Multiplied out, so that m_x = 0 reaches the A_X check below.
+        if self.c_x * self.m_x**n != fact2n * self.a_x:
             raise ProfileError("c_x, a_x, m_x are inconsistent")
         sign = -1 if n % 2 else 1
         if poly_compose_affine(self.p_rr, -1, -2 * self.n_x) != self.p_rr * sign:
@@ -87,50 +95,28 @@ class HKProfile:
         if n > 1 and not (0 < self.a_x < 1):
             raise ProfileError("A_X out of range")
 
-    @property
-    def n_x_is_integer(self) -> bool:
-        """Reportable flag; integrality of n_x is observed, never enforced."""
-        return self.n_x.denominator == 1
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "c_x": rat_str(self.c_x),
-            "n_x": rat_str(self.n_x),
-            "m_x": rat_str(self.m_x),
-            "a_x": rat_str(self.a_x),
-            "n_x_is_integer": self.n_x_is_integer,
-            "p_rr": self.p_rr.to_json(),
-            "q_rr": self.q_rr.to_json(),
-        }
-
-
-_FAMILY_ALIASES = {
-    "split": "split-type",
-    "split-type": "split-type",
-    "product": "product-type",
-    "product-type": "product-type",
-}
-
 
 def known_family_prr(kind: str, n: int) -> Poly:
-    """The two closed families: binom(T/2+1+n, n) and (n+1)*binom(T/2+n, n)."""
+    """The two closed families: binom(T/2+1+n, n) and (n+1)*binom(T/2+n, n).
+
+    ``kind`` is split or product, optionally with a "-type" suffix.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    try:
-        kind = _FAMILY_ALIASES[kind]
-    except KeyError:
-        raise ValueError(f"unknown family {kind!r}; use split-type or product-type")
-    if kind == "split-type":
+    family = kind.removesuffix("-type")
+    if family == "split":
         return binomial_poly(n, Fraction(1, 2), n + 1)
-    return binomial_poly(n, Fraction(1, 2), n) * (n + 1)
+    if family == "product":
+        return binomial_poly(n, Fraction(1, 2), n) * (n + 1)
+    raise ValueError(f"unknown family {kind!r}; use split-type or product-type")
 
 
 def profile_from_prr(n: int, p: Poly) -> HKProfile:
     """Extract and fully validate the invariant bundle of a degree-n candidate.
 
-    n_x comes from the coefficient ratio a_{n-1}/(n a_n); the verified
-    reflection symmetry then guarantees the whole bundle is consistent.
+    n_x comes from the coefficient ratio a_{n-1}/(n a_n); ``validate`` then
+    checks the constant term, the reflection symmetry and the A_X range, so
+    the whole bundle is consistent.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -138,25 +124,17 @@ def profile_from_prr(n: int, p: Poly) -> HKProfile:
         raise ProfileError(f"polynomial degree {p.degree} != n = {n}")
     if p.leading() <= 0:
         raise ProfileError("leading coefficient must be positive")
-    if p.coeff(0) != n + 1:
-        raise ProfileError("bad constant term")
-    shift = symmetry_shift(p)
-    if shift is None:
-        raise ProfileError("no symmetry")
     n_x = p.coeff(n - 1) / (n * p.leading())
     m_x = n_x / 2
     c_x = math.factorial(2 * n) * p.leading()
-    a_x = c_x * m_x**n / math.factorial(2 * n)
-    if n > 1 and not (0 < a_x < 1):
-        raise ProfileError("A_X out of range")
     profile = HKProfile(
         n=n,
-        p_rr=p,
-        q_rr=poly_compose_affine(p, m_x, 0),
         c_x=c_x,
         n_x=n_x,
         m_x=m_x,
-        a_x=a_x,
+        a_x=c_x * m_x**n / math.factorial(2 * n),
+        p_rr=p,
+        q_rr=poly_compose_affine(p, m_x, 0),
     )
     profile.validate()
     return profile
@@ -177,26 +155,17 @@ def cubic_prr(c_x: RatLike, n_x: RatLike) -> Poly:
 
 
 @dataclass(frozen=True)
-class DenominatorReport:
+class DenominatorReport(Report):
     """Coefficient denominators against the gcd-constant lattice bound."""
 
     ok: bool
     even_form: bool
-    c_n: int
+    c_n: int = field(metadata={"json": str})
     coefficient_ok: tuple[bool, ...]
     fujiki_in_lattice: bool
 
     def __bool__(self) -> bool:
         return self.ok
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "even_form": self.even_form,
-            "c_n": str(self.c_n),
-            "coefficient_ok": list(self.coefficient_ok),
-            "fujiki_in_lattice": self.fujiki_in_lattice,
-        }
 
 
 def denominator_check(n: int, p: Poly, even_form: bool, c_n: int | None = None) -> DenominatorReport:
@@ -223,7 +192,7 @@ def denominator_check(n: int, p: Poly, even_form: bool, c_n: int | None = None) 
 
 
 @dataclass(frozen=True)
-class EvenValuesReport:
+class EvenValuesReport(Report):
     """Consequences of the form representing all large even numbers."""
 
     ok: bool
@@ -234,15 +203,6 @@ class EvenValuesReport:
 
     def __bool__(self) -> bool:
         return self.ok
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "integral_on_even": self.integral_on_even,
-            "leading_in_lattice": self.leading_in_lattice,
-            "fujiki_multiple_of_double_factorial": self.fujiki_multiple_of_double_factorial,
-            "c_x": rat_str(self.c_x),
-        }
 
 
 def even_values_check(n: int, p: Poly) -> EvenValuesReport:
@@ -278,21 +238,13 @@ def even_values_check(n: int, p: Poly) -> EvenValuesReport:
 
 
 @dataclass(frozen=True)
-class RootVerdict:
+class RootVerdict(Report):
     """Reality classification of the roots of Q_RR."""
 
     n: int
     method: str  # "degree", "discriminant", "factored-discriminant", "isolation"
     all_real: bool
     discriminant: Fraction | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "method": self.method,
-            "all_real": self.all_real,
-            "discriminant": None if self.discriminant is None else rat_str(self.discriminant),
-        }
 
 
 def real_root_classifier(profile: HKProfile) -> RootVerdict:

@@ -31,15 +31,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cnconst import cn_value
 from .exactpoly import (
     Poly,
+    Report,
     ResidueSet,
     integrality_residues,
     poly_compose_affine,
-    rat_str,
 )
 from .hkprofile import cubic_prr, double_factorial
 
@@ -49,6 +49,7 @@ __all__ = [
     "fujiki_from_pairing",
     "MxBounds",
     "mx_upper_bounds",
+    "Congruence",
     "PairingCongruence",
     "pairing_congruence",
     "divisibility_residues",
@@ -57,6 +58,7 @@ __all__ = [
     "TraceStep",
     "CandidateAnalysis",
     "PairingBranch",
+    "Survivor",
     "IsotropicCase",
     "solve_case",
 ]
@@ -111,14 +113,11 @@ def _nth_root_upper(x: Fraction, n: int, eps: Fraction) -> Fraction:
 
 
 @dataclass(frozen=True)
-class MxBounds:
+class MxBounds(Report):
     """Strict rational upper bounds for m_x (each over-approximates by < 1/100)."""
 
     pairing_bound: Fraction  # 2 q_lm (n!/a)^(1/n), rounded up
     gcd_bound: Fraction  # 2 C(n)^(1/n), rounded up
-
-    def to_json(self) -> dict:
-        return {"pairing_bound": rat_str(self.pairing_bound), "gcd_bound": rat_str(self.gcd_bound)}
 
 
 def mx_upper_bounds(n: int, a: int, q_lm: int, c_n: int | None = None) -> MxBounds:
@@ -134,15 +133,22 @@ def mx_upper_bounds(n: int, a: int, q_lm: int, c_n: int | None = None) -> MxBoun
     return MxBounds(pairing_bound=pairing, gcd_bound=gcd_b)
 
 
+class Congruence(NamedTuple):
+    """x = residue (mod modulus)."""
+
+    modulus: int
+    residue: int
+
+
 @dataclass(frozen=True)
-class PairingCongruence:
+class PairingCongruence(Report):
     """Arithmetic facts the isotropic pair imposes on n_x and q(m).
 
     The base congruence is a (q(m) + n_x - (n-1) q_lm) = 0 mod 2 q_lm;
-    dividing by gcd(a, 2 q_lm) gives q(m) + n_x = qm_residue mod
-    qm_modulus.  n_x lies in Z + (2 q_lm / a) Z, hence is an integer
-    whenever a divides 2 q_lm.  When the pairing value already forces an
-    even form, the halved coupling constrains q(m)/2 + m_x instead.
+    dividing by gcd(a, 2 q_lm) gives the congruence on q(m) + n_x.  n_x
+    lies in Z + (2 q_lm / a) Z, hence is an integer whenever a divides
+    2 q_lm.  When the pairing value already forces an even form, the
+    halved coupling constrains q(m)/2 + m_x instead.
     """
 
     n: int
@@ -150,27 +156,10 @@ class PairingCongruence:
     q_lm: int
     nx_coset_step: Fraction
     nx_integral: bool
-    qm_modulus: int
-    qm_residue: int
+    qm_plus_nx_congruence: Congruence
     form_even_forced: bool
     mx_integral: bool
-    half_modulus: Optional[int]
-    half_residue: Optional[int]
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "a": self.a,
-            "q_lm": self.q_lm,
-            "nx_coset_step": rat_str(self.nx_coset_step),
-            "nx_integral": self.nx_integral,
-            "qm_plus_nx_congruence": {"modulus": self.qm_modulus, "residue": self.qm_residue},
-            "form_even_forced": self.form_even_forced,
-            "mx_integral": self.mx_integral,
-            "half_congruence": None
-            if self.half_modulus is None
-            else {"modulus": self.half_modulus, "residue": self.half_residue},
-        }
+    half_congruence: Optional[Congruence]
 
 
 def pairing_congruence(n: int, a: int, q_lm: int, c_n: int | None = None) -> PairingCongruence:
@@ -187,22 +176,19 @@ def pairing_congruence(n: int, a: int, q_lm: int, c_n: int | None = None) -> Pai
     mx_integral = bool(
         forced_even and nx_integral and qm_modulus % 2 == 0 and qm_residue % 2 == 0
     )
-    half_modulus = half_residue = None
+    half = None
     if forced_even and q_lm % 2 == 0 and qm_modulus % 2 == 0 and qm_residue % 2 == 0:
-        half_modulus = qm_modulus // 2
-        half_residue = (qm_residue // 2) % half_modulus if half_modulus > 0 else 0
+        half = Congruence(qm_modulus // 2, (qm_residue // 2) % (qm_modulus // 2))
     return PairingCongruence(
         n=n,
         a=a,
         q_lm=q_lm,
         nx_coset_step=Fraction(2 * q_lm, a),
         nx_integral=nx_integral,
-        qm_modulus=qm_modulus,
-        qm_residue=qm_residue,
+        qm_plus_nx_congruence=Congruence(qm_modulus, qm_residue),
         form_even_forced=forced_even,
         mx_integral=mx_integral,
-        half_modulus=half_modulus,
-        half_residue=half_residue,
+        half_congruence=half,
     )
 
 
@@ -260,16 +246,13 @@ def gcd_constraint(rs: ResidueSet, required_gcd: int) -> str:
 
 
 @dataclass(frozen=True)
-class TraceStep:
+class TraceStep(Report):
     rule: str
     detail: str
 
-    def to_json(self) -> dict:
-        return {"rule": self.rule, "detail": self.detail}
-
 
 @dataclass
-class CandidateAnalysis:
+class CandidateAnalysis(Report):
     """One n_x (or m_x, on the halved branch) candidate and its fate."""
 
     sweep_var: str  # "n_x" or "m_x"
@@ -282,30 +265,14 @@ class CandidateAnalysis:
     rejected_by: Optional[str]
     trace: list[TraceStep] = field(default_factory=list)
 
-    def to_json(self) -> dict:
-        return {
-            "sweep_var": self.sweep_var,
-            "sweep_value": self.sweep_value,
-            "n_x": self.n_x,
-            "p_rr": self.p_rr.to_json(),
-            "residues": {
-                "modulus": self.residues.modulus,
-                "allowed": self.residues.sorted_residues(),
-            },
-            "parity": self.parity,
-            "status": self.status,
-            "rejected_by": self.rejected_by,
-            "trace": [t.to_json() for t in self.trace],
-        }
-
 
 @dataclass
-class PairingBranch:
+class PairingBranch(Report):
     q_lm: int
     c_x: Fraction
     form_even_forced: bool
     congruence: PairingCongruence
-    bounds: MxBounds
+    mx_bounds: MxBounds
     sweep_var: str
     sweep_max: int
     candidates: list[CandidateAnalysis]
@@ -313,39 +280,27 @@ class PairingBranch:
     parity_verdict: str  # "even" | "not-even" | "contradiction"
     status: str  # "survives" | "rejected"
 
-    def to_json(self) -> dict:
-        return {
-            "q_lm": self.q_lm,
-            "c_x": rat_str(self.c_x),
-            "form_even_forced": self.form_even_forced,
-            "congruence": self.congruence.to_json(),
-            "mx_bounds": self.bounds.to_json(),
-            "sweep_var": self.sweep_var,
-            "sweep_max": self.sweep_max,
-            "candidates": [c.to_json() for c in self.candidates],
-            "survivors": self.survivors,
-            "parity_verdict": self.parity_verdict,
-            "status": self.status,
-        }
+
+class Survivor(NamedTuple):
+    q_lm: int
+    n_x: int
 
 
 @dataclass
-class IsotropicCase:
+class IsotropicCase(Report):
     """Full case report: branches per pairing value, traces, and survivors."""
 
     n: int
     a: int
     assumed_even: Optional[bool]
     branches: list[PairingBranch]
+    survivors: list[Survivor] = field(init=False)
 
     def __post_init__(self) -> None:
         for branch in self.branches:
             if branch.c_x * branch.q_lm**self.n != self.a * double_factorial(2 * self.n - 1):
                 raise ValueError("branch violates c_x q_lm^n = a (2n-1)!!")
-
-    @property
-    def survivors(self) -> list[tuple[int, int]]:
-        return [(b.q_lm, nx) for b in self.branches for nx in b.survivors]
+        self.survivors = [Survivor(b.q_lm, nx) for b in self.branches for nx in b.survivors]
 
     def surviving_prr(self) -> dict[int, Poly]:
         """Map n_x -> P_RR over every candidate that survived its branch."""
@@ -355,15 +310,6 @@ class IsotropicCase:
                 if cand.status == "survives":
                     out[cand.n_x] = cand.p_rr
         return out
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "a": self.a,
-            "assumed_even": self.assumed_even,
-            "branches": [b.to_json() for b in self.branches],
-            "survivors": [{"q_lm": q, "n_x": nx} for q, nx in self.survivors],
-        }
 
 
 def _strict_int_below(x: Fraction) -> int:
@@ -473,22 +419,23 @@ def _analyze_candidate(
 
     # Parity coupling from the pairing congruence.
     if parity == "even":
-        if not halved and cong.qm_modulus % 2 == 0:
-            required_qm_parity = (cong.qm_residue - n_x) % 2
+        qm, half = cong.qm_plus_nx_congruence, cong.half_congruence
+        if not halved and qm.modulus % 2 == 0:
+            required_qm_parity = (qm.residue - n_x) % 2
             if required_qm_parity == 1:
                 return rejected(
                     "parity",
-                    f"q(m) + n_x must be = {cong.qm_residue} mod {cong.qm_modulus} "
+                    f"q(m) + n_x must be = {qm.residue} mod {qm.modulus} "
                     f"so q(m) would be odd, but every value is even",
                     closed,
                     parity,
                 )
-        if halved and cong.half_modulus is not None and cong.half_modulus % 2 == 0:
-            required_half_parity = (cong.half_residue - sweep_value) % 2
+        if halved and half is not None and half.modulus % 2 == 0:
+            required_half_parity = (half.residue - sweep_value) % 2
             if required_half_parity == 1:
                 return rejected(
                     "parity",
-                    f"q(m)/2 + m_x must be = {cong.half_residue} mod {cong.half_modulus} "
+                    f"q(m)/2 + m_x must be = {half.residue} mod {half.modulus} "
                     f"so q(m)/2 would be odd, but every half-value is even",
                     closed,
                     parity,
@@ -584,7 +531,7 @@ def solve_case(n: int, a: int, even_form: Optional[bool] = None) -> IsotropicCas
                 c_x=c_x,
                 form_even_forced=cong.form_even_forced,
                 congruence=cong,
-                bounds=bounds,
+                mx_bounds=bounds,
                 sweep_var="m_x" if halved else "n_x",
                 sweep_max=sweep_max,
                 candidates=candidates,

@@ -191,6 +191,8 @@ class TestMalformedInput:
             ([2, None], "coeffs[1]"),
             (["1/0", 1], "coeffs[0]"),
             ([2, "x"], "coeffs[1]"),
+            (["1e1000000", 1], "coeffs[0]"),
+            ([4, "1E3000000"], "coeffs[1]"),
         ],
     )
     def test_bad_coefficient(self, capsys, tmp_path, argv, coeffs, where):
@@ -210,12 +212,37 @@ class TestMalformedInput:
             ({"n": 1, "values": [{"partition": [1], "value": 2}, {"partition": [1], "value": 3}]}, "values[1]"),
             ({"n": 1.0, "values": []}, "n"),
             ({"n": True, "values": []}, "n"),
+            (
+                {
+                    "n": 3,
+                    "values": [
+                        {"partition": [1, 1, 1], "value": 1},
+                        {"partition": [1, 2], "value": 2},
+                        {"partition": [3], "value": "1e1000000"},
+                    ],
+                },
+                "values[2].value",
+            ),
         ],
     )
     def test_bad_chern_data(self, capsys, tmp_path, chern, where):
         assert run(["qrr", "--chern", _write(tmp_path, chern)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {where}: ")
+
+    SPLIT_CUBIC = Poly((4, Fraction(13, 6), Fraction(3, 8), Fraction(1, 48)))
+
+    @pytest.mark.parametrize("shift", ["1e3000000", "1e1000000", "6E0", "x"])
+    def test_bad_shift(self, capsys, tmp_path, shift):
+        argv = ["decompose", "--poly", write_poly(tmp_path, self.SPLIT_CUBIC), "--basis", "shifted", "--shift", shift]
+        assert run(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: --shift: ")
+
+    @pytest.mark.parametrize("shift", ["6", "12/2", "6.0"])
+    def test_shift_forms_accepted(self, capsys, tmp_path, shift):
+        argv = ["decompose", "--poly", write_poly(tmp_path, self.SPLIT_CUBIC), "--basis", "shifted", "--shift", shift]
+        assert run_json(capsys, argv)["inputs"]["shift"] == "6"
 
 
 class TestExitCodes:

@@ -1,13 +1,17 @@
 import json
 import math
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple, Optional
 
 import pytest
 
+from hkrr import cnconst, exactpoly, hkprofile, isosolver
 from hkrr.exactpoly import (
     ONE,
     Poly,
+    Report,
     ResidueSet,
     X,
     ZERO,
@@ -16,8 +20,10 @@ from hkrr.exactpoly import (
     int_horner,
     integer_form,
     integrality_residues,
+    jsonable,
     poly_compose_affine,
     poly_eval,
+    rat_from_json,
     rat_str,
     symmetry_shift,
 )
@@ -46,6 +52,98 @@ class TestRatSerialization:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             as_rat(0.5)
+
+    def test_json_accepts_integers_fractions_and_decimals(self):
+        for value, want in ((7, 7), ("-7", -7), ("3/2", Fraction(3, 2)), ("1.5", Fraction(3, 2))):
+            assert rat_from_json(value, "x") == want
+
+    @pytest.mark.parametrize("value", ["1e3000000", "2E5", "1.5e-3", "3/2e1"])
+    def test_json_refuses_exponent_notation(self, value):
+        with pytest.raises(ValueError, match=r"^coeffs\[0\]: exponent notation is not accepted"):
+            rat_from_json(value, "coeffs[0]")
+
+
+class Pair(NamedTuple):
+    modulus: int
+    residue: Fraction
+
+
+@dataclass
+class Inner(Report):
+    z: Fraction
+    residues: ResidueSet
+
+
+@dataclass(frozen=True)
+class Outer(Report):
+    big: int = field(metadata={"json": str})
+    inner: Inner
+    pair: Pair
+    missing: Optional[Fraction]
+
+
+class TestJsonable:
+    def test_scalars(self):
+        assert jsonable(Fraction(-25, 32)) == "-25/32"
+        assert jsonable(Fraction(4)) == "4"
+        assert jsonable(7) == 7 and jsonable(True) is True and jsonable(None) is None
+        assert jsonable(0.25) == 0.25 and jsonable("s") == "s"
+
+    def test_poly(self):
+        assert jsonable(Poly((Fraction(1, 3), 0, -2))) == {"coeffs": ["1/3", "0", "-2"]}
+        assert jsonable(ZERO) == {"coeffs": []}
+        assert Poly((Fraction(1, 3), 0, -2)).to_json() == {"coeffs": ["1/3", "0", "-2"]}
+
+    def test_sets_are_sorted(self):
+        assert jsonable(frozenset({5, 1, 3})) == [1, 3, 5]
+        assert jsonable({Fraction(1, 2), Fraction(-1, 3)}) == ["-1/3", "1/2"]
+
+    def test_named_tuple_is_an_object(self):
+        assert jsonable(Pair(4, Fraction(1, 2))) == {"modulus": 4, "residue": "1/2"}
+
+    def test_containers(self):
+        assert jsonable((1, [Fraction(1, 2)], {"k": (2, 3)})) == [1, ["1/2"], {"k": [2, 3]}]
+
+    def test_nested_dataclass_in_declaration_order(self):
+        value = Outer(10**30, Inner(Fraction(3, 2), ResidueSet(8, frozenset({5, 1}))), Pair(2, 0), None)
+        out = value.to_json()
+        assert out == {
+            "big": "1" + "0" * 30,
+            "inner": {"z": "3/2", "residues": {"modulus": 8, "allowed": [1, 5]}},
+            "pair": {"modulus": 2, "residue": 0},
+            "missing": None,
+        }
+        assert list(out) == ["big", "inner", "pair", "missing"]
+        assert list(out["inner"]) == ["z", "residues"]
+
+    def test_every_report_class_gives_plain_json(self):
+        profile = hkprofile.profile_from_prr(3, hkprofile.known_family_prr("split", 3))
+        case = isosolver.solve_case(3, 1)
+        branch = case.branches[-1]
+        instances = [
+            cnconst.cn_value(3),
+            profile,
+            hkprofile.real_root_classifier(profile),
+            hkprofile.denominator_check(3, profile.p_rr, even_form=True),
+            hkprofile.even_values_check(3, profile.p_rr),
+            isosolver.mx_upper_bounds(3, 1, 1),
+            isosolver.pairing_congruence(3, 1, 2),
+            case,
+            branch,
+            branch.candidates[0],
+            branch.candidates[0].trace[0],
+        ]
+        exported = {
+            obj
+            for module in (exactpoly, cnconst, hkprofile, isosolver)
+            for obj in (getattr(module, name) for name in module.__all__)
+            if isinstance(obj, type) and issubclass(obj, Report) and obj is not Report
+        }
+        assert exported == {type(x) for x in instances}
+        for x in instances:
+            blob = x.to_json()
+            # json.dumps refuses Fraction and Poly; a tuple would come back a list.
+            assert json.loads(json.dumps(blob)) == blob, type(x)
 
 
 class TestPoly:
@@ -208,6 +306,17 @@ class TestResidueSet:
         diag = ResidueSet(6, frozenset({0, 4}))
         assert diag.reduce() == diag
 
+    def test_reduce_equals_preimage_scan(self):
+        # Lifted sets reduce; perturbed ones (one residue toggled) mostly do not.
+        rng = random.Random(11)
+        for i in range(400):
+            m0 = rng.choice((1, 2, 3, 4, 6, 8, 9, 10, 12, 15, 16, 30, 36, 48))
+            base = ResidueSet(m0, frozenset(r for r in range(m0) if rng.random() < 0.5))
+            rs = base.lift(m0 * rng.choice((1, 2, 3, 4, 5, 6, 7, 10, 14, 105)))
+            if i % 2:
+                rs = ResidueSet(rs.modulus, rs.allowed ^ {rng.randrange(rs.modulus)})
+            assert rs.reduce() == scanned_reduce(rs), rs
+
     def test_equivalent_across_moduli(self):
         a = ResidueSet(16, frozenset(range(0, 16, 2)))
         b = ResidueSet(2, frozenset({0}))
@@ -257,6 +366,22 @@ class TestIntegralityResidues:
             for _ in range(50):
                 q = rng.randint(-10**6, 10**6)
                 assert rs.contains(q) == (poly_eval(p, q).denominator == 1)
+
+
+def scanned_reduce(rs: ResidueSet) -> ResidueSet:
+    """The former reduction: compare each preimage, rebuilt from range(M)."""
+    m, allowed = rs.modulus, rs.allowed
+    changed = True
+    while changed and m > 1:
+        changed = False
+        for p in (d for d in range(2, m + 1) if m % d == 0 and all(d % k for k in range(2, d))):
+            m2 = m // p
+            proj = frozenset(r % m2 for r in allowed)
+            if frozenset(r for r in range(m) if r % m2 in proj) == allowed:
+                m, allowed = m2, proj
+                changed = True
+                break
+    return ResidueSet(m, allowed)
 
 
 def scanned_residues(p: Poly) -> ResidueSet:

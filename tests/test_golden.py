@@ -2,7 +2,9 @@
 
 The examples are read from README's command-line block and run from
 ``tests/golden/``, which holds their input files and, for each example,
-the JSON report it printed when the recording was made.
+the report it printed when the recording was made.  ``EXTRA_EXAMPLES``
+pins report paths the README examples do not reach: other families and
+root methods, the non-even check, the a = 2 sieve, and markdown output.
 """
 
 import re
@@ -16,6 +18,17 @@ from hkrr.cli import EXIT_OK, run
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
+EXTRA_EXAMPLES = [
+    ["isotropic", "--n", "3", "--a", "2"],
+    ["profile", "--family", "split", "--n", "1"],
+    ["profile", "--family", "product", "--n", "2"],
+    ["profile", "--family", "product", "--n", "6"],
+    ["check", "--poly", "p.json", "--n", "3"],
+    ["cn", "7", "--markdown"],
+    ["isotropic", "--n", "3", "--a", "2", "--markdown"],
+    ["qk", "5", "--roots", "--laurent-check", "--markdown"],
+]
+
 
 def readme_examples() -> list[list[str]]:
     text = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -24,13 +37,23 @@ def readme_examples() -> list[list[str]]:
 
 
 def golden_path(argv: list[str]) -> Path:
-    return GOLDEN / (re.sub(r"[^a-z0-9]+", "-", " ".join(argv)).strip("-") + ".out.json")
+    suffix = ".out.md" if "--markdown" in argv else ".out.json"
+    return GOLDEN / (re.sub(r"[^a-z0-9]+", "-", " ".join(argv)).strip("-") + suffix)
 
 
-@pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
-def test_readme_example_report_is_byte_identical(argv, capsys, monkeypatch):
+def check_report(argv, capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     code = run(argv)
     captured = capsys.readouterr()
     assert code == EXIT_OK, captured.err
     assert captured.out == golden_path(argv).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
+def test_readme_example_report_is_byte_identical(argv, capsys, monkeypatch):
+    check_report(argv, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("argv", EXTRA_EXAMPLES, ids=" ".join)
+def test_extra_report_is_byte_identical(argv, capsys, monkeypatch):
+    check_report(argv, capsys, monkeypatch)

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,11 @@ class TestKnownFamilies:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             known_family_prr("mystery", 2)
+
+    @pytest.mark.parametrize("kind", ["mystery", "split-type-type", "-type", "Split"])
+    def test_unknown_family_message(self, kind):
+        with pytest.raises(ValueError, match=f"^unknown family '{kind}'; use split-type or product-type$"):
+            known_family_prr(kind, 2)
 
 
 class TestProfileExtraction:
@@ -93,6 +99,26 @@ class TestProfileExtraction:
         p = shifted**2 * Fraction(25, 3) - Fraction(16, 3)
         with pytest.raises(ProfileError, match="A_X out of range"):
             profile_from_prr(2, p)
+
+    def test_zero_n_x_is_out_of_range_not_a_division(self):
+        # 3 + T^2/24 is symmetric about 0, so n_x = m_x = a_x = 0.
+        with pytest.raises(ProfileError, match="A_X out of range"):
+            profile_from_prr(2, Poly((3, 0, Fraction(1, 24))))
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"c_x": 16}, "leading coefficient disagrees with c_x/\\(2n\\)!"),
+            ({"q_rr": X}, "q_rr is not p_rr\\(m_x T\\)"),
+            ({"a_x": Fraction(1, 2)}, "c_x, a_x, m_x are inconsistent"),
+            ({"n_x": 5}, "no symmetry"),
+            ({"m_x": 0, "a_x": 0, "q_rr": Poly((4,))}, "A_X out of range"),
+        ],
+    )
+    def test_validate_names_the_broken_invariant(self, change, message):
+        prof = profile_from_prr(3, known_family_prr("split", 3))
+        with pytest.raises(ProfileError, match=f"^{message}$"):
+            replace(prof, **change).validate()
 
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ProfileError):

@@ -67,24 +67,30 @@ class TestPairingCongruence:
     def test_a1_qlm1(self):
         facts = pairing_congruence(3, 1, 1)
         assert facts.nx_integral
-        assert (facts.qm_modulus, facts.qm_residue) == (2, 0)  # q(m) + n_x even
+        assert facts.qm_plus_nx_congruence == (2, 0)  # q(m) + n_x even
         assert not facts.form_even_forced
 
     def test_a2_qlm1(self):
         facts = pairing_congruence(3, 2, 1)
         assert facts.nx_integral
-        assert facts.qm_modulus == 1  # no parity coupling
+        assert facts.qm_plus_nx_congruence.modulus == 1  # no parity coupling
 
     def test_a1_qlm2(self):
         facts = pairing_congruence(3, 1, 2)
         assert facts.form_even_forced and facts.mx_integral
-        assert (facts.qm_modulus, facts.qm_residue) == (4, 0)
-        assert (facts.half_modulus, facts.half_residue) == (2, 0)  # q(m)/2 + m_x even
+        assert facts.qm_plus_nx_congruence == (4, 0)
+        assert facts.half_congruence == (2, 0)  # q(m)/2 + m_x even
+
+    def test_congruences_serialize_as_objects(self):
+        blob = pairing_congruence(3, 1, 2).to_json()
+        assert blob["qm_plus_nx_congruence"] == {"modulus": 4, "residue": 0}
+        assert blob["half_congruence"] == {"modulus": 2, "residue": 0}
+        assert pairing_congruence(3, 1, 1).to_json()["half_congruence"] is None
 
     def test_a2_qlm2(self):
         facts = pairing_congruence(3, 2, 2)
         assert facts.form_even_forced and facts.mx_integral
-        assert (facts.qm_modulus, facts.qm_residue) == (2, 0)
+        assert facts.qm_plus_nx_congruence == (2, 0)
 
     def test_coset_step(self):
         assert pairing_congruence(3, 1, 1).nx_coset_step == 2
