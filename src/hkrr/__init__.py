@@ -63,7 +63,6 @@ from .isosolver import (
 from .qkbasis import (
     NotInSpan,
     all_roots_real,
-    count_real_roots,
     decompose_qk,
     decompose_shifted,
     qk_laurent_check,

@@ -2,7 +2,8 @@
 
 A report is {"command", "inputs", "results", "claims"}; --markdown renders
 the same object as nested sections instead of JSON.  Exit codes: 0 success,
-1 validation error, 2 search budget exhausted, 64 usage error.
+1 validation error, 2 search budget exhausted, 64 usage error, 70 internal
+error (a defect in hkrr, reported in one line).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RESOURCE = 2
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70  # EX_SOFTWARE
 
 ROOT_TOLERANCE = 1e-9
 
@@ -283,6 +285,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except Exception as exc:  # a defect, such as a failed internal assertion
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     if args.fmt == "markdown":
         print(render_markdown(report), end="")
     else:

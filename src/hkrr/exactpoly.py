@@ -303,8 +303,19 @@ def int_horner(coeffs: Sequence[int], x: int) -> int:
 
 
 def poly_compose_affine(p: Poly, a: RatLike, b: RatLike) -> Poly:
-    """The polynomial T -> p(a*T + b), computed exactly."""
-    inner = Poly((as_rat(b), as_rat(a)))
+    """The polynomial T -> p(a*T + b), computed exactly.
+
+    A pure rescaling (b = 0) is the O(d) map c_i -> c_i * a^i; otherwise
+    Horner's rule in a*T + b.
+    """
+    a, b = as_rat(a), as_rat(b)
+    if b == 0:
+        scaled, power = [], Fraction(1)
+        for c in p.coeffs:
+            scaled.append(c * power)
+            power *= a
+        return Poly(scaled)
+    inner = Poly((b, a))
     acc = ZERO
     for c in reversed(p.coeffs):
         acc = acc * inner + c

@@ -10,7 +10,8 @@ Decomposition of a symmetric polynomial into the q_k (or into shifted
 powers (T+s)^{n-2j}) is by descending-degree elimination, which is exact
 and yields uniqueness for free.  Root isolation is the one place floats
 appear, and only in the returned approximations: the isolation itself uses
-Sturm chains and bisection with exact rational endpoints.
+Sturm chains of primitive integer polynomials and bisection with exact
+rational endpoints, deciding each sign of p(a/b) as that of b^d p(a/b).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable
 
-from .exactpoly import Poly, RatLike, X, ZERO, as_rat
+from .exactpoly import Poly, RatLike, as_rat, integer_form
 
 __all__ = [
     "NotInSpan",
@@ -30,7 +31,6 @@ __all__ = [
     "decompose_qk",
     "decompose_shifted",
     "real_roots",
-    "count_real_roots",
     "all_roots_real",
 ]
 
@@ -51,18 +51,19 @@ def qk_laurent_check(k: int) -> bool:
     """Verify T^k * q_k(T + 1/T - 2) = sum_{j=0..k} T^{2j} exactly.
 
     Multiplying through by T^k turns the Laurent identity into a polynomial
-    one: sum_j c_j T^{k-j} (T-1)^{2j} on the left, since
-    (T + 1/T - 2)^j = (T-1)^{2j} / T^j.
+    one: sum_j c_j T^{k-j} S^j on the left, with S = (T-1)^2, since
+    (T + 1/T - 2)^j = S^j / T^j.  The left side is built by Horner's rule
+    in S, lhs <- lhs * S + c_j T^{k-j} for j = k..0, on the integer
+    numerator of q_k: O(k^2) coefficient operations.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    q = qk_poly(k)
-    square = (X - 1) ** 2
-    lhs = ZERO
-    for j, c in enumerate(q.coeffs):
-        lhs = lhs + c * X ** (k - j) * square**j
-    rhs = Poly(1 if i % 2 == 0 else 0 for i in range(2 * k + 1))
-    return lhs == rhs
+    coeffs, m = integer_form(qk_poly(k))
+    lhs = [0] * (2 * k + 1)
+    for j in range(k, -1, -1):
+        lhs = [c - 2 * c1 + c2 for c, c1, c2 in zip(lhs, [0] + lhs, [0, 0] + lhs)]
+        lhs[k - j] += coeffs[j]
+    return lhs == [m if i % 2 == 0 else 0 for i in range(2 * k + 1)]
 
 
 def qk_roots(k: int) -> list[float]:
@@ -119,80 +120,125 @@ def _eliminate(p: Poly, basis: Callable[[int], Poly]) -> list[Fraction]:
     return out
 
 
-# -- exact real-root isolation (Sturm chains + rational bisection) --------
+# -- exact real-root isolation (integer Sturm chains + rational bisection) --
+#
+# A polynomial here is the ascending list of its integer coefficients, made
+# primitive (content divided out, sign kept).  Every element of the Sturm
+# chain is a positive multiple of the one Euclidean division over Q gives,
+# so every sign, every sign count and hence every enclosure is the same.
 
 
-def _squarefree_part(p: Poly) -> Poly:
-    g = _poly_gcd(p, p.derivative())
-    if g.degree < 1:
-        return p
-    q, r = divmod(p, g)
-    if not r.is_zero():
+def _primitive(cs: list[int]) -> list[int]:
+    g = math.gcd(*cs)
+    return [c // g for c in cs]
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """Pseudo-remainder lc(b)^(delta+1) * (a mod b), delta = deg a - deg b >= 0."""
+    r = list(a)
+    lead, db = b[-1], len(b) - 1
+    for k in range(len(a) - len(b), -1, -1):
+        top = r.pop()
+        r = [lead * c for c in r]
+        for j in range(db):
+            r[k + j] -= top * b[j]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def _sturm_step(a: list[int], b: list[int]) -> list[int]:
+    """The chain element after (a, b): primitive, a positive multiple of -(a mod b).
+
+    prem(a, b) is lc(b)^(delta+1) times the remainder, a negative multiple
+    when lc(b) < 0 and delta + 1 is odd.  Empty when b divides a.
+    """
+    r = _prem(a, b)
+    if not r:
+        return r
+    negative = b[-1] < 0 and (len(a) - len(b)) % 2 == 0
+    return _primitive(r if negative else [-c for c in r])
+
+
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    """p, p', then _sturm_step until a constant or an exact division."""
+    chain = [p, _primitive([i * c for i, c in enumerate(p)][1:])]
+    while len(chain[-1]) > 1:
+        nxt = _sturm_step(chain[-2], chain[-1])
+        if not nxt:
+            break
+        chain.append(nxt)
+    return chain
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b in Z[T]; b primitive and dividing a."""
+    q = [0] * (len(a) - len(b) + 1)
+    r = list(a)
+    for k in range(len(q) - 1, -1, -1):
+        c, rest = divmod(r[k + len(b) - 1], b[-1])
+        if rest:
+            raise AssertionError("gcd does not divide polynomial")
+        q[k] = c
+        for j, bj in enumerate(b):
+            r[k + j] -= c * bj
+    if any(r):
         raise AssertionError("gcd does not divide polynomial")
     return q
 
 
-def _poly_gcd(a: Poly, b: Poly) -> Poly:
-    while not b.is_zero():
-        a, b = b, divmod(a, b)[1]
-    if a.is_zero():
-        return a
-    return a / a.leading()
+def _squarefree_sturm(p: Poly) -> tuple[list[int], list[list[int]]]:
+    """The primitive squarefree part of p (same sign as p) and its Sturm chain.
+
+    p has degree >= 1.  The chain of p ends in gcd(p, p'); when that is not
+    constant, p is divided by it, leading coefficient made positive, and
+    the chain is built again.
+    """
+    ps = _primitive(integer_form(p)[0])
+    chain = _sturm_chain(ps)
+    g = chain[-1]
+    if len(g) > 1:
+        ps = _exact_quotient(ps, g if g[-1] > 0 else [-c for c in g])
+        chain = _sturm_chain(ps)
+    return ps, chain
 
 
-def _sturm_chain(p: Poly) -> list[Poly]:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero() and chain[-1].degree > 0:
-        rem = divmod(chain[-2], chain[-1])[1]
-        if rem.is_zero():
-            break
-        chain.append(-rem)
-    return [q for q in chain if not q.is_zero()]
+def _sign_at(cs: list[int], a: int, b: int) -> int:
+    """Sign of the polynomial at a/b, b > 0: the sign of sum c_i a^i b^(d-i)."""
+    acc, scale = 0, 1
+    for c in reversed(cs):
+        acc = acc * a + c * scale
+        scale *= b
+    return (acc > 0) - (acc < 0)
 
 
-def _sign_variations(chain: list[Poly], x: Fraction) -> int:
-    signs = []
-    for q in chain:
-        v = q(x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_real_roots(p: Poly, lo: Fraction | None = None, hi: Fraction | None = None) -> int:
-    """Number of distinct real roots of p in (lo, hi] (whole line by default)."""
-    return _count_squarefree(_squarefree_part(p), lo, hi)
+def _sign_variations(chain: list[list[int]], x: Fraction) -> int:
+    a, b = x.numerator, x.denominator
+    signs = [s for s in (_sign_at(q, a, b) for q in chain) if s]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
 def all_roots_real(p: Poly) -> bool:
     """True iff every complex root of p is real (multiplicity discounted)."""
-    ps = _squarefree_part(p)
-    return _count_squarefree(ps) == ps.degree
-
-
-def _count_squarefree(ps: Poly, lo: Fraction | None = None, hi: Fraction | None = None) -> int:
-    if ps.degree < 1:
-        return 0
+    if p.degree < 1:
+        return not p.is_zero()
+    ps, chain = _squarefree_sturm(p)
     bound = _root_bound(ps)
-    lo = -bound if lo is None else lo
-    hi = bound if hi is None else hi
-    chain = _sturm_chain(ps)
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+    return _sign_variations(chain, -bound) - _sign_variations(chain, bound) == len(ps) - 1
 
 
-def _root_bound(p: Poly) -> Fraction:
+def _root_bound(p: list[int]) -> Fraction:
     """Cauchy bound: every root has absolute value strictly below this."""
-    lead = abs(p.leading())
-    return 1 + max(abs(c) for c in p.coeffs) / lead
+    return 1 + Fraction(max(abs(c) for c in p), abs(p[-1]))
 
 
-def _split_point(p: Poly, lo: Fraction, hi: Fraction) -> Fraction:
+def _split_point(p: list[int], lo: Fraction, hi: Fraction) -> Fraction:
     """A point strictly inside (lo, hi) that is not a root of p."""
     k = 2
     while True:
         for i in range(1, k):
             m = lo + (hi - lo) * Fraction(i, k)
-            if p(m) != 0:
+            if _sign_at(p, m.numerator, m.denominator):
                 return m
         k = k * 2 + 1  # more candidates than p has roots, eventually
 
@@ -201,46 +247,51 @@ def real_roots(p: Poly, tol: Fraction = Fraction(1, 10**10)) -> list[tuple[Fract
     """Enclosing intervals [lo, hi] with hi - lo <= tol, one per distinct real root."""
     if p.degree < 1:
         return []
-    ps = _squarefree_part(p)
-    chain = _sturm_chain(ps)
+    tol = Fraction(tol)
+    ps, chain = _squarefree_sturm(p)
     bound = _root_bound(ps)
     found: list[tuple[Fraction, Fraction]] = []
-    stack: list[tuple[Fraction, Fraction]] = [(-bound, bound)]
+    # Entries (lo, V(lo), hi, V(hi)), so each point's chain is evaluated once.
+    stack = [(-bound, _sign_variations(chain, -bound), bound, _sign_variations(chain, bound))]
     while stack:
-        lo, hi = stack.pop()
-        count = _sign_variations(chain, lo) - _sign_variations(chain, hi)
+        lo, v_lo, hi, v_hi = stack.pop()
+        count = v_lo - v_hi
         if count == 0:
             continue
         if count == 1:
             found.append(_refine(ps, lo, hi, tol))
             continue
         mid = _split_point(ps, lo, hi)
-        stack.append((lo, mid))
-        stack.append((mid, hi))
+        v_mid = _sign_variations(chain, mid)
+        stack.append((lo, v_lo, mid, v_mid))
+        stack.append((mid, v_mid, hi, v_hi))
     return sorted(found)
 
 
-def _refine(p: Poly, lo: Fraction, hi: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
+def _refine(p: list[int], lo: Fraction, hi: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
     """Shrink an isolating interval for a simple root by sign bisection.
 
     Requires p(lo) != 0 and exactly one root in (lo, hi]; real_roots only
-    ever passes non-root endpoints.
+    ever passes non-root endpoints.  The endpoints are held as integers
+    a/den and b/den over one denominator, which doubles at every halving.
     """
-    flo = p(lo)
-    fhi = p(hi)
-    if flo == 0:
+    s_lo = _sign_at(p, lo.numerator, lo.denominator)
+    s_hi = _sign_at(p, hi.numerator, hi.denominator)
+    if s_lo == 0:
         raise AssertionError("isolating interval may not start at a root")
-    if fhi == 0:
+    if s_hi == 0:
         return (hi, hi)
-    if (flo > 0) == (fhi > 0):
+    if s_lo == s_hi:
         raise AssertionError("interval does not isolate a simple root")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        fmid = p(mid)
-        if fmid == 0:
-            return (mid, mid)
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
+    den = lo.denominator * hi.denominator
+    a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+    while (b - a) * tol.denominator > tol.numerator * den:
+        mid, den = a + b, 2 * den
+        s_mid = _sign_at(p, mid, den)
+        if s_mid == 0:
+            return (Fraction(mid, den), Fraction(mid, den))
+        if s_mid == s_lo:
+            a, b = mid, 2 * b
         else:
-            hi = mid
-    return (lo, hi)
+            a, b = 2 * a, mid
+    return (Fraction(a, den), Fraction(b, den))

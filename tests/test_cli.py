@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from hkrr.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, EXIT_VALIDATION, render_markdown, run
+import hkrr.cli
+from hkrr.cli import EXIT_INTERNAL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, EXIT_VALIDATION, render_markdown, run
 from hkrr.exactpoly import Poly
 from hkrr.hkprofile import known_family_prr
 
@@ -254,6 +255,24 @@ class TestExitCodes:
 
     def test_missing_required_flag_is_usage(self, capsys):
         assert run(["isotropic", "--n", "3"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            AssertionError("interval does not isolate a simple root"),
+            RecursionError("maximum recursion depth exceeded"),
+            MemoryError(),
+        ],
+    )
+    def test_internal_error_is_one_line(self, capsys, monkeypatch, exc):
+        def broken(args):
+            raise exc
+
+        monkeypatch.setitem(hkrr.cli._HANDLERS, "qk", broken)
+        assert run(["qk", "3", "--roots"]) == EXIT_INTERNAL == 70
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: internal: {type(exc).__name__}: {exc}\n"
 
 
 class TestReportShape:

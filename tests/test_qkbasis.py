@@ -1,14 +1,17 @@
 import math
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
 from hkrr.exactpoly import ONE, Poly, X, ZERO, poly_compose_affine
 from hkrr.qkbasis import (
     NotInSpan,
+    _prem,
+    _squarefree_sturm,
+    _sturm_step,
     all_roots_real,
-    count_real_roots,
     decompose_qk,
     decompose_shifted,
     qk_laurent_check,
@@ -169,9 +172,219 @@ class TestRootMachinery:
 
     def test_count_handles_multiplicity(self):
         p = (X - 1) ** 2 * (X + 2)
-        assert count_real_roots(p) == 2  # distinct roots
+        assert len(real_roots(p)) == 2  # distinct roots
         assert all_roots_real(p)
 
     def test_complex_roots_flagged(self):
         assert not all_roots_real(Poly((1, 0, 1)))
         assert not all_roots_real((X - 3) * Poly((1, 1, 1)))
+
+
+# -- the former Fraction isolation, kept as the oracle for the integer one --
+
+
+def _fraction_squarefree_part(p: Poly) -> Poly:
+    g = _fraction_gcd(p, p.derivative())
+    if g.degree < 1:
+        return p
+    q, r = divmod(p, g)
+    assert r.is_zero()
+    return q
+
+
+def _fraction_gcd(a: Poly, b: Poly) -> Poly:
+    while not b.is_zero():
+        a, b = b, divmod(a, b)[1]
+    if a.is_zero():
+        return a
+    return a / a.leading()
+
+
+def fraction_sturm_chain(p: Poly) -> list[Poly]:
+    chain = [p, p.derivative()]
+    while not chain[-1].is_zero() and chain[-1].degree > 0:
+        rem = divmod(chain[-2], chain[-1])[1]
+        if rem.is_zero():
+            break
+        chain.append(-rem)
+    return [q for q in chain if not q.is_zero()]
+
+
+def _fraction_sign_variations(chain: list[Poly], x: Fraction) -> int:
+    signs = []
+    for q in chain:
+        v = q(x)
+        if v:
+            signs.append(1 if v > 0 else -1)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _fraction_root_bound(p: Poly) -> Fraction:
+    return 1 + max(abs(c) for c in p.coeffs) / abs(p.leading())
+
+
+def fraction_all_roots_real(p: Poly) -> bool:
+    ps = _fraction_squarefree_part(p)
+    if ps.degree < 1:
+        return ps.degree == 0
+    bound = _fraction_root_bound(ps)
+    chain = fraction_sturm_chain(ps)
+    return _fraction_sign_variations(chain, -bound) - _fraction_sign_variations(chain, bound) == ps.degree
+
+
+def _fraction_split_point(p: Poly, lo: Fraction, hi: Fraction) -> Fraction:
+    k = 2
+    while True:
+        for i in range(1, k):
+            m = lo + (hi - lo) * Fraction(i, k)
+            if p(m) != 0:
+                return m
+        k = k * 2 + 1
+
+
+def fraction_real_roots(p: Poly, tol: Fraction = Fraction(1, 10**10)) -> list[tuple[Fraction, Fraction]]:
+    """The isolation as it was over Fraction: Sturm chain of monic gcds, rational bisection."""
+    if p.degree < 1:
+        return []
+    ps = _fraction_squarefree_part(p)
+    chain = fraction_sturm_chain(ps)
+    bound = _fraction_root_bound(ps)
+    found = []
+    stack = [(-bound, bound)]
+    while stack:
+        lo, hi = stack.pop()
+        count = _fraction_sign_variations(chain, lo) - _fraction_sign_variations(chain, hi)
+        if count == 0:
+            continue
+        if count == 1:
+            found.append(_fraction_refine(ps, lo, hi, tol))
+            continue
+        mid = _fraction_split_point(ps, lo, hi)
+        stack.append((lo, mid))
+        stack.append((mid, hi))
+    return sorted(found)
+
+
+def _fraction_refine(p: Poly, lo: Fraction, hi: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
+    flo, fhi = p(lo), p(hi)
+    assert flo != 0
+    if fhi == 0:
+        return (hi, hi)
+    assert (flo > 0) != (fhi > 0)
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        fmid = p(mid)
+        if fmid == 0:
+            return (mid, mid)
+        if (fmid > 0) == (flo > 0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return (lo, hi)
+
+
+def random_root_poly(rng: random.Random) -> Poly:
+    """A signed rational constant times a sparse trinomial or random factors.
+
+    A trinomial T^m + a T^j + c has a Sturm chain that skips degrees, so
+    some steps divide with delta = deg a - deg b = 2.  Factors: (X - r)^m
+    for rational r, often dyadic or 0 (roots that the bisection meets at a
+    midpoint), X^2 - c without rational roots, a complex pair
+    (X - a)^2 + b^2, and a dense monic cubic with rational coefficients.
+    """
+    p = Poly((Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6)),))
+    if rng.randrange(6) == 0:
+        m = rng.randint(3, 8)
+        a, c = (Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(2))
+        return p * (X**m + a * X ** rng.randint(1, m - 2) + c)
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.randrange(5)
+        if kind == 0:
+            r = Fraction(rng.randint(-12, 12), rng.choice((1, 2, 4, 8, 3, 5)))
+            p = p * (X - r) ** rng.randint(1, 3)
+        elif kind == 1:
+            p = p * X ** rng.randint(1, 2)
+        elif kind == 2:
+            p = p * (X**2 - rng.choice((2, 3, 5, Fraction(7, 3))))
+        elif kind == 3:
+            a, b = Fraction(rng.randint(-6, 6), rng.randint(1, 4)), Fraction(rng.randint(1, 5), rng.randint(1, 4))
+            p = p * ((X - a) ** 2 + b**2)
+        else:
+            p = p * (Poly(Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(3)) + X**3)
+    return p
+
+
+@cache
+def oracle_cases() -> tuple[Poly, ...]:
+    """q_k for k = 1..40, both families' Q_RR for n = 1..40, 300 random polynomials."""
+    from hkrr.hkprofile import known_family_prr, profile_from_prr
+
+    cases = [qk_poly(k) for k in range(1, 41)]
+    for kind in ("split", "product"):
+        cases += [profile_from_prr(n, known_family_prr(kind, n)).q_rr for n in range(1, 41)]
+    rng = random.Random(601)
+    cases += [random_root_poly(rng) for _ in range(300)]
+    return tuple(cases)
+
+
+def _positive_multiple(ints: list[int], poly: Poly) -> bool:
+    q = Poly(ints)
+    ratio = q.leading() / poly.leading()
+    return ratio > 0 and q == poly * ratio
+
+
+class TestIntegerIsolationAgainstFractionOracle:
+    def test_chain_is_primitive_positive_multiple_of_fraction_chain(self):
+        for p in oracle_cases():
+            ps, chain = _squarefree_sturm(p)
+            want_ps = _fraction_squarefree_part(p)
+            want = fraction_sturm_chain(want_ps)
+            assert _positive_multiple(ps, want_ps), p
+            assert len(chain) == len(want), p
+            for got, ref in zip(chain, want):
+                assert math.gcd(*got) == 1, p
+                assert _positive_multiple(got, ref), p
+
+    def test_verdicts_equal(self):
+        verdicts = [all_roots_real(p) for p in oracle_cases()]
+        assert verdicts == [fraction_all_roots_real(p) for p in oracle_cases()]
+        assert set(verdicts) == {True, False}
+
+    def test_enclosures_equal_on_random_polynomials(self):
+        rng = random.Random(602)
+        exact_hits = 0
+        for _ in range(300):
+            p = random_root_poly(rng)
+            got = real_roots(p)
+            assert got == fraction_real_roots(p), p
+            exact_hits += sum(lo == hi for lo, hi in got)
+        assert exact_hits > 0  # some roots land on a bisection midpoint
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 15, 20, 30, 40])
+    def test_enclosures_equal_on_qk(self, k):
+        assert real_roots(qk_poly(k)) == fraction_real_roots(qk_poly(k))
+
+    @pytest.mark.parametrize("kind", ["split", "product"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 10, 12])
+    def test_enclosures_equal_on_family_q_rr(self, kind, n):
+        from hkrr.hkprofile import known_family_prr, profile_from_prr
+
+        q = profile_from_prr(n, known_family_prr(kind, n)).q_rr
+        assert real_roots(q) == fraction_real_roots(q)
+
+
+class TestPseudoRemainderSign:
+    def test_odd_power_of_negative_leading_coefficient(self):
+        # delta + 1 = 1: prem = -(a mod b), so the step must not negate it.
+        a, b = [5, 3, 1], [0, 1, -1]
+        assert _prem(a, b) == [-5, -4]
+        assert _sturm_step(a, b) == [-5, -4]
+        assert _positive_multiple(_sturm_step(a, b), -divmod(Poly(a), Poly(b))[1])
+        # delta + 1 = 3: prem = (-2)^3 (T^3 + 2)(1/2) = -17.
+        assert _prem([2, 0, 0, 1], [1, -2]) == [-17]
+        assert _sturm_step([2, 0, 0, 1], [1, -2]) == [-1]
+
+    def test_even_power_keeps_the_sign(self):
+        # delta + 1 = 2: prem = (+1)(a mod b), negated as usual.
+        assert _prem([1, 0, 1], [0, -1]) == [1]
+        assert _sturm_step([1, 0, 1], [0, -1]) == [-1]
