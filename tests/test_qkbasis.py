@@ -350,6 +350,11 @@ class TestIntegerIsolationAgainstFractionOracle:
         assert verdicts == [fraction_all_roots_real(p) for p in oracle_cases()]
         assert set(verdicts) == {True, False}
 
+    def test_constants(self):
+        for p in (ZERO, ONE, Poly((Fraction(-3, 7),))):
+            assert all_roots_real(p) == fraction_all_roots_real(p) == (not p.is_zero())
+            assert real_roots(p) == fraction_real_roots(p) == []
+
     def test_enclosures_equal_on_random_polynomials(self):
         rng = random.Random(602)
         exact_hits = 0
