@@ -27,15 +27,12 @@ from .cnconst import (
 )
 from .exactpoly import (
     Poly,
-    Rat,
     ResidueSet,
     as_rat,
     binomial_poly,
     integrality_residues,
     poly_compose_affine,
-    poly_eval,
     rat_str,
-    symmetry_shift,
 )
 from .hkprofile import (
     HKProfile,

@@ -31,17 +31,12 @@ def chebyshev_T(m: int) -> Poly:
 def pk_poly(k: int) -> Poly:
     """Degree-k polynomial P_k with P_k(T) = T_{2k}(Y) under Y^2 = T/4 + 1.
 
-    T_{2k} is even, so it is a polynomial R_k in Y^2; P_k is R_k(T/4 + 1).
-    Reading the even coefficients keeps everything inside exact univariate
-    algebra (no symbolic square roots).
+    T_{2k} = T_k o T_2 and T_2(Y) = 2Y^2 - 1 = T/2 + 1, so P_k is
+    T_k(T/2 + 1): exact univariate algebra, no symbolic square roots.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    t2k = chebyshev_T(2 * k)
-    if any(t2k.coeff(i) for i in range(1, t2k.degree + 1, 2)):
-        raise AssertionError("even Chebyshev polynomial has an odd term")
-    rk = Poly(t2k.coeffs[0::2])
-    return poly_compose_affine(rk, Fraction(1, 4), 1)
+    return poly_compose_affine(chebyshev_T(k), Fraction(1, 2), 1)
 
 
 @cache

@@ -112,16 +112,12 @@ def _is_json_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _weight(key: Partition) -> int:
-    return sum(key)
-
-
 def _mul_truncated(a: _Graded, b: _Graded, cap: int) -> _Graded:
     out: _Graded = {}
     for ka, pa in a.items():
-        wa = _weight(ka)
+        wa = sum(ka)
         for kb, pb in b.items():
-            if wa + _weight(kb) > cap:
+            if wa + sum(kb) > cap:
                 continue
             key = _canonical_key(ka + kb)
             prod = pa * pb
@@ -131,7 +127,7 @@ def _mul_truncated(a: _Graded, b: _Graded, cap: int) -> _Graded:
 
 def _exp_truncated(arg: _Graded, cap: int) -> _Graded:
     """exp of a graded element with no weight-0 part, up to total weight cap."""
-    if any(_weight(k) < 1 for k in arg):
+    if any(sum(k) < 1 for k in arg):
         raise ValueError("exponential argument must have positive weight")
     acc: _Graded = {(): ONE}
     power: _Graded = {(): ONE}
@@ -160,7 +156,7 @@ def q_rr_from_chern(data: ChernData) -> Poly:
     series = _exp_truncated(arg, n)
     out = ZERO
     for key, poly in series.items():
-        if _weight(key) != n:
+        if sum(key) != n:
             continue
         v = data.value(key)
         if v:

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from typing import Any, Sequence
 
 from . import __version__
@@ -107,13 +108,22 @@ def _load_json(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # bad JSON, or an integer literal past the digit limit
+        raise ValueError(f"cannot parse {path}: {exc}") from exc
 
 
 def _report(command: str, inputs: dict, results: Any, claims: list[str]) -> dict:
     """The report of one command; library objects in it are written by ``jsonable``."""
-    return jsonable({"command": command, "inputs": inputs, "results": results, "claims": claims})
+    report = {"command": command, "inputs": inputs, "results": results, "claims": claims}
+    # Exact results may pass the int-to-str digit limit of Python 3.10.7 and later.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return jsonable(report)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return jsonable(report)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _cmd_cn(args: argparse.Namespace) -> dict:
@@ -175,7 +185,9 @@ def _cmd_profile(args: argparse.Namespace) -> dict:
         n = args.n if args.n is not None else p.degree
         inputs = {"poly": p, "n": n}
     profile = profile_from_prr(n, p)
-    results = {**profile.to_json(), "roots": real_root_classifier(profile)}
+    # Fields, not to_json(): numbers past the digit limit are written by _report.
+    results = {f.name: getattr(profile, f.name) for f in fields(profile)}
+    results["roots"] = real_root_classifier(profile)
     return _report("profile", inputs, results, ["invariant bundle extracted and validated"])
 
 

@@ -15,13 +15,11 @@ import math
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
-Rat = Fraction
 RatLike = Union[Fraction, int, str]
 
 __all__ = [
-    "Rat",
     "RatLike",
     "as_rat",
     "rat_from_json",
@@ -32,12 +30,10 @@ __all__ = [
     "X",
     "ZERO",
     "ONE",
-    "poly_eval",
     "integer_form",
     "int_horner",
     "poly_compose_affine",
     "binomial_poly",
-    "symmetry_shift",
     "ResidueSet",
     "integrality_residues",
 ]
@@ -221,7 +217,12 @@ class Poly:
     # -- evaluation and serialization ------------------------------------
 
     def __call__(self, x: RatLike) -> Fraction:
-        return poly_eval(self, x)
+        """Exact value at x by Horner's rule."""
+        x = as_rat(x)
+        acc = Fraction(0)
+        for c in reversed(self._coeffs):
+            acc = acc * x + c
+        return acc
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
@@ -273,15 +274,6 @@ def _as_poly(x: "Poly | RatLike") -> Poly:
 ZERO = Poly()
 ONE = Poly((1,))
 X = Poly((0, 1))
-
-
-def poly_eval(p: Poly, x: RatLike) -> Fraction:
-    """Exact value p(x) by Horner's rule."""
-    x = as_rat(x)
-    acc = Fraction(0)
-    for c in reversed(p.coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def integer_form(p: Poly) -> tuple[list[int], int]:
@@ -337,22 +329,6 @@ def binomial_poly(n: int, scale: RatLike, shift: RatLike) -> Poly:
     return acc / math.factorial(n)
 
 
-def symmetry_shift(p: Poly) -> Optional[Fraction]:
-    """Shift s with p(-T - s) = (-1)^deg(p) * p(T), or None if there is none.
-
-    The top two coefficients force s = 2*a_{n-1} / (n*a_n); that candidate
-    is then verified against the full polynomial identity.
-    """
-    n = p.degree
-    if n < 1:
-        raise ValueError("polynomial must be nonzero of degree >= 1")
-    s = 2 * p.coeff(n - 1) / (n * p.leading())
-    sign = -1 if n % 2 else 1
-    if poly_compose_affine(p, -1, -s) == p * sign:
-        return s
-    return None
-
-
 @dataclass(frozen=True)
 class ResidueSet:
     """A modulus M together with the allowed subset of Z/M.
@@ -404,11 +380,6 @@ class ResidueSet:
                     changed = True
                     break
         return ResidueSet(m, allowed)
-
-    def equivalent(self, other: "ResidueSet") -> bool:
-        """True iff both describe the same set of integers."""
-        m = math.lcm(self.modulus, other.modulus)
-        return self.lift(m).allowed == other.lift(m).allowed
 
     def sorted_residues(self) -> list[int]:
         return sorted(self.allowed)

@@ -168,7 +168,7 @@ class DenominatorReport(Report):
         return self.ok
 
 
-def denominator_check(n: int, p: Poly, even_form: bool, c_n: int | None = None) -> DenominatorReport:
+def denominator_check(n: int, p: Poly, even_form: bool) -> DenominatorReport:
     """Check a_i * 2^i * C(n) in Z for every i (or a_i * C(n) when not even).
 
     Also reports whether the Fujiki constant (2n)! a_n lies in the lattice
@@ -176,7 +176,7 @@ def denominator_check(n: int, p: Poly, even_form: bool, c_n: int | None = None) 
     """
     if p.degree > n:
         raise ValueError("polynomial degree exceeds n")
-    cn = cn_value(n).value if c_n is None else c_n
+    cn = cn_value(n).value
     flags = []
     for i in range(n + 1):
         scale = cn * 2**i if even_form else cn

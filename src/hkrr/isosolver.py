@@ -68,7 +68,7 @@ class UnsupportedCase(ValueError):
     """Only the fully mechanized configurations are solved end to end."""
 
 
-def pairing_candidates(n: int, a: int, even_form: bool, c_n: int | None = None) -> list[int]:
+def pairing_candidates(n: int, a: int, even_form: bool) -> list[int]:
     """All pairing values q > 0 allowed by the divisibility constraint.
 
     The leading coefficient forces n! q^n | a C(n) for an even form and
@@ -76,8 +76,7 @@ def pairing_candidates(n: int, a: int, even_form: bool, c_n: int | None = None) 
     """
     if n < 1 or a < 1:
         raise ValueError("need n >= 1 and a >= 1")
-    cn = cn_value(n).value if c_n is None else c_n
-    budget = a * cn
+    budget = a * cn_value(n).value
     base = math.factorial(n) * (1 if even_form else 2**n)
     out = []
     q = 1
@@ -120,7 +119,7 @@ class MxBounds(Report):
     gcd_bound: Fraction  # 2 C(n)^(1/n), rounded up
 
 
-def mx_upper_bounds(n: int, a: int, q_lm: int, c_n: int | None = None) -> MxBounds:
+def mx_upper_bounds(n: int, a: int, q_lm: int) -> MxBounds:
     """Rational over-approximations of the two strict upper bounds on m_x."""
     if q_lm < 1:
         raise ValueError("q_lm must be positive")
@@ -128,8 +127,7 @@ def mx_upper_bounds(n: int, a: int, q_lm: int, c_n: int | None = None) -> MxBoun
         raise ValueError("bound is meaningful only for a <= n!")
     eps = Fraction(1, 100)
     pairing = 2 * q_lm * _nth_root_upper(Fraction(math.factorial(n), a), n, eps / (2 * q_lm))
-    cn = cn_value(n).value if c_n is None else c_n
-    gcd_b = 2 * _nth_root_upper(Fraction(cn), n, eps / 2)
+    gcd_b = 2 * _nth_root_upper(Fraction(cn_value(n).value), n, eps / 2)
     return MxBounds(pairing_bound=pairing, gcd_bound=gcd_b)
 
 
@@ -162,7 +160,7 @@ class PairingCongruence(Report):
     half_congruence: Optional[Congruence]
 
 
-def pairing_congruence(n: int, a: int, q_lm: int, c_n: int | None = None) -> PairingCongruence:
+def pairing_congruence(n: int, a: int, q_lm: int) -> PairingCongruence:
     """Integrality facts for n_x and the parity coupling with q(m)."""
     if q_lm < 1:
         raise ValueError("q_lm must be positive")
@@ -170,7 +168,7 @@ def pairing_congruence(n: int, a: int, q_lm: int, c_n: int | None = None) -> Pai
     qm_modulus = 2 * q_lm // g
     qm_residue = ((n - 1) * q_lm) % qm_modulus
     nx_integral = (2 * q_lm) % a == 0
-    forced_even = q_lm not in pairing_candidates(n, a, even_form=False, c_n=c_n)
+    forced_even = q_lm not in pairing_candidates(n, a, even_form=False)
     # With an even form q(m) is even, so an even congruence modulus pins
     # the parity of n_x; an even n_x makes m_x = n_x/2 an integer.
     mx_integral = bool(
@@ -211,17 +209,15 @@ def square_closure(rs: ResidueSet) -> ResidueSet:
     """Largest subset whose members keep their whole square orbit allowed.
 
     A represented value q forces k^2 q to be represented for every k, so a
-    viable residue's orbit {k^2 r mod M} must stay inside the allowed set;
-    the filter is iterated to a fixed point.
+    viable residue's orbit {k^2 r mod M} must stay inside the allowed set.
+    One filtering pass already gives the fixed point: the squares mod M
+    are closed under multiplication, so for a passing r and a square s the
+    orbit of s r lies inside the orbit of r, and s r passes too.
     """
     m = rs.modulus
     squares = {(k * k) % m for k in range(1, m + 1)}
-    allowed = set(rs.allowed)
-    while True:
-        viable = {r for r in allowed if all((s * r) % m in allowed for s in squares)}
-        if viable == allowed:
-            return ResidueSet(m, frozenset(viable))
-        allowed = viable
+    allowed = rs.allowed
+    return ResidueSet(m, frozenset(r for r in allowed if all(s * r % m in allowed for s in squares)))
 
 
 def gcd_constraint(rs: ResidueSet, required_gcd: int) -> str:
@@ -302,20 +298,6 @@ class IsotropicCase(Report):
                 raise ValueError("branch violates c_x q_lm^n = a (2n-1)!!")
         self.survivors = [Survivor(b.q_lm, nx) for b in self.branches for nx in b.survivors]
 
-    def surviving_prr(self) -> dict[int, Poly]:
-        """Map n_x -> P_RR over every candidate that survived its branch."""
-        out: dict[int, Poly] = {}
-        for branch in self.branches:
-            for cand in branch.candidates:
-                if cand.status == "survives":
-                    out[cand.n_x] = cand.p_rr
-        return out
-
-
-def _strict_int_below(x: Fraction) -> int:
-    """Largest integer strictly less than x."""
-    return math.ceil(x) - 1
-
 
 def _residue_summary(rs: ResidueSet) -> str:
     residues = rs.sorted_residues()
@@ -347,18 +329,15 @@ def _analyze_candidate(
     value_word = "half-value" if halved else "value"
     trace: list[TraceStep] = []
 
-    rs = integrality_residues(sieve_poly).reduce()
-    work = math.lcm(rs.modulus, 16)
-    rs = rs.lift(work)
-    trace.append(
-        TraceStep(
-            "divisibility",
-            f"P integral on {value_word}s {_residue_summary(rs.reduce())}",
-        )
-    )
+    reduced = integrality_residues(sieve_poly).reduce()
+    trace.append(TraceStep("divisibility", f"P integral on {value_word}s {_residue_summary(reduced)}"))
+    work = math.lcm(reduced.modulus, 16)
+    rs = reduced.lift(work)
 
-    def rejected(rule: str, detail: str, residues: ResidueSet, parity: str) -> CandidateAnalysis:
-        trace.append(TraceStep(rule, detail))
+    def verdict(rule: Optional[str], detail: str, residues: ResidueSet, parity: str) -> CandidateAnalysis:
+        """The analysis of this candidate: rejected by ``rule``, or surviving when it is None."""
+        if rule is not None:
+            trace.append(TraceStep(rule, detail))
         return CandidateAnalysis(
             sweep_var="m_x" if halved else "n_x",
             sweep_value=sweep_value,
@@ -366,7 +345,7 @@ def _analyze_candidate(
             p_rr=p_rr,
             residues=residues,
             parity=parity,
-            status="rejected",
+            status="survives" if rule is None else "rejected",
             rejected_by=rule,
             trace=trace,
         )
@@ -376,7 +355,7 @@ def _analyze_candidate(
     forced = math.gcd(work, *rs.allowed) if rs.allowed else work
     odd_forced = _odd_part(forced)
     if odd_forced > 1:
-        return rejected(
+        return verdict(
             "gcd",
             f"every {value_word} is divisible by {odd_forced}; "
             "the gcd of represented values is 1 or 2",
@@ -423,7 +402,7 @@ def _analyze_candidate(
         if not halved and qm.modulus % 2 == 0:
             required_qm_parity = (qm.residue - n_x) % 2
             if required_qm_parity == 1:
-                return rejected(
+                return verdict(
                     "parity",
                     f"q(m) + n_x must be = {qm.residue} mod {qm.modulus} "
                     f"so q(m) would be odd, but every value is even",
@@ -433,7 +412,7 @@ def _analyze_candidate(
         if halved and half is not None and half.modulus % 2 == 0:
             required_half_parity = (half.residue - sweep_value) % 2
             if required_half_parity == 1:
-                return rejected(
+                return verdict(
                     "parity",
                     f"q(m)/2 + m_x must be = {half.residue} mod {half.modulus} "
                     f"so q(m)/2 would be odd, but every half-value is even",
@@ -442,7 +421,7 @@ def _analyze_candidate(
                 )
 
     if assumed_even is False and gcd_constraint(closed, 1) == "contradiction":
-        return rejected(
+        return verdict(
             "gcd",
             "every value is even, contradicting gcd 1 for a non-even form",
             closed,
@@ -454,37 +433,24 @@ def _analyze_candidate(
         # half-value set makes every value 0 mod 4, against gcd 2.
         values = ResidueSet(2 * work, frozenset((2 * r) % (2 * work) for r in closed.allowed))
         if gcd_constraint(values, 2) == "contradiction":
-            return rejected(
+            return verdict(
                 "gcd",
                 "every represented value is 0 mod 4, but an even form has "
                 "represented-value gcd exactly 2",
                 closed,
                 parity,
             )
-    else:
-        if (
-            gcd_constraint(closed, 1) == "contradiction"
-            and gcd_constraint(closed, 2) == "contradiction"
-        ):
-            return rejected(
-                "gcd",
-                "every represented value is 0 mod 4; the gcd of represented "
-                "values is 1 or 2",
-                closed,
-                parity,
-            )
+    elif gcd_constraint(closed, 2) == "contradiction":
+        # All 0 mod 4 implies all even: this also refutes gcd 1.
+        return verdict(
+            "gcd",
+            "every represented value is 0 mod 4; the gcd of represented "
+            "values is 1 or 2",
+            closed,
+            parity,
+        )
 
-    return CandidateAnalysis(
-        sweep_var="m_x" if halved else "n_x",
-        sweep_value=sweep_value,
-        n_x=n_x,
-        p_rr=p_rr,
-        residues=closed,
-        parity=parity,
-        status="survives",
-        rejected_by=None,
-        trace=trace,
-    )
+    return verdict(None, "", closed, parity)
 
 
 def solve_case(n: int, a: int, even_form: Optional[bool] = None) -> IsotropicCase:
@@ -497,23 +463,18 @@ def solve_case(n: int, a: int, even_form: Optional[bool] = None) -> IsotropicCas
     """
     if n != 3 or a not in (1, 2):
         raise UnsupportedCase("unsupported case: the full elimination covers n=3, a in {1, 2}")
-    c_n = cn_value(n).value
-    even_candidates = pairing_candidates(n, a, even_form=True, c_n=c_n)
-    noteven_candidates = pairing_candidates(n, a, even_form=False, c_n=c_n)
-    qlms = noteven_candidates if even_form is False else even_candidates
-
     branches: list[PairingBranch] = []
-    for q_lm in qlms:
+    for q_lm in pairing_candidates(n, a, even_form=even_form is not False):
         c_x = fujiki_from_pairing(n, a, q_lm)
-        cong = pairing_congruence(n, a, q_lm, c_n=c_n)
-        bounds = mx_upper_bounds(n, a, q_lm, c_n=c_n)
+        cong = pairing_congruence(n, a, q_lm)
+        bounds = mx_upper_bounds(n, a, q_lm)
         halved = q_lm == 2
         if halved and not cong.mx_integral:
             raise AssertionError("halved branch requires integral m_x")
         if not halved and not cong.nx_integral:
             raise AssertionError("integer sweep requires integral n_x")
-        # n_x < 2 * bound, and on the halved branch m_x < bound.
-        sweep_max = _strict_int_below(bounds.pairing_bound if halved else 2 * bounds.pairing_bound)
+        # The largest integer strictly below: n_x < 2 * bound, or m_x < bound when halved.
+        sweep_max = math.ceil(bounds.pairing_bound if halved else 2 * bounds.pairing_bound) - 1
         candidates = [
             _analyze_candidate(a, q_lm, c_x, value, cong, even_form)
             for value in range(1, sweep_max + 1)

@@ -250,17 +250,25 @@ def real_roots(p: Poly, tol: Fraction = Fraction(1, 10**10)) -> list[tuple[Fract
     tol = Fraction(tol)
     ps, chain = _squarefree_sturm(p)
     bound = _root_bound(ps)
+    # Distinct roots of the squarefree ps lie at least sep apart (Mahler's bound,
+    # |disc| >= 1); a chain whose counts break that or leave 0..d is wrong.
+    d = len(ps) - 1
+    sep = Fraction(1, d ** (d + 2) * sum(abs(c) for c in ps) ** (d - 1))
     found: list[tuple[Fraction, Fraction]] = []
     # Entries (lo, V(lo), hi, V(hi)), so each point's chain is evaluated once.
     stack = [(-bound, _sign_variations(chain, -bound), bound, _sign_variations(chain, bound))]
     while stack:
         lo, v_lo, hi, v_hi = stack.pop()
         count = v_lo - v_hi
+        if not 0 <= count <= d:
+            raise AssertionError(f"Sturm chain counts {count} roots of a degree-{d} polynomial")
         if count == 0:
             continue
         if count == 1:
             found.append(_refine(ps, lo, hi, tol))
             continue
+        if hi - lo < sep:
+            raise AssertionError(f"Sturm chain counts {count} roots closer than the separation bound")
         mid = _split_point(ps, lo, hi)
         v_mid = _sign_variations(chain, mid)
         stack.append((lo, v_lo, mid, v_mid))

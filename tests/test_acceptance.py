@@ -16,7 +16,7 @@ import pytest
 from hkrr.chernrr import ChernData, partitions, q_rr_from_chern
 from hkrr.cli import EXIT_OK, run
 from hkrr.cnconst import cn_prime_support, cn_value
-from hkrr.exactpoly import Poly, poly_compose_affine, poly_eval
+from hkrr.exactpoly import Poly, poly_compose_affine
 from hkrr.hkprofile import (
     cubic_prr,
     denominator_check,
@@ -181,7 +181,7 @@ def test_criterion_09_residue_oracle_equivalence():
         rs = divisibility_residues(3, c_x, n_x)
         p = cubic_prr(c_x, n_x)
         for q in range(-200, 201):
-            assert rs.contains(q) == (poly_eval(p, q).denominator == 1), (c_x, n_x, q)
+            assert rs.contains(q) == (p(q).denominator == 1), (c_x, n_x, q)
     report(9, "residue criterion equals brute-force integrality on [-200, 200]")
 
 

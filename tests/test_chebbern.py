@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hkrr.chebbern import bernoulli, chebyshev_T, pk_poly
-from hkrr.exactpoly import ONE, Poly, X, poly_compose_affine, poly_eval
+from hkrr.exactpoly import ONE, Poly, X, poly_compose_affine
 
 # cos(m * theta) at the rational-cosine angles theta = 0, pi/3, pi/2, pi.
 COS_TABLE = {
@@ -25,7 +25,7 @@ class TestChebyshev:
     def test_defining_identity_at_rational_cosines(self, m):
         t = chebyshev_T(m)
         for cos_theta, cos_m_theta in COS_TABLE.items():
-            assert poly_eval(t, cos_theta) == cos_m_theta(m)
+            assert t(cos_theta) == cos_m_theta(m)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -55,7 +55,15 @@ class TestPkPoly:
         for k in range(0, 8):
             for y in (Fraction(0), Fraction(1, 2), Fraction(2), Fraction(-3, 2)):
                 t = 4 * y * y - 4
-                assert poly_eval(pk_poly(k), t) == poly_eval(chebyshev_T(2 * k), y)
+                assert pk_poly(k)(t) == chebyshev_T(2 * k)(y)
+
+    def test_matches_even_coefficient_construction(self):
+        # The earlier construction: T_2k is even, so it is R_k(Y^2), and
+        # P_k = R_k(T/4 + 1) from the even coefficients of T_2k.
+        for k in range(0, 41):
+            t2k = chebyshev_T(2 * k)
+            assert not any(t2k.coeffs[1::2])
+            assert pk_poly(k) == poly_compose_affine(Poly(t2k.coeffs[0::2]), Fraction(1, 4), 1)
 
 
 class TestBernoulli:

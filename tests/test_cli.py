@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -202,6 +203,14 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {where}: ")
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+    def test_integer_literal_past_digit_limit(self, capsys, tmp_path):
+        path = tmp_path / "input.json"
+        path.write_text('{"coeffs": [4, ' + "9" * 4301 + "]}")
+        assert run(["check", "--poly", str(path), "--n", "1"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot parse {path}: ")
+
     @pytest.mark.parametrize(
         "chern, where",
         [
@@ -244,6 +253,27 @@ class TestMalformedInput:
     def test_shift_forms_accepted(self, capsys, tmp_path, shift):
         argv = ["decompose", "--poly", write_poly(tmp_path, self.SPLIT_CUBIC), "--basis", "shifted", "--shift", shift]
         assert run_json(capsys, argv)["inputs"]["shift"] == "6"
+
+
+class TestLongNumbers:
+    # Each c_x has 4301 digits, past Python's default int-to-str limit: the
+    # report must still be written, and the limit put back afterwards.
+    @pytest.mark.parametrize(
+        "argv, coeffs, keys, c_x",
+        [
+            (["check", "--n", "3"], [4, 0, 0, "9" * 4298], ("even_values", "c_x"), "719" + "9" * 4295 + "280"),
+            (["profile", "--n", "1"], [2, "9" * 4300], ("c_x",), "1" + "9" * 4299 + "8"),
+        ],
+        ids=["check", "profile"],
+    )
+    def test_result_past_4300_digits(self, capsys, tmp_path, argv, coeffs, keys, c_x):
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        value = run_json(capsys, argv[:1] + ["--poly", _write(tmp_path, {"coeffs": coeffs})] + argv[1:])["results"]
+        for key in keys:
+            value = value[key]
+        assert value == c_x
+        if limit is not None:
+            assert sys.get_int_max_str_digits() == limit
 
 
 class TestExitCodes:

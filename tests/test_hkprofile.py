@@ -178,9 +178,9 @@ class TestDenominatorCheck:
         assert not bad.ok  # c_x = 1/3
 
     def test_not_even_is_stricter(self):
-        p = Poly((4, Fraction(1, 2 * 4320)))  # a_1 = 1/(2 C_3)
-        assert denominator_check(1, p, even_form=True, c_n=4320).ok
-        assert not denominator_check(1, p, even_form=False, c_n=4320).ok
+        p = Poly((4, Fraction(1, 2 * 4320)))  # a_1 = 1/(2 C_3), C(3) = 4320
+        assert denominator_check(3, p, even_form=True).ok
+        assert not denominator_check(3, p, even_form=False).ok
 
 
 class TestEvenValuesCheck:

@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from hkrr.exactpoly import Poly, ResidueSet, X, integrality_residues, poly_eval
+from hkrr.exactpoly import Poly, ResidueSet, X, integrality_residues
 from hkrr.hkprofile import cubic_prr, denominator_check, even_values_check, known_family_prr
 from hkrr.isosolver import (
     UnsupportedCase,
@@ -101,15 +102,15 @@ class TestPairingCongruence:
 class TestDivisibilityResidues:
     def test_c15_n1(self):
         rs = divisibility_residues(3, 15, 1)
-        assert rs.equivalent(ResidueSet(16, frozenset({0, 6, 8, 14, 15})))
+        assert rs == ResidueSet(16, frozenset({0, 6, 8, 14, 15})).reduce()
 
     def test_c15_n2_even(self):
         rs = divisibility_residues(3, 15, 2)
-        assert rs.equivalent(ResidueSet(16, frozenset(range(0, 16, 2))))
+        assert rs == ResidueSet(16, frozenset(range(0, 16, 2))).reduce()
 
     def test_c30_n4(self):
         rs = divisibility_residues(3, 30, 4)
-        assert rs.equivalent(ResidueSet(8, frozenset({0, 2, 4, 6})))
+        assert rs == ResidueSet(8, frozenset({0, 2, 4, 6})).reduce()
 
     def test_only_degree_three(self):
         with pytest.raises(UnsupportedCase):
@@ -120,7 +121,7 @@ class TestDivisibilityResidues:
         rs = divisibility_residues(3, c_x, n_x)
         p = cubic_prr(c_x, n_x)
         for q in range(-200, 201):
-            assert rs.contains(q) == (poly_eval(p, q).denominator == 1)
+            assert rs.contains(q) == (p(q).denominator == 1)
 
 
 class TestSquareClosure:
@@ -137,11 +138,30 @@ class TestSquareClosure:
         assert square_closure(rs) == rs
 
     def test_iterates_to_fixed_point(self):
-        # 4 * 9 = 36 = 4 mod 32, 4 not allowed, so 9 goes; then 1 * 9 gone
-        # already; 0 and 16 stay (orbits {0} and {16, 0}).
+        # 4 * 9 = 36 = 4 mod 32, 4 not allowed, so 9 goes; 0 and 16 stay
+        # (orbits {0} and {16, 0}), and the result is its own closure.
         rs = ResidueSet(32, frozenset({0, 9, 16}))
         closed = square_closure(rs)
         assert set(closed.allowed) == {0, 16}
+        assert square_closure(closed) == closed
+
+    def test_matches_fixed_point_iteration(self):
+        # The earlier construction: filter by square orbits until nothing changes.
+        def iterated(rs):
+            m = rs.modulus
+            squares = {(k * k) % m for k in range(1, m + 1)}
+            allowed = set(rs.allowed)
+            while True:
+                viable = {r for r in allowed if all((s * r) % m in allowed for s in squares)}
+                if viable == allowed:
+                    return ResidueSet(m, frozenset(viable))
+                allowed = viable
+
+        rng = random.Random(7)
+        for _ in range(3000):
+            m = rng.randint(1, 200)
+            rs = ResidueSet(m, frozenset(r for r in range(m) if rng.random() < rng.random()))
+            assert square_closure(rs) == iterated(rs), rs
 
 
 class TestHyperbolicExclusion:
@@ -198,6 +218,11 @@ class TestGcdConstraint:
             gcd_constraint(ResidueSet(4, frozenset({0})), 3)
 
 
+def surviving_prr(case):
+    """n_x -> P_RR over every candidate that survived its branch."""
+    return {c.n_x: c.p_rr for b in case.branches for c in b.candidates if c.status == "survives"}
+
+
 @pytest.fixture(scope="module")
 def case_a1():
     return solve_case(3, 1)
@@ -224,7 +249,7 @@ class TestSolveCaseA1:
         assert branch.sweep_max == 7
 
     def test_surviving_polynomials(self, case):
-        prrs = case.surviving_prr()
+        prrs = surviving_prr(case)
         for n_x in (2, 6):
             expected = Poly((4, Fraction(13, 6), Fraction(n_x, 16), Fraction(1, 48)))
             assert prrs[n_x] == expected == cubic_prr(15, n_x)
@@ -273,7 +298,7 @@ class TestSolveCaseA2:
         assert branch.sweep_max == 5
 
     def test_surviving_polynomials(self, case):
-        prrs = case.surviving_prr()
+        prrs = surviving_prr(case)
         for n_x in (1, 2, 3, 4):
             expected = Poly(
                 (
@@ -312,7 +337,7 @@ class TestCrossModuleConsistency:
     @pytest.mark.parametrize("a", [1, 2])
     def test_survivors_pass_section3_checks(self, a):
         case = solve_case(3, a)
-        for n_x, p_rr in case.surviving_prr().items():
+        for n_x, p_rr in surviving_prr(case).items():
             assert denominator_check(3, p_rr, even_form=True).ok
             assert even_values_check(3, p_rr).ok
 
@@ -334,7 +359,7 @@ class TestCrossModuleConsistency:
                 p_half = poly_compose_affine(cand.p_rr, 2, 0)
                 rs = integrality_residues(p_half)
                 for q in range(-100, 101):
-                    assert rs.contains(q) == (poly_eval(cand.p_rr, 2 * q).denominator == 1)
+                    assert rs.contains(q) == (cand.p_rr(2 * q).denominator == 1)
 
 
 class TestUnsupportedCases:

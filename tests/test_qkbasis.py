@@ -1,14 +1,17 @@
 import math
 import random
+import signal
 from fractions import Fraction
 from functools import cache
 
 import pytest
 
+from hkrr import qkbasis
 from hkrr.exactpoly import ONE, Poly, X, ZERO, poly_compose_affine
 from hkrr.qkbasis import (
     NotInSpan,
     _prem,
+    _primitive,
     _squarefree_sturm,
     _sturm_step,
     all_roots_real,
@@ -376,6 +379,51 @@ class TestIntegerIsolationAgainstFractionOracle:
 
         q = profile_from_prr(n, known_family_prr(kind, n)).q_rr
         assert real_roots(q) == fraction_real_roots(q)
+
+
+def _sign_rule_dropped(a: list[int], b: list[int]) -> list[int]:
+    r = _prem(a, b)
+    return r and _primitive([-c for c in r])
+
+
+def _parity_inverted(a: list[int], b: list[int]) -> list[int]:
+    r = _prem(a, b)
+    negative = b[-1] < 0 and (len(a) - len(b)) % 2 == 1
+    return r and _primitive(r if negative else [-c for c in r])
+
+
+class _Deadline(BaseException):
+    """Raised by SIGALRM; a BaseException so no handler in hkrr can catch it."""
+
+
+def _on_alarm(signum, frame):
+    raise _Deadline
+
+
+class TestSturmChainGuard:
+    @pytest.mark.parametrize("mutant", [_sign_rule_dropped, _parity_inverted])
+    def test_wrong_chain_fails_instead_of_hanging(self, monkeypatch, mutant):
+        # With a wrong sign rule the counts V(lo) - V(hi) go out of 0..d or
+        # never separate; real_roots must raise AssertionError, not bisect
+        # forever.  The 20 s limit is the hang detector.
+        monkeypatch.setattr(qkbasis, "_sturm_step", mutant)
+        rng = random.Random(602)
+        polys = [random_root_poly(rng) for _ in range(300)]
+        previous = signal.signal(signal.SIGALRM, _on_alarm)
+        signal.setitimer(signal.ITIMER_REAL, 20)
+        caught = 0
+        try:
+            for p in polys:
+                try:
+                    real_roots(p)
+                except AssertionError:
+                    caught += 1
+        except _Deadline:
+            pytest.fail("real_roots still running after 20 s with a wrong Sturm chain")
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert caught > 0
 
 
 class TestPseudoRemainderSign:
