@@ -4,7 +4,7 @@ Modules
 -------
 exactpoly   rational scalars, dense exact polynomials, residue sets
 chebbern    Chebyshev polynomials, quarter-shift substitutes, Bernoulli numbers
-chernrr     Riemann-Roch polynomial from Chern numbers (graded truncated exp)
+chernrr     Riemann-Roch polynomial from Chern numbers (partition-product formula)
 qkbasis     positive symmetric basis, decompositions, exact root isolation
 cnconst     certified gcd constants of square-difference products
 hkprofile   invariant bundles, known families, denominator and parity checks

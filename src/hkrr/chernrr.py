@@ -1,17 +1,17 @@
 """Riemann-Roch polynomial of a holomorphic-symplectic manifold from Chern numbers.
 
-``q_rr_from_chern`` expands exp(-sum_k B_{2k}/(2k) * x_k * P_k(T)) in formal
-graded variables x_k of weight k over a weight-truncated algebra, keeps the
-total-weight-n part (the only part an integral over a 2n-fold picks up), and
-substitutes the supplied intersection numbers for the weight-n monomials
-x_{k_1}...x_{k_r}.  Monomials are keyed by the multiset {k_1,...,k_r}, since
-products of cohomology classes commute.
+The polynomial is the weight-n part of exp(sum_k c_k x_k P_k(T)), with
+c_k = -B_{2k}/(2k) and x_k a formal variable of weight k (an integral over a
+2n-fold picks up only weight n), once the supplied intersection numbers are
+substituted for the weight-n monomials x_{k_1}...x_{k_r}.  Monomials are keyed
+by the multiset {k_1,...,k_r}, since products of cohomology classes commute.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -21,9 +21,6 @@ from .exactpoly import ONE, Poly, RatLike, ZERO, as_rat, rat_from_json, rat_str
 __all__ = ["ChernData", "Partition", "partitions", "q_rr_from_chern"]
 
 Partition = tuple[int, ...]
-
-# A weight-graded element: multiset of variable weights -> Poly coefficient.
-_Graded = dict[Partition, Poly]
 
 
 def partitions(n: int) -> list[Partition]:
@@ -112,53 +109,20 @@ def _is_json_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _mul_truncated(a: _Graded, b: _Graded, cap: int) -> _Graded:
-    out: _Graded = {}
-    for ka, pa in a.items():
-        wa = sum(ka)
-        for kb, pb in b.items():
-            if wa + sum(kb) > cap:
-                continue
-            key = _canonical_key(ka + kb)
-            prod = pa * pb
-            out[key] = out.get(key, ZERO) + prod
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def _exp_truncated(arg: _Graded, cap: int) -> _Graded:
-    """exp of a graded element with no weight-0 part, up to total weight cap."""
-    if any(sum(k) < 1 for k in arg):
-        raise ValueError("exponential argument must have positive weight")
-    acc: _Graded = {(): ONE}
-    power: _Graded = {(): ONE}
-    for j in range(1, cap + 1):
-        power = _mul_truncated(power, arg, cap)
-        if not power:
-            break
-        inv_fact = Fraction(1, math.factorial(j))
-        for key, poly in power.items():
-            acc[key] = acc.get(key, ZERO) + poly * inv_fact
-    return acc
-
-
 def q_rr_from_chern(data: ChernData) -> Poly:
     """Degree-n Riemann-Roch polynomial (normalized form) from Chern numbers.
 
-    The coefficient of x_{k_1}^{e_1}... in exp(sum c_k x_k) is
-    prod c_k^{e_k} / e_k!; that multiplicity convention is what the
-    truncated exponential produces before the multiset keying.
+    exp(sum_k c_k x_k P_k) = prod_k exp(c_k x_k P_k), so the coefficient of
+    x_{k_1}^{e_1}... is prod_k (c_k P_k)^{e_k} / e_k!: one product per
+    supplied nonzero value, whatever n is.
     """
-    n = data.n
-    arg: _Graded = {}
-    for k in range(1, n + 1):
-        scalar = -bernoulli(2 * k) / (2 * k)
-        arg[(k,)] = pk_poly(k) * scalar
-    series = _exp_truncated(arg, n)
     out = ZERO
-    for key, poly in series.items():
-        if sum(key) != n:
+    for key, v in data.values.items():
+        if not v:
             continue
-        v = data.value(key)
-        if v:
-            out = out + poly * v
+        scalar, term = v, ONE
+        for k, e in Counter(key).items():
+            scalar *= (-bernoulli(2 * k) / (2 * k)) ** e / math.factorial(e)
+            term = term * pk_poly(k) ** e
+        out = out + term * scalar
     return out

@@ -315,7 +315,6 @@ def _odd_part(m: int) -> int:
 
 
 def _analyze_candidate(
-    a: int,
     q_lm: int,
     c_x: Fraction,
     sweep_value: int,
@@ -476,7 +475,7 @@ def solve_case(n: int, a: int, even_form: Optional[bool] = None) -> IsotropicCas
         # The largest integer strictly below: n_x < 2 * bound, or m_x < bound when halved.
         sweep_max = math.ceil(bounds.pairing_bound if halved else 2 * bounds.pairing_bound) - 1
         candidates = [
-            _analyze_candidate(a, q_lm, c_x, value, cong, even_form)
+            _analyze_candidate(q_lm, c_x, value, cong, even_form)
             for value in range(1, sweep_max + 1)
         ]
         survivors = [c.n_x for c in candidates if c.status == "survives"]

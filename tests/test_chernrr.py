@@ -1,7 +1,6 @@
 import json
 import math
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,26 +10,40 @@ from hkrr.chernrr import ChernData, partitions, q_rr_from_chern
 from hkrr.exactpoly import ONE, Poly, ZERO, poly_compose_affine
 
 
-def partition_formula_oracle(data: ChernData) -> Poly:
-    """Closed-form expansion used as an independent check.
+def _mul_truncated(a: dict, b: dict, cap: int) -> dict:
+    out = {}
+    for ka, pa in a.items():
+        wa = sum(ka)
+        for kb, pb in b.items():
+            if wa + sum(kb) > cap:
+                continue
+            key = tuple(sorted(ka + kb))
+            out[key] = out.get(key, ZERO) + pa * pb
+    return {k: v for k, v in out.items() if not v.is_zero()}
 
-    The weight-n part of exp(sum c_k x_k P_k) is, partition by partition,
-    prod_parts c_k^(mult) / mult! times the product of the P_k; summing
-    value * that term over all partitions of n avoids the truncated
-    algebra entirely.
+
+def truncated_exponential_oracle(data: ChernData) -> Poly:
+    """Independent check: expand the whole weight-graded algebra.
+
+    exp(sum_k c_k x_k P_k) is summed term by term as sum_j arg^j / j! over
+    every monomial of weight <= n (keyed by its multiset of weights), and
+    only then is the weight-n part paired with the supplied values.  It
+    never factors the exponential, so it shares none of the
+    partition-product formula's multiplicity bookkeeping.
     """
+    n = data.n
+    arg = {(k,): pk_poly(k) * (-bernoulli(2 * k) / (2 * k)) for k in range(1, n + 1)}
+    series = {(): ONE}
+    power = {(): ONE}
+    for j in range(1, n + 1):
+        power = _mul_truncated(power, arg, n)
+        inv_fact = Fraction(1, math.factorial(j))
+        for key, poly in power.items():
+            series[key] = series.get(key, ZERO) + poly * inv_fact
     out = ZERO
-    for part in partitions(data.n):
-        v = data.value(part)
-        if not v:
-            continue
-        term = ONE
-        scalar = Fraction(1)
-        for k, mult in Counter(part).items():
-            c_k = -bernoulli(2 * k) / (2 * k)
-            scalar *= c_k**mult / math.factorial(mult)
-            term = term * pk_poly(k) ** mult
-        out = out + term * (scalar * v)
+    for key, poly in series.items():
+        if sum(key) == n:
+            out = out + poly * data.value(key)
     return out
 
 
@@ -92,12 +105,35 @@ class TestQrrFromChern:
         p1, p2 = pk_poly(1), pk_poly(2)
         assert got == p1 * p1 * (v / 288) + p2 * (w / 120)
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_partition_formula_oracle(self, n):
+        # The partition-product formula in hkrr against the truncated exponential,
+        # on full data and on sparse data with zero values and keys out of order.
         rng = random.Random(100 + n)
         for _ in range(25):
-            data = random_chern(rng, n, -999, 999)
-            assert q_rr_from_chern(data) == partition_formula_oracle(data)
+            full = random_chern(rng, n, -999, 999)
+            sparse = ChernData(
+                n,
+                {
+                    tuple(rng.sample(key, len(key))): rng.choice([0, v / rng.randint(1, 9)])
+                    for key, v in full.values.items()
+                    if rng.random() < 0.5
+                },
+            )
+            for data in (full, sparse):
+                assert q_rr_from_chern(data) == truncated_exponential_oracle(data)
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_single_part_closed_form(self, n):
+        v = Fraction(-7, 5)
+        expected = pk_poly(n) * (v * -bernoulli(2 * n) / (2 * n))
+        assert q_rr_from_chern(ChernData(n, {(n,): v})) == expected
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_all_ones_closed_form(self, n):
+        v = Fraction(3, 2)
+        expected = (pk_poly(1) * Fraction(-1, 12)) ** n * Fraction(v, math.factorial(n))
+        assert q_rr_from_chern(ChernData(n, {(1,) * n: v})) == expected
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_symmetry_property(self, n):

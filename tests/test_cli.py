@@ -1,5 +1,6 @@
 import json
 import math
+import signal
 import sys
 from fractions import Fraction
 
@@ -16,6 +17,14 @@ def run_json(capsys, argv):
     captured = capsys.readouterr()
     assert code == EXIT_OK, captured.err
     return json.loads(captured.out)
+
+
+class _Deadline(BaseException):
+    """Raised by SIGALRM; a BaseException so no handler in hkrr can catch it."""
+
+
+def _on_alarm(signum, frame):
+    raise _Deadline
 
 
 def write_poly(tmp_path, poly, name="poly.json"):
@@ -87,6 +96,22 @@ class TestQrrCommand:
     def test_bad_file_is_validation_error(self, capsys, tmp_path):
         missing = tmp_path / "nope.json"
         assert run(["qrr", "--chern", str(missing)]) == EXIT_VALIDATION
+
+    def test_large_n_single_partition_does_not_hang(self, capsys, tmp_path):
+        # Cost follows the supplied partitions, not every monomial of weight <= n;
+        # the 20 s limit is the hang detector.
+        chern = tmp_path / "chern.json"
+        chern.write_text(json.dumps({"n": 40, "values": [{"partition": [40], "value": 1}]}))
+        previous = signal.signal(signal.SIGALRM, _on_alarm)
+        signal.setitimer(signal.ITIMER_REAL, 20)
+        try:
+            report = run_json(capsys, ["qrr", "--chern", str(chern)])
+        except _Deadline:
+            pytest.fail("qrr still running after 20 s on one partition at n = 40")
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert report["results"]["degree"] == 40
 
 
 class TestProfileCommand:

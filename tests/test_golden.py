@@ -4,7 +4,8 @@ The examples are read from README's command-line block and run from
 ``tests/golden/``, which holds their input files and, for each example,
 the report it printed when the recording was made.  ``EXTRA_EXAMPLES``
 pins report paths the README examples do not reach: other families and
-root methods, the non-even check, the a = 2 sieve, and markdown output.
+root methods, the non-even check, the a = 2 sieve, markdown output, and
+sparse Chern data (missing and zero values, keys out of order).
 """
 
 import re
@@ -27,6 +28,7 @@ EXTRA_EXAMPLES = [
     ["cn", "7", "--markdown"],
     ["isotropic", "--n", "3", "--a", "2", "--markdown"],
     ["qk", "5", "--roots", "--laurent-check", "--markdown"],
+    ["qrr", "--chern", "chern8.json"],
 ]
 
 
