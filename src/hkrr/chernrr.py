@@ -69,9 +69,6 @@ class ChernData:
             canon[key] = as_rat(raw_value)
         self.values: dict[Partition, Fraction] = canon
 
-    def value(self, key: Iterable[int]) -> Fraction:
-        return self.values.get(_canonical_key(key), Fraction(0))
-
     def to_json(self) -> dict:
         return {
             "n": self.n,

@@ -3,9 +3,12 @@
 The scalar type is ``fractions.Fraction``: arbitrary precision, always in
 lowest terms with positive denominator, so equality is structural and
 hashing is free.  ``Poly`` is an immutable dense univariate polynomial
-over Fraction (ascending coefficients, no trailing zeros).  Everything in
-this module is pure and exact; there is no floating point and no epsilon
-anywhere.
+over Q, stored as integer numerators over one positive denominator in
+lowest terms, so its arithmetic is integer arithmetic with one gcd per
+result.  ``int_horner`` is the one evaluator: the homogeneous integer
+Horner sum c_i a^i b^(d-i), which gives every exact value and every sign.
+Everything in this module is pure and exact; there is no floating point
+and no epsilon anywhere.
 """
 
 from __future__ import annotations
@@ -106,54 +109,61 @@ class Report:
 
 
 class Poly:
-    """Dense univariate polynomial with exact Fraction coefficients.
+    """Dense univariate polynomial with exact rational coefficients.
 
-    Coefficients are stored ascending by degree with trailing zeros
-    stripped, so two polynomials are equal iff their coefficient tuples
-    are.  The zero polynomial has an empty tuple and degree -1.
+    Stored as integer numerators over one denominator, ``_nums / _den``,
+    ascending by degree, in canonical form: ``_den > 0``,
+    ``gcd(_den, *_nums) == 1`` and no trailing zero.  So ``_den`` is the
+    lcm of the coefficient denominators, and two polynomials are equal iff
+    their pairs are.  Arithmetic is integer arithmetic on the numerators
+    followed by one gcd normalization; ``coeffs`` gives the reduced
+    Fractions.  The zero polynomial is ``((), 1)`` and has degree -1.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs: Iterable[RatLike] = ()) -> None:
-        cs = [as_rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs: tuple[Fraction, ...] = tuple(cs)
+        cs = [c if type(c) is int else as_rat(c) for c in coeffs]
+        den = math.lcm(1, *(c.denominator for c in cs))
+        _canonical(self, [c.numerator * (den // c.denominator) for c in cs], den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        return tuple(Fraction(c, self._den) for c in self._nums)
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
+        return len(self._nums) - 1
 
     def coeff(self, i: int) -> Fraction:
         """Coefficient of T^i (zero beyond the degree)."""
-        if 0 <= i < len(self._coeffs):
-            return self._coeffs[i]
+        if 0 <= i < len(self._nums):
+            return Fraction(self._nums[i], self._den)
         return Fraction(0)
 
     def leading(self) -> Fraction:
-        if not self._coeffs:
+        if not self._nums:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
+        return Fraction(self._nums[-1], self._den)
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._nums
 
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other: "Poly | RatLike") -> "Poly":
         other = _as_poly(other)
-        return Poly(a + b for a, b in zip_longest(self._coeffs, other._coeffs, fillvalue=Fraction(0)))
+        a, b, da, db = self._nums, other._nums, self._den, other._den
+        if da != db:
+            g = math.gcd(da, db)
+            a, b, da = [c * (db // g) for c in a], [c * (da // g) for c in b], da * (db // g)
+        return _poly([x + y for x, y in zip_longest(a, b, fillvalue=0)], da)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(-c for c in self._coeffs)
+        return _poly([-c for c in self._nums], self._den)
 
     def __sub__(self, other: "Poly | RatLike") -> "Poly":
         return self + (-_as_poly(other))
@@ -164,21 +174,24 @@ class Poly:
     def __mul__(self, other: "Poly | RatLike") -> "Poly":
         if not isinstance(other, Poly):
             c = as_rat(other)
-            return Poly(c * a for a in self._coeffs)
-        if self.is_zero() or other.is_zero():
+            return _poly([x * c.numerator for x in self._nums], self._den * c.denominator)
+        a, b = self._nums, other._nums
+        if not a or not b:
             return ZERO
-        out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if a:
-                for j, b in enumerate(other._coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return _poly(out, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: RatLike) -> "Poly":
         c = as_rat(scalar)
-        return Poly(a / c for a in self._coeffs)
+        if not c:
+            raise ZeroDivisionError("polynomial division by zero")
+        return _poly([x * c.denominator for x in self._nums], self._den * c.numerator)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -192,57 +205,56 @@ class Poly:
         return result
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Exact polynomial division with remainder (divisor nonzero)."""
+        """Exact polynomial division with remainder (divisor nonzero).
+
+        Integer pseudo-division: for self = N/M, other = B/D, l the leading
+        coefficient of B and s = deg N - deg B + 1 steps, l^s N = Q B + R in
+        Z[T], so the quotient is Q D / (l^s M) and the remainder R / (l^s M).
+        """
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        rem = list(self._coeffs)
-        d, lead = other.degree, other.leading()
-        while len(rem) - 1 >= d and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            c = rem[-1] / lead
-            q[k] = c
-            for j, b in enumerate(other._coeffs):
-                rem[k + j] -= c * b
-            rem.pop()
-        return Poly(q), Poly(rem)
+        b, lead = other._nums, other._nums[-1]
+        rem = list(self._nums)
+        q = [0] * max(0, len(rem) - len(b) + 1)
+        for k in range(len(q) - 1, -1, -1):
+            top = rem.pop()
+            q = [lead * c for c in q]
+            q[k] = top
+            rem = [lead * c for c in rem]
+            for j, c in enumerate(b[:-1], k):
+                rem[j] -= top * c
+        scale = lead ** len(q) * self._den
+        return _poly([c * other._den for c in q], scale), _poly(rem, scale)
 
     def derivative(self) -> "Poly":
-        return Poly(i * c for i, c in enumerate(self._coeffs) if i >= 1)
+        return _poly([i * c for i, c in enumerate(self._nums)][1:], self._den)
 
     # -- evaluation and serialization ------------------------------------
 
     def __call__(self, x: RatLike) -> Fraction:
-        """Exact value at x by Horner's rule."""
+        """Exact value at x = a/b: ``int_horner(nums, a, b) / (den * b^d)``."""
         x = as_rat(x)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+        b = x.denominator
+        return Fraction(int_horner(self._nums, x.numerator, b), self._den * b ** max(self.degree, 0))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
-            return self._coeffs == other._coeffs
+            return self._nums == other._nums and self._den == other._den
         if isinstance(other, (int, Fraction)):
             return self == _as_poly(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._nums, self._den))
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._nums)
 
     def __repr__(self) -> str:
-        if not self._coeffs:
+        if not self._nums:
             return "Poly('0')"
         parts = []
-        for i in range(self.degree, -1, -1):
-            c = self._coeffs[i]
+        for i, c in reversed(list(enumerate(self.coeffs))):
             if c == 0:
                 continue
             mono = "1" if i == 0 else ("T" if i == 1 else f"T^{i}")
@@ -267,8 +279,27 @@ class Poly:
         return cls(rat_from_json(c, f"coeffs[{i}]") for i, c in enumerate(obj["coeffs"]))
 
 
+def _canonical(p: Poly, nums: list[int], den: int) -> None:
+    """Store nums/den in p in canonical form; den is nonzero."""
+    while nums and not nums[-1]:
+        nums.pop()
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums, den = [c // g for c in nums], den // g
+    p._nums, p._den = tuple(nums), den
+
+
+def _poly(nums: list[int], den: int) -> Poly:
+    """The Poly nums/den (den nonzero), normalized."""
+    p = object.__new__(Poly)
+    _canonical(p, nums, den)
+    return p
+
+
 def _as_poly(x: "Poly | RatLike") -> Poly:
-    return x if isinstance(x, Poly) else Poly((as_rat(x),))
+    return x if isinstance(x, Poly) else Poly((x,))
 
 
 ZERO = Poly()
@@ -276,42 +307,53 @@ ONE = Poly((1,))
 X = Poly((0, 1))
 
 
-def integer_form(p: Poly) -> tuple[list[int], int]:
+def integer_form(p: Poly) -> tuple[tuple[int, ...], int]:
     """(N, M): M the lcm of the coefficient denominators, N = M*p as integers.
 
-    p(q) is an integer exactly when M divides N(q); M is 1 for the zero
-    polynomial and for integer polynomials.
+    This is p's own storage.  p(q) is an integer exactly when M divides
+    N(q); M is 1 for the zero polynomial and for integer polynomials.
     """
-    m = math.lcm(1, *(c.denominator for c in p.coeffs))
-    return [c.numerator * (m // c.denominator) for c in p.coeffs], m
+    return p._nums, p._den
 
 
-def int_horner(coeffs: Sequence[int], x: int) -> int:
-    """Value at the integer x of the integer polynomial with ascending coeffs."""
-    acc = 0
+def int_horner(coeffs: Sequence[int], a: int, b: int = 1) -> int:
+    """sum c_i a^i b^(d-i), d = len(coeffs) - 1: b^d times the value at a/b.
+
+    The one evaluator: ``Poly.__call__`` divides it by den * b^d, and with
+    b > 0 its sign is the sign of the value at a/b.
+    """
+    acc, scale = 0, 1
     for c in reversed(coeffs):
-        acc = acc * x + c
+        acc = acc * a + c * scale
+        scale *= b
     return acc
 
 
 def poly_compose_affine(p: Poly, a: RatLike, b: RatLike) -> Poly:
     """The polynomial T -> p(a*T + b), computed exactly.
 
-    A pure rescaling (b = 0) is the O(d) map c_i -> c_i * a^i; otherwise
-    Horner's rule in a*T + b.
+    With a = a1/a2, b = b1/b2 and p = N/M of degree d, the result is
+    sum n_i (b1 a2 + a1 b2 T)^i (a2 b2)^(d-i) over M (a2 b2)^d, built on
+    integers.  A pure rescaling (b = 0) is the O(d) map
+    n_i -> n_i a1^i a2^(d-i); otherwise Horner's rule in b1 a2 + a1 b2 T.
     """
     a, b = as_rat(a), as_rat(b)
+    nums, d = p._nums, p.degree
+    if d < 0:
+        return ZERO
     if b == 0:
-        scaled, power = [], Fraction(1)
-        for c in p.coeffs:
-            scaled.append(c * power)
-            power *= a
-        return Poly(scaled)
-    inner = Poly((b, a))
-    acc = ZERO
-    for c in reversed(p.coeffs):
-        acc = acc * inner + c
-    return acc
+        up, down = [1], [1]
+        for _ in range(d):
+            up.append(up[-1] * a.numerator)
+            down.append(down[-1] * a.denominator)
+        return _poly([c * up[i] * down[d - i] for i, c in enumerate(nums)], p._den * down[d])
+    u, v, w = b.numerator * a.denominator, a.numerator * b.denominator, a.denominator * b.denominator
+    acc, scale = [], 1
+    for c in reversed(nums):
+        acc = [x * u + y * v for x, y in zip(acc + [0], [0] + acc)]
+        acc[0] += c * scale
+        scale *= w
+    return _poly(acc, p._den * w**d)
 
 
 def binomial_poly(n: int, scale: RatLike, shift: RatLike) -> Poly:
@@ -319,14 +361,19 @@ def binomial_poly(n: int, scale: RatLike, shift: RatLike) -> Poly:
 
     Returns (s*T + t)(s*T + t - 1)...(s*T + t - n + 1) / n!  where
     s = scale and t = shift; this is binom(s*T + t, n) as a polynomial.
+    With s = s1/s2 and t = t1/t2 each factor is ((t1 - i t2) s2 + s1 t2 T)
+    over s2 t2, so the product is taken on integers.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     scale, shift = as_rat(scale), as_rat(shift)
-    acc = ONE
+    s1, s2, t1, t2 = scale.numerator, scale.denominator, shift.numerator, shift.denominator
+    v = s1 * t2
+    acc = [1]
     for i in range(n):
-        acc = acc * Poly((shift - i, scale))
-    return acc / math.factorial(n)
+        u = (t1 - i * t2) * s2
+        acc = [x * u + y * v for x, y in zip(acc + [0], [0] + acc)]
+    return _poly(acc, (s2 * t2) ** n * math.factorial(n))
 
 
 @dataclass(frozen=True)

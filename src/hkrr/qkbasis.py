@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable
 
-from .exactpoly import Poly, RatLike, as_rat, integer_form
+from .exactpoly import Poly, RatLike, as_rat, int_horner, integer_form
 
 __all__ = [
     "NotInSpan",
@@ -73,8 +73,8 @@ def qk_roots(k: int) -> list[float]:
     closed form -4*sin(j*pi/(2(k+1)))^2 is used only as a final cross-check
     and a mismatch beyond 1e-9 signals an implementation bug.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if k < 0:
+        raise ValueError("k must be >= 0")
     enclosures = real_roots(qk_poly(k), Fraction(1, 10**10))
     if len(enclosures) != k:
         raise ArithmeticError(f"expected {k} real roots, isolated {len(enclosures)}")
@@ -203,18 +203,9 @@ def _squarefree_sturm(p: Poly) -> tuple[list[int], list[list[int]]]:
     return ps, chain
 
 
-def _sign_at(cs: list[int], a: int, b: int) -> int:
-    """Sign of the polynomial at a/b, b > 0: the sign of sum c_i a^i b^(d-i)."""
-    acc, scale = 0, 1
-    for c in reversed(cs):
-        acc = acc * a + c * scale
-        scale *= b
-    return (acc > 0) - (acc < 0)
-
-
 def _sign_variations(chain: list[list[int]], x: Fraction) -> int:
     a, b = x.numerator, x.denominator
-    signs = [s for s in (_sign_at(q, a, b) for q in chain) if s]
+    signs = [v > 0 for v in (int_horner(q, a, b) for q in chain) if v]
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
@@ -238,7 +229,7 @@ def _split_point(p: list[int], lo: Fraction, hi: Fraction) -> Fraction:
     while True:
         for i in range(1, k):
             m = lo + (hi - lo) * Fraction(i, k)
-            if _sign_at(p, m.numerator, m.denominator):
+            if int_horner(p, m.numerator, m.denominator):
                 return m
         k = k * 2 + 1  # more candidates than p has roots, eventually
 
@@ -283,22 +274,22 @@ def _refine(p: list[int], lo: Fraction, hi: Fraction, tol: Fraction) -> tuple[Fr
     ever passes non-root endpoints.  The endpoints are held as integers
     a/den and b/den over one denominator, which doubles at every halving.
     """
-    s_lo = _sign_at(p, lo.numerator, lo.denominator)
-    s_hi = _sign_at(p, hi.numerator, hi.denominator)
-    if s_lo == 0:
+    y_lo = int_horner(p, lo.numerator, lo.denominator)
+    y_hi = int_horner(p, hi.numerator, hi.denominator)
+    if y_lo == 0:
         raise AssertionError("isolating interval may not start at a root")
-    if s_hi == 0:
+    if y_hi == 0:
         return (hi, hi)
-    if s_lo == s_hi:
+    if (y_lo > 0) == (y_hi > 0):
         raise AssertionError("interval does not isolate a simple root")
     den = lo.denominator * hi.denominator
     a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
     while (b - a) * tol.denominator > tol.numerator * den:
         mid, den = a + b, 2 * den
-        s_mid = _sign_at(p, mid, den)
-        if s_mid == 0:
+        y_mid = int_horner(p, mid, den)
+        if y_mid == 0:
             return (Fraction(mid, den), Fraction(mid, den))
-        if s_mid == s_lo:
+        if (y_mid > 0) == (y_lo > 0):
             a, b = mid, 2 * b
         else:
             a, b = 2 * a, mid

@@ -81,6 +81,11 @@ class TestQkCommand:
         assert roots["values"] == pytest.approx([-3.0, -1.0], abs=1e-9)
         assert report["results"]["laurent_identity"] is True
 
+    def test_k0_roots_are_empty(self, capsys):
+        # q_0 = 1 has no roots: an empty list, not an error.
+        report = run_json(capsys, ["qk", "0", "--roots"])
+        assert report["results"]["roots"]["values"] == []
+
     def test_poly_round_trip(self, capsys):
         report = run_json(capsys, ["qk", "3"])
         assert Poly.from_json(report["results"]["poly"]) == Poly((4, 10, 6, 1))

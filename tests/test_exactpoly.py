@@ -3,6 +3,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 from typing import NamedTuple, Optional
 
 import pytest
@@ -420,8 +421,8 @@ def scanned_residues(p: Poly) -> ResidueSet:
 class TestIntegerForm:
     def test_scales_to_lowest_common_denominator(self):
         p = Poly((Fraction(1, 6), Fraction(-3, 4), 2))
-        assert integer_form(p) == ([2, -9, 24], 12)
-        assert integer_form(ZERO) == ([], 1)
+        assert integer_form(p) == ((2, -9, 24), 12)
+        assert integer_form(ZERO) == ((), 1)
 
     def test_horner_matches_exact_value(self):
         rng = random.Random(3)
@@ -430,3 +431,244 @@ class TestIntegerForm:
             coeffs, m = integer_form(p)
             for x in range(-5, 6):
                 assert Fraction(int_horner(coeffs, x), m) == p(x)
+
+
+# -- the former Fraction-list Poly, kept as the oracle ----------------------
+#
+# Coefficients are reduced Fractions, ascending, trailing zeros stripped;
+# every coefficient operation is a Fraction operation.  The integer-numerator
+# Poly must give the same coefficients for every operation.
+
+
+class FractionPoly:
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [as_rat(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    def __add__(self, other):
+        return FractionPoly(
+            a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=Fraction(0))
+        )
+
+    def __neg__(self):
+        return FractionPoly(-c for c in self.coeffs)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, FractionPoly):
+            c = as_rat(other)
+            return FractionPoly(c * a for a in self.coeffs)
+        if not self.coeffs or not other.coeffs:
+            return FractionPoly()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
+        return FractionPoly(out)
+
+    def __truediv__(self, scalar):
+        c = as_rat(scalar)
+        return FractionPoly(a / c for a in self.coeffs)
+
+    def __pow__(self, n):
+        result, base = FractionPoly((1,)), self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def __divmod__(self, other):
+        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
+        rem = list(self.coeffs)
+        d, lead = other.degree, other.coeffs[-1]
+        while len(rem) - 1 >= d and any(rem):
+            while rem and rem[-1] == 0:
+                rem.pop()
+            if len(rem) - 1 < d:
+                break
+            k = len(rem) - 1 - d
+            c = rem[-1] / lead
+            q[k] = c
+            for j, b in enumerate(other.coeffs):
+                rem[k + j] -= c * b
+            rem.pop()
+        return FractionPoly(q), FractionPoly(rem)
+
+    def derivative(self):
+        return FractionPoly(i * c for i, c in enumerate(self.coeffs) if i >= 1)
+
+    def __call__(self, x):
+        x = as_rat(x)
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+
+def fraction_compose_affine(p: FractionPoly, a, b) -> FractionPoly:
+    a, b = as_rat(a), as_rat(b)
+    if b == 0:
+        scaled, power = [], Fraction(1)
+        for c in p.coeffs:
+            scaled.append(c * power)
+            power *= a
+        return FractionPoly(scaled)
+    inner = FractionPoly((b, a))
+    acc = FractionPoly()
+    for c in reversed(p.coeffs):
+        acc = acc * inner + FractionPoly((c,))
+    return acc
+
+
+def fraction_binomial(n: int, scale, shift) -> FractionPoly:
+    scale, shift = as_rat(scale), as_rat(shift)
+    acc = FractionPoly((1,))
+    for i in range(n):
+        acc = acc * FractionPoly((shift - i, scale))
+    return acc / math.factorial(n)
+
+
+def fraction_integer_form(p: FractionPoly) -> tuple[list[int], int]:
+    m = math.lcm(1, *(c.denominator for c in p.coeffs))
+    return [c.numerator * (m // c.denominator) for c in p.coeffs], m
+
+
+ORACLE_CASES = 250  # per test below: 9 tests, 2,250 cases
+
+
+def rand_rat(rng: random.Random) -> Fraction:
+    den = rng.choice((1, 1, 2, 3, 4, 6, 7, 12, 16, 45, 97, 10**6 + 3))
+    return Fraction(rng.randint(-(10**rng.randint(0, 7)), 10**rng.randint(0, 7)), den)
+
+
+def rand_pair(rng: random.Random, max_deg: int = 7) -> tuple[Poly, FractionPoly]:
+    cs = [rand_rat(rng) for _ in range(rng.randint(0, max_deg + 1))]
+    if cs and rng.random() < 0.2:
+        cs[-1] = 0  # a trailing zero to strip
+    return Poly(cs), FractionPoly(cs)
+
+
+def assert_same(p: Poly, ref: FractionPoly) -> None:
+    """p has ref's coefficients and is stored in canonical form."""
+    nums, den = integer_form(p)
+    assert p.coeffs == ref.coeffs
+    assert den > 0 and math.gcd(den, *nums) == 1
+    assert not nums or nums[-1] != 0
+    assert (list(nums), den) == fraction_integer_form(ref)
+
+
+class TestAgainstFractionOracle:
+    def test_construction_add_sub_neg(self):
+        rng = random.Random(901)
+        for _ in range(ORACLE_CASES):
+            (p, fp), (q, fq) = rand_pair(rng), rand_pair(rng)
+            assert_same(p, fp)
+            assert_same(p + q, fp + fq)
+            assert_same(p - q, fp - fq)
+            assert_same(-p, -fp)
+            c = rand_rat(rng)
+            assert_same(p + c, fp + FractionPoly((c,)))
+            assert_same(c - p, FractionPoly((c,)) - fp)
+
+    def test_mul_by_poly_and_scalar(self):
+        rng = random.Random(902)
+        for i in range(ORACLE_CASES):
+            (p, fp), (q, fq) = rand_pair(rng), rand_pair(rng)
+            c = 0 if i % 10 == 0 else rand_rat(rng)
+            assert_same(p * q, fp * fq)
+            assert_same(p * c, fp * c)
+            assert_same(c * p, fp * c)
+            assert_same(p * int(c), fp * int(c))
+
+    def test_truediv_by_scalar(self):
+        rng = random.Random(903)
+        for _ in range(ORACLE_CASES):
+            p, fp = rand_pair(rng)
+            c = rand_rat(rng) or Fraction(-3, 7)
+            assert_same(p / c, fp / c)
+            assert_same(p / c.numerator, fp / c.numerator)
+
+    def test_pow(self):
+        rng = random.Random(904)
+        for _ in range(ORACLE_CASES):
+            p, fp = rand_pair(rng, max_deg=4)
+            n = rng.randint(0, 5)
+            assert_same(p**n, fp**n)
+
+    def test_divmod(self):
+        rng = random.Random(905)
+        for _ in range(ORACLE_CASES):
+            (p, fp), (q, fq) = rand_pair(rng, max_deg=9), rand_pair(rng, max_deg=5)
+            if q.is_zero():
+                continue
+            quo, rem = divmod(p, q)
+            fquo, frem = divmod(fp, fq)
+            assert_same(quo, fquo)
+            assert_same(rem, frem)
+
+    def test_derivative(self):
+        rng = random.Random(906)
+        for _ in range(ORACLE_CASES):
+            p, fp = rand_pair(rng)
+            assert_same(p.derivative(), fp.derivative())
+
+    def test_evaluation_at_rationals(self):
+        rng = random.Random(907)
+        for _ in range(ORACLE_CASES):
+            p, fp = rand_pair(rng)
+            x = rand_rat(rng)
+            assert p(x) == fp(x)
+            assert p(x.numerator) == fp(x.numerator)
+            nums, den = integer_form(p)
+            b, d = x.denominator, max(p.degree, 0)
+            assert Fraction(int_horner(nums, x.numerator, b), den * b**d) == fp(x)
+
+    def test_compose_affine_both_branches(self):
+        rng = random.Random(908)
+        for i in range(ORACLE_CASES):
+            p, fp = rand_pair(rng)
+            a = rand_rat(rng) if i % 7 else 0
+            b = 0 if i % 2 else rand_rat(rng) or 1
+            assert_same(poly_compose_affine(p, a, b), fraction_compose_affine(fp, a, b))
+
+    def test_binomial_poly(self):
+        rng = random.Random(909)
+        for i in range(ORACLE_CASES):
+            n = rng.randint(1, 12)
+            s = rand_rat(rng) if i % 9 else 0
+            t = rand_rat(rng)
+            assert_same(binomial_poly(n, s, t), fraction_binomial(n, s, t))
+
+
+class TestCanonicalForm:
+    def test_one_denominator_for_equal_polynomials(self):
+        half = Poly([Fraction(1, 2), 1])
+        assert half == Poly([1, 2]) / 2
+        assert hash(half) == hash(Poly([1, 2]) / 2)
+        assert integer_form(half) == ((1, 2), 2)
+
+    def test_zero_has_unit_denominator(self):
+        for zero in (ZERO, Poly((0, 0)), Poly((Fraction(1, 3),)) - Fraction(1, 3), X * 0):
+            assert integer_form(zero) == ((), 1)
+            assert zero == ZERO and hash(zero) == hash(ZERO)
+
+    def test_division_by_zero_raises(self):
+        p = Poly((1, Fraction(2, 3)))
+        for zero in (0, Fraction(0), "0"):
+            with pytest.raises(ZeroDivisionError):
+                p / zero
+        with pytest.raises(ZeroDivisionError):
+            divmod(p, ZERO)

@@ -4,8 +4,10 @@ The examples are read from README's command-line block and run from
 ``tests/golden/``, which holds their input files and, for each example,
 the report it printed when the recording was made.  ``EXTRA_EXAMPLES``
 pins report paths the README examples do not reach: other families and
-root methods, the non-even check, the a = 2 sieve, markdown output, and
-sparse Chern data (missing and zero values, keys out of order).
+root methods, the non-even check, the a = 2 sieve, markdown output,
+sparse Chern data (missing and zero values, keys out of order), and
+larger sizes: profiles at n = 12 and 20, q_20, a degree-20 rational
+q_k decomposition (the split family's Q_RR) and a rational shift.
 """
 
 import re
@@ -29,6 +31,11 @@ EXTRA_EXAMPLES = [
     ["isotropic", "--n", "3", "--a", "2", "--markdown"],
     ["qk", "5", "--roots", "--laurent-check", "--markdown"],
     ["qrr", "--chern", "chern8.json"],
+    ["profile", "--family", "split", "--n", "12"],
+    ["profile", "--family", "product", "--n", "20"],
+    ["qk", "20", "--roots", "--laurent-check"],
+    ["decompose", "--poly", "q20.json", "--basis", "qk"],
+    ["decompose", "--poly", "s.json", "--basis", "shifted", "--shift", "1/3"],
 ]
 
 

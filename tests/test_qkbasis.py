@@ -66,6 +66,11 @@ class TestLaurentIdentity:
 
 
 class TestQkRoots:
+    def test_k0_has_no_roots(self):
+        assert qk_roots(0) == []
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            qk_roots(-1)
+
     def test_k1(self):
         assert qk_roots(1) == pytest.approx([-2.0], abs=1e-9)
 
