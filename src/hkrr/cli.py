@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from dataclasses import fields
+from functools import cache
 from typing import Any, Sequence
 
 from . import __version__
@@ -47,6 +48,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="hkrr", description=__doc__)
     parser.add_argument("--version", action="version", version=f"hkrr {__version__}")
@@ -276,6 +278,8 @@ def _render_value(value: Any, lines: list[str], depth: int) -> None:
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Execute one subcommand; returns the process exit code."""
+    # Built on the first call and shared after: building the seven subparsers
+    # costs more than most commands, and parsing leaves the parser unchanged.
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

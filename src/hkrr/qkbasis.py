@@ -10,8 +10,12 @@ Decomposition of a symmetric polynomial into the q_k (or into shifted
 powers (T+s)^{n-2j}) is by descending-degree elimination, which is exact
 and yields uniqueness for free.  Root isolation is the one place floats
 appear, and only in the returned approximations: the isolation itself uses
-Sturm chains of primitive integer polynomials and bisection with exact
-rational endpoints, deciding each sign of p(a/b) as that of b^d p(a/b).
+Sturm chains of primitive integer polynomials, deciding each sign of p(a/b)
+as that of b^d p(a/b).  The counts at -B and B (B the Cauchy bound) are
+read at -inf and +inf from the chain's leading coefficients, since no root
+lies outside (-B, B); splits stay at exact rational points.  Each isolating
+interval is refined on the grid bisection would reach, by Illinois regula
+falsi over integer grid values, so the enclosures are exactly bisection's.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from typing import Callable
+from typing import Callable, Iterable
 
 from .exactpoly import Poly, RatLike, as_rat, int_horner, integer_form
 
@@ -120,7 +124,7 @@ def _eliminate(p: Poly, basis: Callable[[int], Poly]) -> list[Fraction]:
     return out
 
 
-# -- exact real-root isolation (integer Sturm chains + rational bisection) --
+# -- exact real-root isolation (integer Sturm chains, grid-exact refinement) --
 #
 # A polynomial here is the ascending list of its integer coefficients, made
 # primitive (content divided out, sign kept).  Every element of the Sturm
@@ -203,10 +207,24 @@ def _squarefree_sturm(p: Poly) -> tuple[list[int], list[list[int]]]:
     return ps, chain
 
 
+def _variations(values: Iterable[int]) -> int:
+    signs = [v > 0 for v in values if v]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+
 def _sign_variations(chain: list[list[int]], x: Fraction) -> int:
     a, b = x.numerator, x.denominator
-    signs = [v > 0 for v in (int_horner(q, a, b) for q in chain) if v]
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+    return _variations(int_horner(q, a, b) for q in chain)
+
+
+def _variations_at_infinity(chain: list[list[int]]) -> tuple[int, int]:
+    """(V(-inf), V(+inf)), read from the signs of the leading coefficients.
+
+    Every root lies in (-B, B) for the Cauchy bound B, so these equal
+    V(-B) and V(B) without evaluating the chain there.
+    """
+    at_minus = _variations(q[-1] if len(q) % 2 else -q[-1] for q in chain)
+    return at_minus, _variations(q[-1] for q in chain)
 
 
 def all_roots_real(p: Poly) -> bool:
@@ -214,8 +232,8 @@ def all_roots_real(p: Poly) -> bool:
     if p.degree < 1:
         return not p.is_zero()
     ps, chain = _squarefree_sturm(p)
-    bound = _root_bound(ps)
-    return _sign_variations(chain, -bound) - _sign_variations(chain, bound) == len(ps) - 1
+    v_minus, v_plus = _variations_at_infinity(chain)
+    return v_minus - v_plus == len(ps) - 1
 
 
 def _root_bound(p: list[int]) -> Fraction:
@@ -236,9 +254,11 @@ def _split_point(p: list[int], lo: Fraction, hi: Fraction) -> Fraction:
 
 def real_roots(p: Poly, tol: Fraction = Fraction(1, 10**10)) -> list[tuple[Fraction, Fraction]]:
     """Enclosing intervals [lo, hi] with hi - lo <= tol, one per distinct real root."""
+    tol = Fraction(tol)
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
     if p.degree < 1:
         return []
-    tol = Fraction(tol)
     ps, chain = _squarefree_sturm(p)
     bound = _root_bound(ps)
     # Distinct roots of the squarefree ps lie at least sep apart (Mahler's bound,
@@ -247,7 +267,8 @@ def real_roots(p: Poly, tol: Fraction = Fraction(1, 10**10)) -> list[tuple[Fract
     sep = Fraction(1, d ** (d + 2) * sum(abs(c) for c in ps) ** (d - 1))
     found: list[tuple[Fraction, Fraction]] = []
     # Entries (lo, V(lo), hi, V(hi)), so each point's chain is evaluated once.
-    stack = [(-bound, _sign_variations(chain, -bound), bound, _sign_variations(chain, bound))]
+    v_minus, v_plus = _variations_at_infinity(chain)
+    stack = [(-bound, v_minus, bound, v_plus)]
     while stack:
         lo, v_lo, hi, v_hi = stack.pop()
         count = v_lo - v_hi
@@ -268,29 +289,53 @@ def real_roots(p: Poly, tol: Fraction = Fraction(1, 10**10)) -> list[tuple[Fract
 
 
 def _refine(p: list[int], lo: Fraction, hi: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink an isolating interval for a simple root by sign bisection.
+    """Shrink an isolating interval for a simple root to width <= tol.
 
     Requires p(lo) != 0 and exactly one root in (lo, hi]; real_roots only
-    ever passes non-root endpoints.  The endpoints are held as integers
-    a/den and b/den over one denominator, which doubles at every halving.
+    ever passes non-root endpoints.  The answer is the one bisection gives:
+    with m the number of halvings it would make, the grid points
+    x_j = (base + j*step)/den, j = 0..2^m, share one denominator, and the
+    result is (x_j, x_j) when the root is some x_j, else the grid cell
+    holding it.  A root on the grid stays strictly inside every bisection
+    bracket until it is evaluated, so bisection returns exactly that too.
+    The cell is found by Illinois regula falsi (Dowell & Jarratt, BIT 11,
+    1971) over j on the integers den^d p(x_j), bisecting whenever a step
+    fails to halve the bracket.
     """
-    y_lo = int_horner(p, lo.numerator, lo.denominator)
-    y_hi = int_horner(p, hi.numerator, hi.denominator)
-    if y_lo == 0:
-        raise AssertionError("isolating interval may not start at a root")
-    if y_hi == 0:
-        return (hi, hi)
-    if (y_lo > 0) == (y_hi > 0):
-        raise AssertionError("interval does not isolate a simple root")
     den = lo.denominator * hi.denominator
     a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
-    while (b - a) * tol.denominator > tol.numerator * den:
-        mid, den = a + b, 2 * den
-        y_mid = int_horner(p, mid, den)
-        if y_mid == 0:
-            return (Fraction(mid, den), Fraction(mid, den))
-        if (y_mid > 0) == (y_lo > 0):
-            a, b = mid, 2 * b
+    width, allowed = (b - a) * tol.denominator, tol.numerator * den
+    m = max(width.bit_length() - allowed.bit_length(), 0)
+    m += width > allowed << m
+    base, step, den = a << m, b - a, den << m
+    jl, jr = 0, 1 << m
+    fl, fr = int_horner(p, base, den), int_horner(p, base + jr * step, den)
+    if fl == 0:
+        raise AssertionError("isolating interval may not start at a root")
+    if fr == 0:
+        return (hi, hi)
+    if (fl > 0) == (fr > 0):
+        raise AssertionError("interval does not isolate a simple root")
+    kept = 0  # +1 (-1) when the last step moved the left (right) end
+    bisect = False
+    while jr - jl > 1:
+        w = jr - jl
+        j = jl + (w // 2 if bisect else min(max(w * fl // (fl - fr), 1), w - 1))
+        x = base + j * step
+        y = int_horner(p, x, den)
+        if y == 0:
+            return (Fraction(x, den), Fraction(x, den))
+        # Illinois: an end kept twice running has its value halved, rounding
+        # the magnitude up so the sign survives and fl - fr never vanishes.
+        if (y > 0) == (fl > 0):
+            jl, fl = j, y
+            if kept == 1:
+                fr = (fr + (fr > 0)) // 2
+            kept = 1
         else:
-            a, b = 2 * a, mid
-    return (Fraction(a, den), Fraction(b, den))
+            jr, fr = j, y
+            if kept == -1:
+                fl = (fl + (fl > 0)) // 2
+            kept = -1
+        bisect = not bisect and 2 * (jr - jl) > w
+    return (Fraction(base + jl * step, den), Fraction(base + jr * step, den))

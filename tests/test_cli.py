@@ -335,6 +335,46 @@ class TestExitCodes:
         assert captured.err == f"error: internal: {type(exc).__name__}: {exc}\n"
 
 
+class TestSharedParser:
+    def test_calls_in_one_process_match_fresh_parsers(self, capsys, tmp_path):
+        # One parser serves every call of a process; no call may leave state
+        # (a default, an option value, a chosen subparser) that a later one sees.
+        poly = write_poly(tmp_path, known_family_prr("split", 3))
+        symmetric = write_poly(tmp_path, Poly((6, 11, 6, 1)), "symmetric.json")  # q_3 + q_1
+        calls = [
+            ["qk", "3", "--roots", "--markdown"],
+            ["qk", "3", "--roots"],
+            ["profile", "--family", "split", "--n", "3"],
+            ["profile", "--poly", poly],
+            ["decompose", "--poly", poly, "--basis", "shifted", "--shift", "6"],
+            ["decompose", "--poly", poly, "--basis", "shifted"],
+            ["decompose", "--poly", symmetric, "--basis", "qk"],
+            ["isotropic", "--n", "3"],
+            ["cn", "3"],
+            ["--version"],
+        ]
+
+        def outcome(argv):
+            try:
+                code = run(argv)
+            except SystemExit as exc:  # --version exits from inside argparse
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        hkrr.cli.build_parser.cache_clear()
+        shared = [outcome(argv) for argv in calls]
+        assert hkrr.cli.build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in calls:
+            hkrr.cli.build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert shared == fresh
+        codes = [code for code, _, _ in shared]
+        assert codes == [EXIT_OK] * 5 + [EXIT_VALIDATION, EXIT_OK, EXIT_USAGE, EXIT_OK, 0]
+        assert shared[-1][1] == f"hkrr {hkrr.__version__}\n"
+
+
 class TestReportShape:
     @pytest.mark.parametrize(
         "argv",

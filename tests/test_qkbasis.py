@@ -187,6 +187,20 @@ class TestRootMachinery:
         assert not all_roots_real(Poly((1, 0, 1)))
         assert not all_roots_real((X - 3) * Poly((1, 1, 1)))
 
+    @pytest.mark.parametrize("tol", [0, Fraction(-1, 10)])
+    def test_nonpositive_tolerance_refused(self, tol):
+        # The 5 s limit is the hang detector: a bisection to width <= 0 never ends.
+        previous = signal.signal(signal.SIGALRM, _on_alarm)
+        signal.setitimer(signal.ITIMER_REAL, 5)
+        try:
+            with pytest.raises(ValueError, match="tolerance must be positive"):
+                real_roots(Poly((-2, 0, 1)), tol)
+        except _Deadline:
+            pytest.fail(f"real_roots still running after 5 s with tol = {tol}")
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
 
 # -- the former Fraction isolation, kept as the oracle for the integer one --
 
@@ -335,6 +349,31 @@ def oracle_cases() -> tuple[Poly, ...]:
     return tuple(cases)
 
 
+# (p, tol) for real_roots.  With m the number of halvings of an isolating
+# interval [lo, hi], the refinement works on the grid lo + j (hi - lo) / 2^m.
+REFINEMENT_EDGE_CASES = (
+    (2 * X - 1, Fraction(1, 2)),  # [-2, 2], m = 3: the root 1/2 is j = 5, met at the last level
+    (2 * X - 1, Fraction(1, 2**20)),  # m = 22: j = 5 * 2^19, met at level 3
+    # Root 1 is j = 3 of m = 3 on [2/5, 2] (last level); root 0 is j = 2 of m = 2 (level 1).
+    (X * (X - 1) * (4 * X + 3), Fraction(1, 3)),
+    (X * (X - 1) * (4 * X + 3), Fraction(1, 2**20)),
+    ((10 * X - 1) * (10 * X + 1) * (5 * X - 1), Fraction(1, 3)),  # two intervals narrower than tol: m = 0
+    (qk_poly(5), Fraction(1, 3)),
+    (qk_poly(5), Fraction(1, 2**20)),
+    ((X**2 - 2) * (X + 3), Fraction(1, 3)),
+)
+
+# (ascending integer coefficients, lo, hi, tol) for _refine itself.
+REFINEMENT_EDGE_INTERVALS = (
+    ([-1, 2], Fraction(0), Fraction(1, 2), Fraction(1, 10**10)),  # the root is hi
+    ([-1, 3], Fraction(0), Fraction(1, 2), Fraction(1)),  # narrower than tol: m = 0
+    ([-1, 3], Fraction(0), Fraction(1, 2), Fraction(1, 2)),  # as wide as tol: m = 0
+    # The Illinois rule halves a kept value den * p(x_j) = 64 - 7j of +1 (j = 9), and 25j - 576 of -1 (j = 23).
+    ([2, -1], Fraction(1), Fraction(8), Fraction(1, 5)),
+    ([-1, 1], Fraction(-2), Fraction(19, 3), Fraction(1, 7)),
+)
+
+
 def _positive_multiple(ints: list[int], poly: Poly) -> bool:
     q = Poly(ints)
     ratio = q.leading() / poly.leading()
@@ -372,6 +411,10 @@ class TestIntegerIsolationAgainstFractionOracle:
             assert got == fraction_real_roots(p), p
             exact_hits += sum(lo == hi for lo, hi in got)
         assert exact_hits > 0  # some roots land on a bisection midpoint
+        for p, tol in REFINEMENT_EDGE_CASES:
+            assert real_roots(p, tol) == fraction_real_roots(p, tol), (p, tol)
+        for cs, lo, hi, tol in REFINEMENT_EDGE_INTERVALS:
+            assert qkbasis._refine(cs, lo, hi, tol) == _fraction_refine(Poly(cs), lo, hi, tol), (cs, lo, hi, tol)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 15, 20, 30, 40])
     def test_enclosures_equal_on_qk(self, k):
