@@ -18,10 +18,8 @@ from .chebbern import bernoulli, chebyshev_T, pk_poly
 from .chernrr import ChernData, partitions, q_rr_from_chern
 from .cnconst import (
     CnCertificate,
-    SearchBudgetExceeded,
     cn_prime_support,
     cn_value,
-    layer_gcd,
     min_padic_valuation,
     tuple_product,
 )

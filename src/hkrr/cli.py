@@ -2,15 +2,14 @@
 
 A report is {"command", "inputs", "results", "claims"}; --markdown renders
 the same object as nested sections instead of JSON.  Exit codes: 0 success,
-1 validation error, 2 search budget exhausted, 64 usage error, 70 internal
-error (a defect in hkrr, reported in one line).
+1 validation error, 64 usage error, 70 internal error (a defect in hkrr,
+reported in one line).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import fields
 from functools import cache
@@ -18,7 +17,7 @@ from typing import Any, Sequence
 
 from . import __version__
 from .chernrr import ChernData, q_rr_from_chern
-from .cnconst import SearchBudgetExceeded, cn_value
+from .cnconst import cn_value
 from .exactpoly import Poly, jsonable, rat_from_json
 from .hkprofile import (
     denominator_check,
@@ -32,7 +31,6 @@ from .qkbasis import qk_laurent_check, qk_poly, qk_roots, decompose_qk, decompos
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
-EXIT_RESOURCE = 2
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70  # EX_SOFTWARE
 
@@ -56,8 +54,10 @@ def build_parser() -> _Parser:
 
     p_cn = sub.add_parser("cn", help="certified gcd constant C(n)")
     p_cn.add_argument("n", type=int)
-    p_cn.add_argument("--stability", type=int, default=3)
-    p_cn.add_argument("--max-bound", type=int, default=None)
+    # Kept so that existing invocations still parse.
+    p_cn.add_argument(
+        "--stability", type=int, help="ignored: C(n) is certified from its witness tuple, with no search"
+    )
     _output_flags(p_cn)
 
     p_qk = sub.add_parser("qk", help="basis polynomial q_k, roots, Laurent identity")
@@ -129,18 +129,10 @@ def _report(command: str, inputs: dict, results: Any, claims: list[str]) -> dict
 
 
 def _cmd_cn(args: argparse.Namespace) -> dict:
-    max_bound = args.max_bound
-    if max_bound is None:
-        env = os.environ.get("HKRR_MAX_BOUND")
-        try:
-            max_bound = int(env) if env else None
-        except ValueError:
-            raise _UsageError(f"HKRR_MAX_BOUND must be an integer, got {env!r}") from None
-    cert = cn_value(args.n, stability=args.stability, max_bound=max_bound)
     return _report(
         "cn",
-        {"n": args.n, "stability": args.stability, "max_bound": max_bound},
-        cert,
+        {"n": args.n},
+        cn_value(args.n),
         [f"certified gcd constant for n={args.n}"],
     )
 
@@ -287,6 +279,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(parser.format_usage(), file=sys.stderr, end="")
         return EXIT_USAGE
+    except SystemExit as exc:  # --version and -h print, then call parser.exit()
+        return exc.code or EXIT_OK
     if args.command is None:
         print(parser.format_usage(), file=sys.stderr, end="")
         return EXIT_USAGE
@@ -295,9 +289,6 @@ def run(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SearchBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

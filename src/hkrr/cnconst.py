@@ -5,54 +5,43 @@ For n >= 1 the constant of interest is
     C(n) = gcd over all integer tuples (r_0, ..., r_n) of
            prod_{0 <= j < k <= n} (r_j^2 - r_k^2).
 
-The product depends only on the multiset of squares and its sign never
-affects a gcd, so it is enough to fold the gcd over sorted tuples of
-distinct values 0 <= r_0 < ... < r_n <= B for growing B (tuples with a
-repeated square contribute 0, which is gcd-neutral).  The layered search
-alone cannot rule out a far-away tuple lowering some prime exponent, so
-the stabilized value is confirmed prime by prime: the minimum p-adic
-valuation of the product over all residue patterns mod p^(e+1) is computed
-exactly by a dynamic program over the trie of squares in Z/p^(e+1), and it
-certifies exponent e when it equals e (the residue minimum is always a
-lower bound for the true minimum, which the found tuples bound above).
+The witness tuple (0, 1, ..., n) has |product| = prod_k (2k)!/2, which C(n)
+divides and which has no prime factor above 2n - 1.  So C(n) is that
+witness once each prime exponent e of it is shown to be the least p-adic
+valuation any tuple reaches.  The minimum over all residue patterns mod
+p^(e+1) of the pairwise valuation sum, each pair capped at e + 1, is
+computed exactly by a dynamic program over the trie of squares in
+Z/p^(e+1).  It is a lower bound for every integer tuple, so it certifies
+e when it equals e.  It cannot exceed e, since the witness reaches e; and
+it is never below e when e is the true minimum, since no pair is capped
+below e + 1 and a pattern summing below e would lift to an integer tuple
+of valuation below e.  One depth per prime therefore decides.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .exactpoly import Report
 
 __all__ = [
-    "SearchBudgetExceeded",
     "CnCertificate",
     "tuple_product",
     "cn_prime_support",
     "cn_value",
-    "layer_gcd",
     "min_padic_valuation",
 ]
-
-DEFAULT_MAX_BOUND = 200
-
-
-class SearchBudgetExceeded(RuntimeError):
-    """The layered search hit its bound cap before the value was certified."""
 
 
 @dataclass(frozen=True)
 class CnCertificate(Report):
-    """A certified gcd-constant value together with its search evidence."""
+    """A certified gcd-constant value and its factorization over p <= 2n-1."""
 
     n: int
     value: int = field(metadata={"json": str})
     factorization: tuple[tuple[int, int], ...]
-    search_bound: int
-    stable_layers: int
 
     def __post_init__(self) -> None:
         prod = 1
@@ -107,14 +96,6 @@ def cn_prime_support(n: int) -> list[int]:
     return support
 
 
-def layer_gcd(n: int, bound: int) -> int:
-    """gcd of tuple products over sorted tuples whose maximum equals bound."""
-    g = 0
-    for rest in combinations(range(bound), n):
-        g = math.gcd(g, tuple_product(rest + (bound,)))
-    return g
-
-
 def _factor_over(value: int, primes: Iterable[int]) -> tuple[dict[int, int], int]:
     fact: dict[int, int] = {}
     rem = value
@@ -128,65 +109,34 @@ def _factor_over(value: int, primes: Iterable[int]) -> tuple[dict[int, int], int
     return fact, rem
 
 
-def cn_value(n: int, stability: int = 3, max_bound: int | None = None) -> CnCertificate:
-    """Layered gcd search for C(n), stopped only once fully certified.
-
-    Layers B = n, n+1, ... are folded until the gcd is unchanged for
-    ``stability`` consecutive layers, its prime support lies within
-    p <= 2n-1, and every prime exponent is confirmed by the residue
-    minimization of ``min_padic_valuation``.  Raises SearchBudgetExceeded
-    if B passes ``max_bound`` (default ``DEFAULT_MAX_BOUND``) first.
-    Certificates are cached per (n, stability, effective cap), however the
-    call spells its arguments.
-    """
-    return _certified_cn(n, stability, DEFAULT_MAX_BOUND if max_bound is None else max_bound)
-
-
 @cache
-def _certified_cn(n: int, stability: int, cap: int) -> CnCertificate:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if stability < 1:
-        raise ValueError("stability must be >= 1")
-    support = cn_prime_support(n)
-    g = 0
-    stable = 0
-    for bound in range(n, cap + 1):
-        g_next = math.gcd(g, layer_gcd(n, bound))
-        stable = stable + 1 if (g_next == g and g != 0) else 0
-        g = g_next
-        if stable < stability:
-            continue
-        fact, rem = _factor_over(g, support)
-        if rem != 1:
-            continue  # support still too rich; keep enlarging
-        if all(_exponent_certified(n, p, e) for p, e in fact.items()):
-            return CnCertificate(
-                n=n,
-                value=g,
-                factorization=tuple(sorted(fact.items())),
-                search_bound=bound,
-                stable_layers=stable,
-            )
-    raise SearchBudgetExceeded(
-        f"search bound cap {cap} reached for n={n} without a certified value"
-    )
+def cn_value(n: int) -> CnCertificate:
+    """C(n) from the witness tuple (0, 1, ..., n), every prime exponent certified.
 
-
-def _exponent_certified(n: int, p: int, e: int) -> bool:
-    """Certify that min_p-valuation of the product over all tuples equals e.
-
-    The residue minimum at depth d is a lower bound for the true minimum
-    and nondecreasing in d, so equality with the observed exponent at any
-    depth is conclusive; a few escalations absorb cap artifacts.
+    The witness is factored over ``cn_prime_support(n)`` and each exponent
+    is proved minimal by one ``min_padic_valuation`` call (see the module
+    docstring).  A witness with a prime outside the support, or an exponent
+    the residue minimum does not meet, is a defect and raises
+    AssertionError.
     """
-    for depth in (e + 1, e + 4, e + 8):
-        m = min_padic_valuation(p, n + 1, depth)
-        if m > e:
-            raise AssertionError("residue lower bound exceeds an achieved valuation")
-        if m == e:
-            return True
-    return False
+    support = cn_prime_support(n)
+    witness = abs(tuple_product(range(n + 1)))
+    fact, rem = _factor_over(witness, support)
+    if rem != 1:
+        raise AssertionError(f"witness for n={n} has a prime factor above 2n-1")
+    for p, e in fact.items():
+        _certify_exponent(n, p, e)
+    return CnCertificate(n=n, value=witness, factorization=tuple(fact.items()))
+
+
+def _certify_exponent(n: int, p: int, e: int) -> None:
+    """Prove that no tuple of n + 1 integers has p-valuation below e.
+
+    Raises AssertionError unless the residue minimum at depth e + 1 is e.
+    """
+    m = min_padic_valuation(p, n + 1, e + 1)
+    if m != e:
+        raise AssertionError(f"residue minimum {m} mod {p}^{e + 1} does not certify exponent {e} for n={n}")
 
 
 def min_padic_valuation(p: int, points: int, depth: int) -> int:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import hkrr.cli
-from hkrr.cli import EXIT_INTERNAL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, EXIT_VALIDATION, render_markdown, run
+from hkrr.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, render_markdown, run
 from hkrr.exactpoly import Poly
 from hkrr.hkprofile import known_family_prr
 
@@ -55,22 +55,10 @@ class TestCnCommand:
         closed_form = math.prod(math.factorial(2 * k) // 2 for k in range(1, 18))
         assert report["results"]["value"] == str(closed_form)
 
-    def test_budget_exit_code(self, capsys):
-        assert run(["cn", "2", "--max-bound", "3"]) == EXIT_RESOURCE
-        assert "cap" in capsys.readouterr().err
-
-    def test_env_var_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("HKRR_MAX_BOUND", "3")
-        assert run(["cn", "2"]) == EXIT_RESOURCE
-        capsys.readouterr()
-        monkeypatch.setenv("HKRR_MAX_BOUND", "50")
-        assert run(["cn", "2"]) == EXIT_OK
-
-    def test_bad_env_var_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("HKRR_MAX_BOUND", "abc")
-        assert run(["cn", "3"]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.splitlines() == ["error: HKRR_MAX_BOUND must be an integer, got 'abc'"]
+    def test_stability_is_ignored(self, capsys):
+        # The benchmark's certify requests still send --stability.
+        ignored = run_json(capsys, ["cn", "7", "--stability", "1"])
+        assert ignored["results"] == run_json(capsys, ["cn", "7"])["results"]
 
 
 class TestQkCommand:
@@ -316,6 +304,12 @@ class TestExitCodes:
     def test_missing_required_flag_is_usage(self, capsys):
         assert run(["isotropic", "--n", "3"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [["--version"], ["-h"], ["cn", "--help"]])
+    def test_version_and_help_return_zero(self, capsys, argv):
+        # argparse ends these with parser.exit(); run returns the code instead.
+        assert run(argv) == EXIT_OK
+        assert capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "exc",
         [
@@ -355,10 +349,7 @@ class TestSharedParser:
         ]
 
         def outcome(argv):
-            try:
-                code = run(argv)
-            except SystemExit as exc:  # --version exits from inside argparse
-                code = exc.code
+            code = run(argv)
             captured = capsys.readouterr()
             return code, captured.out, captured.err
 

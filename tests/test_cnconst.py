@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -7,7 +8,6 @@ from hkrr import cnconst
 from hkrr.cli import run
 from hkrr.cnconst import (
     CnCertificate,
-    SearchBudgetExceeded,
     cn_prime_support,
     cn_value,
     min_padic_valuation,
@@ -30,6 +30,14 @@ def reference_value(n: int) -> int:
     for p, e in REFERENCE_TABLE[n].items():
         out *= p**e
     return out
+
+
+def layer_gcd(n: int, bound: int) -> int:
+    """gcd of tuple products over sorted tuples 0 <= r_0 < ... < r_n = bound."""
+    g = 0
+    for rest in combinations(range(bound), n):
+        g = math.gcd(g, tuple_product(rest + (bound,)))
+    return g
 
 
 class TestTupleProduct:
@@ -90,6 +98,13 @@ class TestPadicMinimization:
         for p, e in REFERENCE_TABLE[n].items():
             assert min_padic_valuation(p, n + 1, e + 1) == e
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_overstated_exponent_not_reached(self, n):
+        # Certifying e + 1 would need the minimum at depth e + 2 to be e + 1;
+        # it stays at the true exponent e.
+        for p, e in REFERENCE_TABLE[n].items():
+            assert min_padic_valuation(p, n + 1, e + 2) == e
+
     def test_monotone_in_depth(self):
         vals = [min_padic_valuation(2, 4, d) for d in range(1, 9)]
         assert vals == sorted(vals)
@@ -140,7 +155,7 @@ class TestCnValue:
         assert cert.value == reference_value(n)
         assert dict(cert.factorization) == REFERENCE_TABLE[n]
 
-    @pytest.mark.parametrize("n", range(1, 21))
+    @pytest.mark.parametrize("n", range(1, 26))
     def test_matches_closed_form(self, n):
         # C(n) = prod_{k=1..n} (2k)!/2 (Bhargava, "The factorial function
         # and generalizations", Amer. Math. Monthly 107, 2000).
@@ -161,34 +176,56 @@ class TestCnValue:
         cert = cn_value(n)
         assert [p for p, _ in cert.factorization] == cn_prime_support(n)
 
-    def test_stability_recorded(self):
-        cert = cn_value(3, stability=5)
-        assert cert.stable_layers >= 5
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_matches_layered_search(self, n):
+        # The gcd over layers B = n..n+3 of all sorted tuples: an independent
+        # value oracle that never reads the witness factorization.
+        g = 0
+        for bound in range(n, n + 4):
+            g = math.gcd(g, layer_gcd(n, bound))
+        assert cn_value(n).value == g
 
-    def test_budget_error(self):
-        with pytest.raises(SearchBudgetExceeded):
-            cn_value(2, max_bound=3)
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_overstated_exponent_refused(self, n):
+        for p, e in REFERENCE_TABLE[n].items():
+            with pytest.raises(AssertionError):
+                cnconst._certify_exponent(n, p, e + 1)
+
+    def test_one_dp_call_per_prime(self, monkeypatch):
+        depths = []
+
+        def counted(p, points, depth):
+            depths.append((p, depth))
+            return min_padic_valuation(p, points, depth)
+
+        monkeypatch.setattr(cnconst, "min_padic_valuation", counted)
+        cn_value.cache_clear()
+        try:
+            cert = cn_value(7)
+        finally:
+            cn_value.cache_clear()
+        assert depths == [(p, e + 1) for p, e in cert.factorization]
 
     def test_certificate_validates_factorization(self):
         with pytest.raises(ValueError):
-            CnCertificate(n=2, value=12, factorization=((2, 1),), search_bound=5, stable_layers=3)
+            CnCertificate(n=2, value=12, factorization=((2, 1),))
         with pytest.raises(ValueError):
-            CnCertificate(n=2, value=5, factorization=((5, 1),), search_bound=5, stable_layers=3)
+            CnCertificate(n=2, value=5, factorization=((5, 1),))
 
     def test_one_computation_per_effective_arguments(self, capsys):
-        # pairing_candidates spells cn_value(3); the cn command spells
-        # cn_value(3, stability=3, max_bound=None).  Both name one search.
+        # pairing_candidates calls cn_value(3); the cn command, whatever its
+        # ignored --stability, calls it too.  Both name one computation.
         from hkrr.isosolver import pairing_candidates
 
-        cnconst._certified_cn.cache_clear()
+        cn_value.cache_clear()
         pairing_candidates(3, 1, True)
-        assert run(["cn", "3"]) == 0
+        assert run(["cn", "3", "--stability", "5"]) == 0
         capsys.readouterr()
-        info = cnconst._certified_cn.cache_info()
+        info = cn_value.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
     def test_json_shape(self):
         blob = cn_value(3).to_json()
         assert blob["value"] == "4320"
         assert blob["factorization"] == [[2, 5], [3, 3], [5, 1]]
-        assert set(blob) == {"n", "value", "factorization", "search_bound", "stable_layers"}
+        assert set(blob) == {"n", "value", "factorization"}
