@@ -16,10 +16,22 @@ e when it equals e.  It cannot exceed e, since the witness reaches e; and
 it is never below e when e is the true minimum, since no pair is capped
 below e + 1 and a pattern summing below e would lift to an integer tuple
 of valuation below e.  One depth per prime therefore decides.
+
+The DP applies the same map at every trie level: a free unit node's table
+is a function of its child's, and a zero node's of the zero table below
+it and, at even d, of the unit tables, so the two-level zero map is fixed
+once the unit tables stop changing.  Both chains of tables grow with
+height but stay bounded (points split apart after about log_p(points)
+levels), so each reaches a fixed point.  A table equal to the one a map
+step earlier is that fixed point, and every higher table equals it.  The
+DP stops at the first repeat and jumps to the top levels: its minimum at
+depth e + 1 is the same exact number, reached in about O(log_p n) levels
+instead of e + 1.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Iterable, Sequence
@@ -152,27 +164,44 @@ def min_padic_valuation(p: int, points: int, depth: int) -> int:
     * unit classes: for odd p a square unit lifts freely (all p children),
       while for p = 2 the unit is pinned for two digit levels (1 mod 4,
       then 1 mod 8) before branching freely in two children.
+
+    Raises ValueError unless p is prime and points, depth >= 1.
     """
-    if p < 2 or points < 1 or depth < 1:
-        raise ValueError("need p >= 2, points >= 1, depth >= 1")
+    if points < 1 or depth < 1:
+        raise ValueError("need points >= 1, depth >= 1")
+    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"p must be prime, got {p}")
     # Fan-out of a unit node, pinned unit digit levels, and unit children
     # of a zero node at even depth: the only ways p = 2 differs.
     fan, pinned, zero_units = (2, 2, 1) if p == 2 else (p, 0, (p - 1) // 2)
     # Each table maps t = 0..points to the least cost of t points below one
     # node of a given height; a node's own cost counts the pairs it holds.
+    # free[i] is a free unit node of height i, built up to its first repeat
+    # (or to the trie's height); the last table stands for every greater
+    # height.
     own = [t * (t - 1) // 2 for t in range(points + 1)]
     free = [own]
-    for _ in range(depth - 1 - pinned):
-        free.append(_add(own, _minplus_power(free[-1], fan)))
+    while len(free) < depth - pinned and (row := _add(own, _minplus_power(free[-1], fan))) != free[-1]:
+        free.append(row)
     unit = [[(k + 1) * c for c in own] for k in range(pinned)]
     unit += [_add([pinned * c for c in own], row) for row in free]
-    zero = own
-    for h in range(1, depth + 1):
+    # gain[i]: the unit children of an even-d zero node, of height i; the
+    # last entry, too, stands for every greater height.
+    gain = [_minplus_power(u, zero_units) for u in unit]
+    zero, before, h = own, None, 0
+    while h < depth:
+        h += 1
         d = depth - h
         if d % 2 == 0:
-            zero = _minplus(zero, _minplus_power(unit[h - 1], zero_units))
+            zero = _minplus(zero, gain[min(h - 1, len(gain) - 1)])
         if d:
             zero = _add(own, zero)
+        if d and d % 2 == 0:
+            # Past the last gain table the two-level map no longer changes,
+            # so a repeat is its fixed point: skip to d = 1 and d = 0.
+            if zero == before and h >= len(gain):
+                h = depth - 2
+            before = zero
     return zero[points]
 
 
@@ -186,7 +215,12 @@ def _minplus(a: list[int], b: list[int]) -> list[int]:
 
 
 def _minplus_power(a: list[int], k: int) -> list[int]:
-    out = a
-    for _ in range(k - 1):
-        out = _minplus(out, a)
-    return out
+    """The k-fold min-plus power of a (k >= 1); exact by associativity."""
+    out = None
+    while True:
+        if k & 1:
+            out = a if out is None else _minplus(out, a)
+        k >>= 1
+        if not k:
+            return out
+        a = _minplus(a, a)

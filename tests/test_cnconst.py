@@ -40,6 +40,33 @@ def layer_gcd(n: int, bound: int) -> int:
     return g
 
 
+def minplus_fold(a: list[int], k: int) -> list[int]:
+    """k-fold min-plus power of a as a linear left fold of ``_minplus``."""
+    out = a
+    for _ in range(k - 1):
+        out = cnconst._minplus(out, a)
+    return out
+
+
+def reference_min_padic_valuation(p: int, points: int, depth: int) -> int:
+    """The trie DP run level by level up to ``depth``, with no early stop."""
+    fan, pinned, zero_units = (2, 2, 1) if p == 2 else (p, 0, (p - 1) // 2)
+    own = [t * (t - 1) // 2 for t in range(points + 1)]
+    free = [own]
+    for _ in range(depth - 1 - pinned):
+        free.append([x + y for x, y in zip(own, minplus_fold(free[-1], fan))])
+    unit = [[(k + 1) * c for c in own] for k in range(pinned)]
+    unit += [[pinned * c + x for c, x in zip(own, row)] for row in free]
+    zero = own
+    for h in range(1, depth + 1):
+        d = depth - h
+        if d % 2 == 0:
+            zero = cnconst._minplus(zero, minplus_fold(unit[h - 1], zero_units))
+        if d:
+            zero = [x + y for x, y in zip(own, zero)]
+    return zero[points]
+
+
 class TestTupleProduct:
     def test_pair(self):
         assert tuple_product((0, 1)) == -1
@@ -105,6 +132,37 @@ class TestPadicMinimization:
         for p, e in REFERENCE_TABLE[n].items():
             assert min_padic_valuation(p, n + 1, e + 2) == e
 
+    @pytest.mark.parametrize("p", (2, 3, 5, 7, 11))
+    def test_matches_reference_dp_on_grid(self, p):
+        for points in range(1, 10):
+            for depth in range(1, 16):
+                expected = reference_min_padic_valuation(p, points, depth)
+                assert min_padic_valuation(p, points, depth) == expected, (points, depth)
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_matches_reference_dp_on_certification_calls(self, n):
+        for p, e in cn_value(n).factorization:
+            for depth in (e + 1, e + 2):
+                assert min_padic_valuation(p, n + 1, depth) == reference_min_padic_valuation(p, n + 1, depth)
+
+    def test_large_depth_stops_at_fixed_point(self):
+        # The level-by-level DP would hold a million tables here.
+        assert min_padic_valuation(2, 5, 10**6) == min_padic_valuation(2, 5, 12) == 11
+
+    @pytest.mark.parametrize("p", (-3, 0, 1, 4, 9, 15, 49))
+    def test_rejects_non_prime(self, p):
+        # The trie of squares assumes a prime; for a composite p the DP has no meaning.
+        with pytest.raises(ValueError, match="prime"):
+            min_padic_valuation(p, 3, 2)
+
+    def test_minplus_power_matches_left_fold(self):
+        rng = random.Random(12)
+        for size in (1, 2, 5, 9, 17):
+            steps = [0] + [rng.randint(0, 9) for _ in range(size - 1)]
+            table = [sum(steps[: i + 1]) for i in range(size)]
+            for k in range(1, 41):
+                assert cnconst._minplus_power(table, k) == minplus_fold(table, k), (table, k)
+
     def test_monotone_in_depth(self):
         vals = [min_padic_valuation(2, 4, d) for d in range(1, 9)]
         assert vals == sorted(vals)
@@ -155,7 +213,7 @@ class TestCnValue:
         assert cert.value == reference_value(n)
         assert dict(cert.factorization) == REFERENCE_TABLE[n]
 
-    @pytest.mark.parametrize("n", range(1, 26))
+    @pytest.mark.parametrize("n", [*range(1, 41), 50, 60])
     def test_matches_closed_form(self, n):
         # C(n) = prod_{k=1..n} (2k)!/2 (Bhargava, "The factorial function
         # and generalizations", Amer. Math. Monthly 107, 2000).
