@@ -138,8 +138,6 @@ def _cmd_cn(args: argparse.Namespace) -> dict:
 
 
 def _cmd_qk(args: argparse.Namespace) -> dict:
-    if args.k < 0:
-        raise ValueError("k must be >= 0")
     results: dict[str, Any] = {"k": args.k, "poly": qk_poly(args.k)}
     claims = [f"basis polynomial of degree {args.k}"]
     if args.roots:
@@ -286,9 +284,6 @@ def run(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         report = _HANDLERS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -6,7 +6,8 @@ hashing is free.  ``Poly`` is an immutable dense univariate polynomial
 over Q, stored as integer numerators over one positive denominator in
 lowest terms, so its arithmetic is integer arithmetic with one gcd per
 result.  ``int_horner`` is the one evaluator: the homogeneous integer
-Horner sum c_i a^i b^(d-i), which gives every exact value and every sign.
+Horner sum c_i a^i b^(d-i), which gives every exact value and every sign;
+``pseudo_divmod`` is the one division, integer pseudo-division.
 Everything in this module is pure and exact; there is no floating point
 and no epsilon anywhere.
 """
@@ -35,6 +36,7 @@ __all__ = [
     "ONE",
     "integer_form",
     "int_horner",
+    "pseudo_divmod",
     "poly_compose_affine",
     "binomial_poly",
     "ResidueSet",
@@ -207,24 +209,15 @@ class Poly:
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Exact polynomial division with remainder (divisor nonzero).
 
-        Integer pseudo-division: for self = N/M, other = B/D, l the leading
-        coefficient of B and s = deg N - deg B + 1 steps, l^s N = Q B + R in
-        Z[T], so the quotient is Q D / (l^s M) and the remainder R / (l^s M).
+        For self = N/M and other = B/D, ``pseudo_divmod(N, B)`` gives
+        l^s N = Q B + R in Z[T], so the quotient is Q D / (l^s M) and the
+        remainder R / (l^s M).
         """
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        b, lead = other._nums, other._nums[-1]
-        rem = list(self._nums)
-        q = [0] * max(0, len(rem) - len(b) + 1)
-        for k in range(len(q) - 1, -1, -1):
-            top = rem.pop()
-            q = [lead * c for c in q]
-            q[k] = top
-            rem = [lead * c for c in rem]
-            for j, c in enumerate(b[:-1], k):
-                rem[j] -= top * c
-        scale = lead ** len(q) * self._den
-        return _poly([c * other._den for c in q], scale), _poly(rem, scale)
+        q, r = pseudo_divmod(self._nums, other._nums)
+        scale = other._nums[-1] ** len(q) * self._den
+        return _poly([c * other._den for c in q], scale), _poly(r, scale)
 
     def derivative(self) -> "Poly":
         return _poly([i * c for i, c in enumerate(self._nums)][1:], self._den)
@@ -329,6 +322,30 @@ def int_horner(coeffs: Sequence[int], a: int, b: int = 1) -> int:
     return acc
 
 
+def pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Integer pseudo-division: (q, r) with l^s a = q b + r in Z[T].
+
+    a and b are ascending integer coefficient lists, b with nonzero leading
+    coefficient l; s = max(0, len(a) - len(b) + 1) is the number of
+    division steps, len(r) < len(b) and r has no trailing zero.  This is
+    the one division loop: ``Poly.__divmod__`` and the Sturm chains of
+    root isolation both scale its result.
+    """
+    lead = b[-1]
+    r = list(a)
+    q = [0] * max(0, len(r) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        top = r.pop()
+        q = [lead * c for c in q]
+        q[k] = top
+        r = [lead * c for c in r]
+        for j, c in enumerate(b[:-1], k):
+            r[j] -= top * c
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
 def poly_compose_affine(p: Poly, a: RatLike, b: RatLike) -> Poly:
     """The polynomial T -> p(a*T + b), computed exactly.
 
@@ -411,21 +428,20 @@ class ResidueSet:
 
         A prime is peeled off the modulus only after verifying that the
         allowed set is exactly the preimage of its projection, so the
-        reduction never changes membership.
+        reduction never changes membership.  One pass per prime suffices:
+        a multiple of a period is a period, so once m/p fails the test,
+        m'/p fails it for every later modulus m' dividing m.
         """
         m, allowed = self.modulus, self.allowed
-        changed = True
-        while changed and m > 1:
-            changed = False
-            for p in sorted(_prime_factors(m)):
+        for p in sorted(_prime_factors(m)):
+            while m % p == 0:
                 m2 = m // p
                 proj = frozenset(r % m2 for r in allowed)
                 # allowed lies inside the preimage of proj, which has
                 # p * |proj| members, so equal sizes mean equal sets.
-                if len(allowed) == p * len(proj):
-                    m, allowed = m2, proj
-                    changed = True
+                if len(allowed) != p * len(proj):
                     break
+                m, allowed = m2, proj
         return ResidueSet(m, allowed)
 
     def sorted_residues(self) -> list[int]:

@@ -21,9 +21,11 @@ integer valued.  Elimination rules, in the order applied:
 
 The pairing value 2 is handled by the substitution layer: represented
 values are twice a half-value q, the sieve runs on the half-values via
-P(2T), and the branch dies on the mod-4 gcd contradiction.  Elimination
-traces name the rule fired for every rejected candidate so a report can
-be audited step by step.
+P(2T), the parity rule couples q(m)/2 with m_x, and the branch dies on the
+mod-4 gcd contradiction.  There the gcd rule asks whether all half-values
+are even, which is the same as every represented value being 0 mod 4.
+Elimination traces name the rule fired for every rejected candidate so a
+report can be audited step by step.
 """
 
 from __future__ import annotations
@@ -323,6 +325,9 @@ def _analyze_candidate(
 ) -> CandidateAnalysis:
     halved = q_lm == 2
     n_x = 2 * sweep_value if halved else sweep_value
+    term, coupling, sweep_var = (
+        ("q(m)/2", cong.half_congruence, "m_x") if halved else ("q(m)", cong.qm_plus_nx_congruence, "n_x")
+    )
     p_rr = cubic_prr(c_x, n_x)
     sieve_poly = poly_compose_affine(p_rr, 2, 0) if halved else p_rr
     value_word = "half-value" if halved else "value"
@@ -338,7 +343,7 @@ def _analyze_candidate(
         if rule is not None:
             trace.append(TraceStep(rule, detail))
         return CandidateAnalysis(
-            sweep_var="m_x" if halved else "n_x",
+            sweep_var=sweep_var,
             sweep_value=sweep_value,
             n_x=n_x,
             p_rr=p_rr,
@@ -395,29 +400,17 @@ def _analyze_candidate(
     if parity == "even":
         trace.append(TraceStep("parity", f"all surviving {value_word}s are even"))
 
-    # Parity coupling from the pairing congruence.
-    if parity == "even":
-        qm, half = cong.qm_plus_nx_congruence, cong.half_congruence
-        if not halved and qm.modulus % 2 == 0:
-            required_qm_parity = (qm.residue - n_x) % 2
-            if required_qm_parity == 1:
-                return verdict(
-                    "parity",
-                    f"q(m) + n_x must be = {qm.residue} mod {qm.modulus} "
-                    f"so q(m) would be odd, but every value is even",
-                    closed,
-                    parity,
-                )
-        if halved and half is not None and half.modulus % 2 == 0:
-            required_half_parity = (half.residue - sweep_value) % 2
-            if required_half_parity == 1:
-                return verdict(
-                    "parity",
-                    f"q(m)/2 + m_x must be = {half.residue} mod {half.modulus} "
-                    f"so q(m)/2 would be odd, but every half-value is even",
-                    closed,
-                    parity,
-                )
+    # Parity coupling from the pairing congruence: term + sweep_var = residue
+    # mod an even modulus, and sweep_var is n_x off the halved branch.
+    forces_odd = coupling is not None and coupling.modulus % 2 == 0 and (coupling.residue - sweep_value) % 2
+    if parity == "even" and forces_odd:
+        return verdict(
+            "parity",
+            f"{term} + {sweep_var} must be = {coupling.residue} mod {coupling.modulus} "
+            f"so {term} would be odd, but every {value_word} is even",
+            closed,
+            parity,
+        )
 
     if assumed_even is False and gcd_constraint(closed, 1) == "contradiction":
         return verdict(
@@ -427,27 +420,15 @@ def _analyze_candidate(
             parity,
         )
 
-    if halved:
-        # Represented values are twice the half-values; an all-even
-        # half-value set makes every value 0 mod 4, against gcd 2.
-        values = ResidueSet(2 * work, frozenset((2 * r) % (2 * work) for r in closed.allowed))
-        if gcd_constraint(values, 2) == "contradiction":
-            return verdict(
-                "gcd",
-                "every represented value is 0 mod 4, but an even form has "
-                "represented-value gcd exactly 2",
-                closed,
-                parity,
-            )
-    elif gcd_constraint(closed, 2) == "contradiction":
-        # All 0 mod 4 implies all even: this also refutes gcd 1.
-        return verdict(
-            "gcd",
-            "every represented value is 0 mod 4; the gcd of represented "
-            "values is 1 or 2",
-            closed,
-            parity,
-        )
+    # Off the halved branch all values 0 mod 4 also refutes gcd 1.  On it the
+    # values are twice the half-values (work is a multiple of 16), so they
+    # are all 0 mod 4 exactly when every half-value is even.
+    if gcd_constraint(closed, 1 if halved else 2) == "contradiction":
+        if halved:
+            tail = ", but an even form has represented-value gcd exactly 2"
+        else:
+            tail = "; the gcd of represented values is 1 or 2"
+        return verdict("gcd", "every represented value is 0 mod 4" + tail, closed, parity)
 
     return verdict(None, "", closed, parity)
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterable
 
-from .exactpoly import Poly, RatLike, as_rat, int_horner, integer_form
+from .exactpoly import Poly, RatLike, as_rat, int_horner, integer_form, pseudo_divmod
 
 __all__ = [
     "NotInSpan",
@@ -137,27 +137,14 @@ def _primitive(cs: list[int]) -> list[int]:
     return [c // g for c in cs]
 
 
-def _prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder lc(b)^(delta+1) * (a mod b), delta = deg a - deg b >= 0."""
-    r = list(a)
-    lead, db = b[-1], len(b) - 1
-    for k in range(len(a) - len(b), -1, -1):
-        top = r.pop()
-        r = [lead * c for c in r]
-        for j in range(db):
-            r[k + j] -= top * b[j]
-    while r and r[-1] == 0:
-        r.pop()
-    return r
-
-
 def _sturm_step(a: list[int], b: list[int]) -> list[int]:
     """The chain element after (a, b): primitive, a positive multiple of -(a mod b).
 
-    prem(a, b) is lc(b)^(delta+1) times the remainder, a negative multiple
-    when lc(b) < 0 and delta + 1 is odd.  Empty when b divides a.
+    The pseudo-remainder is lc(b)^(delta+1) times the remainder, delta =
+    deg a - deg b >= 0, a negative multiple when lc(b) < 0 and delta + 1 is
+    odd.  Empty when b divides a.
     """
-    r = _prem(a, b)
+    r = pseudo_divmod(a, b)[1]
     if not r:
         return r
     negative = b[-1] < 0 and (len(a) - len(b)) % 2 == 0
@@ -177,18 +164,11 @@ def _sturm_chain(p: list[int]) -> list[list[int]]:
 
 def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
     """a / b in Z[T]; b primitive and dividing a."""
-    q = [0] * (len(a) - len(b) + 1)
-    r = list(a)
-    for k in range(len(q) - 1, -1, -1):
-        c, rest = divmod(r[k + len(b) - 1], b[-1])
-        if rest:
-            raise AssertionError("gcd does not divide polynomial")
-        q[k] = c
-        for j, bj in enumerate(b):
-            r[k + j] -= c * bj
-    if any(r):
+    q, r = pseudo_divmod(a, b)
+    scale = b[-1] ** len(q)
+    if r or any(c % scale for c in q):
         raise AssertionError("gcd does not divide polynomial")
-    return q
+    return [c // scale for c in q]
 
 
 def _squarefree_sturm(p: Poly) -> tuple[list[int], list[list[int]]]:

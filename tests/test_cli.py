@@ -304,6 +304,17 @@ class TestExitCodes:
     def test_missing_required_flag_is_usage(self, capsys):
         assert run(["isotropic", "--n", "3"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["qk", "-1"], ["cn", "0"], ["cn", "-3"], ["profile", "--family", "split", "--n", "0"]],
+    )
+    def test_out_of_range_size_is_validation(self, capsys, argv):
+        # The library refuses these sizes; the CLI reports that in one line.
+        assert run(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [["--version"], ["-h"], ["cn", "--help"]])
     def test_version_and_help_return_zero(self, capsys, argv):
         # argparse ends these with parser.exit(); run returns the code instead.

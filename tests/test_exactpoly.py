@@ -23,6 +23,7 @@ from hkrr.exactpoly import (
     integrality_residues,
     jsonable,
     poly_compose_affine,
+    pseudo_divmod,
     rat_from_json,
     rat_str,
 )
@@ -336,6 +337,19 @@ class TestResidueSet:
                 rs = ResidueSet(rs.modulus, rs.allowed ^ {rng.randrange(rs.modulus)})
             assert rs.reduce() == scanned_reduce(rs), rs
 
+    def test_reduce_returns_least_period(self):
+        # Lift a random subset of Z/d to a multiple M of d: reduce() must find
+        # the least period of the lifted set, which divides d.
+        rng = random.Random(1304)
+        for _ in range(300):
+            m = rng.randint(1, 200)
+            d = rng.choice([k for k in range(1, m + 1) if m % k == 0])
+            rs = ResidueSet(d, frozenset(r for r in range(d) if rng.random() < 0.5)).lift(m)
+            least = min(
+                k for k in range(1, m + 1) if m % k == 0 and all((r + k) % m in rs.allowed for r in rs.allowed)
+            )
+            assert rs.reduce() == ResidueSet(least, frozenset(r % least for r in rs.allowed)), rs
+
     def test_equivalent_across_moduli(self):
         # reduce() is canonical: two sets describe the same integers iff
         # their reduced forms are equal.
@@ -343,6 +357,30 @@ class TestResidueSet:
         b = ResidueSet(2, frozenset({0}))
         assert a.reduce() == b.reduce()
         assert a.reduce() != ResidueSet(2, frozenset({1})).reduce()
+
+
+class TestPseudoDivmod:
+    def test_identity_on_random_inputs(self):
+        # l^s a = q b + r with s = max(0, len(a) - len(b) + 1), len(r) < len(b)
+        # and no trailing zero in r; leading coefficients of either sign.
+        rng = random.Random(1303)
+        for _ in range(600):
+            b = [rng.randint(-9, 9) for _ in range(rng.randint(0, 5))] + [rng.choice((-6, -2, -1, 1, 3, 7))]
+            a = [rng.randint(-50, 50) for _ in range(rng.randint(0, 9))]
+            a += [rng.choice((-5, -1, 1, 4))] if rng.random() < 0.9 else []
+            q, r = pseudo_divmod(a, b)
+            s = max(0, len(a) - len(b) + 1)
+            assert len(q) == s and len(r) < len(b)
+            assert not r or r[-1]
+            assert Poly(q) * Poly(b) + Poly(r) == Poly(a) * b[-1] ** s
+
+    def test_shorter_dividend_is_the_remainder(self):
+        assert pseudo_divmod([3, 1], [1, 2, -4]) == ([], [3, 1])
+        assert pseudo_divmod([], [5]) == ([], [])
+
+    def test_negative_leading_coefficient(self):
+        # (-2)^2 (T^2 + 1) = (-2T - 1)(-2T + 1) + 5.
+        assert pseudo_divmod([1, 0, 1], [1, -2]) == ([-1, -2], [5])
 
 
 def test_traced_methods_exist():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -8,6 +10,7 @@ from hkrr.exactpoly import Poly, ResidueSet, X, integrality_residues
 from hkrr.hkprofile import cubic_prr, denominator_check, even_values_check, known_family_prr
 from hkrr.isosolver import (
     UnsupportedCase,
+    _analyze_candidate,
     divisibility_residues,
     fujiki_from_pairing,
     gcd_constraint,
@@ -217,6 +220,18 @@ class TestGcdConstraint:
         with pytest.raises(ValueError):
             gcd_constraint(ResidueSet(4, frozenset({0})), 3)
 
+    def test_halved_fold_identity(self):
+        # The halved branch's gcd rule reads the half-value set with gcd 1 in
+        # place of the doubled value set with gcd 2; that needs this identity
+        # for every modulus that is a multiple of 16.
+        rng = random.Random(1305)
+        for i in range(600):
+            work = 16 * rng.randint(1, 12)
+            pool = range(0, work, 2) if i % 2 else range(work)
+            closed = ResidueSet(work, frozenset(r for r in pool if rng.random() < rng.choice((0.0, 0.1, 0.5))))
+            doubled = ResidueSet(2 * work, frozenset(2 * r for r in closed.allowed))
+            assert gcd_constraint(doubled, 2) == gcd_constraint(closed, 1), closed
+
 
 def surviving_prr(case):
     """n_x -> P_RR over every candidate that survived its branch."""
@@ -360,6 +375,23 @@ class TestCrossModuleConsistency:
                 rs = integrality_residues(p_half)
                 for q in range(-100, 101):
                     assert rs.contains(q) == (cand.p_rr(2 * q).denominator == 1)
+
+
+# sha256 of the JSON of every _analyze_candidate call over the grid below, one
+# report a line: every trace, verdict and residue set of the sieve, pinned.
+ANALYSIS_GRID_DIGEST = "d5c99267d7c6aaf9215070a06c354edebc692172162b929f24abcf93c0e64f2a"
+
+
+def test_analyze_candidate_grid_digest():
+    # a <= 3! and q_lm <= 8 reach pairings that solve_case never sweeps.
+    digest = hashlib.sha256()
+    for a, q_lm in product(range(1, 7), range(1, 9)):
+        c_x = fujiki_from_pairing(3, a, q_lm)
+        cong = pairing_congruence(3, a, q_lm)
+        for value, assumed_even in product(range(1, 41), (None, True, False)):
+            analysis = _analyze_candidate(q_lm, c_x, value, cong, assumed_even)
+            digest.update(json.dumps(analysis.to_json()).encode() + b"\n")
+    assert digest.hexdigest() == ANALYSIS_GRID_DIGEST
 
 
 class TestUnsupportedCases:

@@ -7,10 +7,9 @@ from functools import cache
 import pytest
 
 from hkrr import qkbasis
-from hkrr.exactpoly import ONE, Poly, X, ZERO, poly_compose_affine
+from hkrr.exactpoly import ONE, Poly, X, ZERO, poly_compose_affine, pseudo_divmod
 from hkrr.qkbasis import (
     NotInSpan,
-    _prem,
     _primitive,
     _squarefree_sturm,
     _sturm_step,
@@ -430,12 +429,12 @@ class TestIntegerIsolationAgainstFractionOracle:
 
 
 def _sign_rule_dropped(a: list[int], b: list[int]) -> list[int]:
-    r = _prem(a, b)
+    r = pseudo_divmod(a, b)[1]
     return r and _primitive([-c for c in r])
 
 
 def _parity_inverted(a: list[int], b: list[int]) -> list[int]:
-    r = _prem(a, b)
+    r = pseudo_divmod(a, b)[1]
     negative = b[-1] < 0 and (len(a) - len(b)) % 2 == 1
     return r and _primitive(r if negative else [-c for c in r])
 
@@ -478,14 +477,14 @@ class TestPseudoRemainderSign:
     def test_odd_power_of_negative_leading_coefficient(self):
         # delta + 1 = 1: prem = -(a mod b), so the step must not negate it.
         a, b = [5, 3, 1], [0, 1, -1]
-        assert _prem(a, b) == [-5, -4]
+        assert pseudo_divmod(a, b)[1] == [-5, -4]
         assert _sturm_step(a, b) == [-5, -4]
         assert _positive_multiple(_sturm_step(a, b), -divmod(Poly(a), Poly(b))[1])
         # delta + 1 = 3: prem = (-2)^3 (T^3 + 2)(1/2) = -17.
-        assert _prem([2, 0, 0, 1], [1, -2]) == [-17]
+        assert pseudo_divmod([2, 0, 0, 1], [1, -2])[1] == [-17]
         assert _sturm_step([2, 0, 0, 1], [1, -2]) == [-1]
 
     def test_even_power_keeps_the_sign(self):
         # delta + 1 = 2: prem = (+1)(a mod b), negated as usual.
-        assert _prem([1, 0, 1], [0, -1]) == [1]
+        assert pseudo_divmod([1, 0, 1], [0, -1])[1] == [1]
         assert _sturm_step([1, 0, 1], [0, -1]) == [-1]
