@@ -3,7 +3,7 @@
 Modules
 -------
 exactpoly   rational scalars, dense exact polynomials, residue sets
-chebbern    Chebyshev polynomials, quarter-shift substitutes, Bernoulli numbers
+chebbern    quarter-shift Chebyshev substitutes P_k by closed form, Bernoulli numbers
 chernrr     Riemann-Roch polynomial from Chern numbers (partition-product formula)
 qkbasis     positive symmetric basis, decompositions, exact root isolation
 cnconst     certified gcd constants of square-difference products
@@ -14,7 +14,7 @@ cli         command-line reports (JSON / markdown)
 
 __version__ = "0.1.0"
 
-from .chebbern import bernoulli, chebyshev_T, pk_poly
+from .chebbern import bernoulli, pk_poly
 from .chernrr import ChernData, partitions, q_rr_from_chern
 from .cnconst import (
     CnCertificate,

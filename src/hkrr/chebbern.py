@@ -1,30 +1,21 @@
-"""Chebyshev polynomials, their quarter-shift substitutes, and Bernoulli numbers.
+"""The quarter-shift Chebyshev substitutes P_k, and Bernoulli numbers.
 
-These are the three ingredients the Chern-number expansion consumes.  All
-results are memoized; since every value is immutable and the functions are
-pure, the caches are safe under concurrent use.
+These are the two ingredients the Chern-number expansion consumes.  P_k is
+T_k(T/2 + 1), read off the closed form of T_k(1 + x) at x = T/2, and sits
+in the positive basis as the half-difference P_k = (q_k - q_{k-2})/2, with
+P_1 = q_1/2.  All results are memoized; since every value is immutable and
+the functions are pure, the caches are safe under concurrent use.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cache
 
-from .exactpoly import ONE, Poly, X, poly_compose_affine
+from .exactpoly import ONE, Poly
 
-__all__ = ["chebyshev_T", "pk_poly", "bernoulli"]
-
-
-@cache
-def chebyshev_T(m: int) -> Poly:
-    """First-kind Chebyshev polynomial T_m via T_m = 2*Y*T_{m-1} - T_{m-2}."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if m == 0:
-        return ONE
-    if m == 1:
-        return X
-    return 2 * X * chebyshev_T(m - 1) - chebyshev_T(m - 2)
+__all__ = ["pk_poly", "bernoulli"]
 
 
 @cache
@@ -32,11 +23,14 @@ def pk_poly(k: int) -> Poly:
     """Degree-k polynomial P_k with P_k(T) = T_{2k}(Y) under Y^2 = T/4 + 1.
 
     T_{2k} = T_k o T_2 and T_2(Y) = 2Y^2 - 1 = T/2 + 1, so P_k is
-    T_k(T/2 + 1): exact univariate algebra, no symbolic square roots.
+    T_k(T/2 + 1), whose coefficient of T^j is k/(k+j) * binom(k+j, 2j) for
+    k >= 1: exact univariate algebra, no recursion, no symbolic square roots.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    return poly_compose_affine(chebyshev_T(k), Fraction(1, 2), 1)
+    if k == 0:
+        return ONE
+    return Poly(Fraction(k * math.comb(k + j, 2 * j), k + j) for j in range(k + 1))
 
 
 @cache

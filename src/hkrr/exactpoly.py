@@ -333,17 +333,16 @@ def pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[i
     """
     lead = b[-1]
     r = list(a)
-    q = [0] * max(0, len(r) - len(b) + 1)
-    for k in range(len(q) - 1, -1, -1):
+    q = []
+    for k in range(len(r) - len(b), -1, -1):
         top = r.pop()
-        q = [lead * c for c in q]
-        q[k] = top
+        q.append(top * lead**k)  # the k later steps would each scale it by lead
         r = [lead * c for c in r]
         for j, c in enumerate(b[:-1], k):
             r[j] -= top * c
     while r and not r[-1]:
         r.pop()
-    return q, r
+    return q[::-1], r
 
 
 def poly_compose_affine(p: Poly, a: RatLike, b: RatLike) -> Poly:

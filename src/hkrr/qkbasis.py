@@ -60,8 +60,6 @@ def qk_laurent_check(k: int) -> bool:
     in S, lhs <- lhs * S + c_j T^{k-j} for j = k..0, on the integer
     numerator of q_k: O(k^2) coefficient operations.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
     coeffs, m = integer_form(qk_poly(k))
     lhs = [0] * (2 * k + 1)
     for j in range(k, -1, -1):
@@ -77,8 +75,6 @@ def qk_roots(k: int) -> list[float]:
     closed form -4*sin(j*pi/(2(k+1)))^2 is used only as a final cross-check
     and a mismatch beyond 1e-9 signals an implementation bug.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
     enclosures = real_roots(qk_poly(k), Fraction(1, 10**10))
     if len(enclosures) != k:
         raise ArithmeticError(f"expected {k} real roots, isolated {len(enclosures)}")

@@ -2,8 +2,19 @@ from fractions import Fraction
 
 import pytest
 
-from hkrr.chebbern import bernoulli, chebyshev_T, pk_poly
+from hkrr.chebbern import bernoulli, pk_poly
 from hkrr.exactpoly import ONE, Poly, X, poly_compose_affine
+from hkrr.qkbasis import qk_poly
+
+
+def chebyshev_T(m: int) -> Poly:
+    """Reference T_m by the recurrence T_m = 2*Y*T_{m-1} - T_{m-2}, run iteratively."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    prev, cur = X, ONE
+    for _ in range(m):
+        prev, cur = cur, 2 * X * cur - prev
+    return cur
 
 # cos(m * theta) at the rational-cosine angles theta = 0, pi/3, pi/2, pi.
 COS_TABLE = {
@@ -65,6 +76,23 @@ class TestPkPoly:
             assert not any(t2k.coeffs[1::2])
             assert pk_poly(k) == poly_compose_affine(Poly(t2k.coeffs[0::2]), Fraction(1, 4), 1)
 
+    def test_half_difference_of_positive_basis(self):
+        assert pk_poly(1) == qk_poly(1) * Fraction(1, 2)
+        for k in range(2, 201):
+            assert pk_poly(k) == (qk_poly(k) - qk_poly(k - 2)) * Fraction(1, 2)
+
+    def test_large_degree_has_no_recursion_limit(self):
+        k = 1000
+        p = pk_poly(k)
+        assert p.degree == k
+        assert p.leading() == Fraction(1, 2)
+        for t in (Fraction(3, 7), Fraction(-5, 2)):
+            assert p(-t - 4) == (-1) ** k * p(t)
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            pk_poly(-1)
+
 
 class TestBernoulli:
     def test_reference_values(self):
@@ -95,13 +123,9 @@ class TestConcurrentUse:
         from concurrent.futures import ThreadPoolExecutor
 
         def worker(seed):
-            return (
-                chebyshev_T(20 + seed % 5),
-                pk_poly(10 + seed % 5),
-                bernoulli(2 * (1 + seed % 8)),
-            )
+            return (pk_poly(10 + seed % 5), bernoulli(2 * (1 + seed % 8)))
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(worker, range(64)))
-        for seed, triple in enumerate(results):
-            assert triple == worker(seed)
+        for seed, pair in enumerate(results):
+            assert pair == worker(seed)

@@ -69,6 +69,8 @@ class TestQkRoots:
         assert qk_roots(0) == []
         with pytest.raises(ValueError, match="k must be >= 0"):
             qk_roots(-1)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            qk_laurent_check(-1)
 
     def test_k1(self):
         assert qk_roots(1) == pytest.approx([-2.0], abs=1e-9)
