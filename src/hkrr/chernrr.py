@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .chebbern import bernoulli, pk_poly
-from .exactpoly import ONE, Poly, RatLike, ZERO, as_rat, rat_from_json, rat_str
+from .exactpoly import ONE, Poly, Report, ZERO, as_rat, rat_from_json, rat_str
 
 __all__ = ["ChernData", "Partition", "partitions", "q_rr_from_chern"]
 
@@ -44,21 +45,30 @@ def _canonical_key(key: Iterable[int]) -> Partition:
     return tuple(sorted(int(k) for k in key))
 
 
-class ChernData:
+def _values_json(values: dict[Partition, Fraction]) -> list[dict]:
+    return [{"partition": list(key), "value": rat_str(v)} for key, v in sorted(values.items())]
+
+
+@dataclass(eq=False)
+class ChernData(Report):
     """Intersection numbers of Chern character components, keyed by multiset.
 
     ``values[{k_1,...,k_r}]`` holds the integral of ch_{2k_1}...ch_{2k_r};
     every key must be a nonempty multiset of positive integers summing to n.
+    Any mapping is accepted and stored as a dict of sorted keys to Fractions.
     Missing keys are treated as 0.  The data is not checked for coming from
     an actual manifold: the property suites rely on arbitrary inputs.
     """
 
-    def __init__(self, n: int, values: Mapping[Iterable[int], RatLike]) -> None:
-        if n < 1:
+    n: int
+    values: dict[Partition, Fraction] = field(metadata={"json": _values_json})
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
             raise ValueError("half-dimension n must be >= 1")
-        self.n = int(n)
+        self.n = int(self.n)
         canon: dict[Partition, Fraction] = {}
-        for raw_key, raw_value in values.items():
+        for raw_key, raw_value in self.values.items():
             key = _canonical_key(raw_key)
             if not key or any(k < 1 for k in key):
                 raise ValueError(f"partition {key} must consist of positive integers")
@@ -67,16 +77,7 @@ class ChernData:
             if key in canon:
                 raise ValueError(f"duplicate partition {key}")
             canon[key] = as_rat(raw_value)
-        self.values: dict[Partition, Fraction] = canon
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "values": [
-                {"partition": list(key), "value": rat_str(v)}
-                for key, v in sorted(self.values.items())
-            ],
-        }
+        self.values = canon
 
     @classmethod
     def from_json(cls, obj: dict) -> "ChernData":
@@ -97,9 +98,6 @@ class ChernData:
                 raise ValueError(f"values[{i}]: duplicate partition {part}")
             values[tuple(part)] = rat_from_json(entry["value"], f"values[{i}].value")
         return cls(n, values)
-
-    def __repr__(self) -> str:
-        return f"ChernData(n={self.n}, values={self.values!r})"
 
 
 def _is_json_int(value: object) -> bool:

@@ -110,7 +110,7 @@ def _load_json(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON, or an integer literal past the digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, nesting past the depth limit, or a literal past the digit limit
         raise ValueError(f"cannot parse {path}: {exc}") from exc
 
 
@@ -159,7 +159,7 @@ def _cmd_qrr(args: argparse.Namespace) -> dict:
     q = q_rr_from_chern(data)
     return _report(
         "qrr",
-        {"chern": data.to_json()},
+        {"chern": data},
         {"q_rr": q, "degree": q.degree},
         ["normalized Riemann-Roch polynomial from Chern numbers"],
     )

@@ -6,16 +6,18 @@ For n >= 1 the constant of interest is
            prod_{0 <= j < k <= n} (r_j^2 - r_k^2).
 
 The witness tuple (0, 1, ..., n) has |product| = prod_k (2k)!/2, which C(n)
-divides and which has no prime factor above 2n - 1.  So C(n) is that
-witness once each prime exponent e of it is shown to be the least p-adic
-valuation any tuple reaches.  The minimum over all residue patterns mod
-p^(e+1) of the pairwise valuation sum, each pair capped at e + 1, is
-computed exactly by a dynamic program over the trie of squares in
-Z/p^(e+1).  It is a lower bound for every integer tuple, so it certifies
-e when it equals e.  It cannot exceed e, since the witness reaches e; and
-it is never below e when e is the true minimum, since no pair is capped
-below e + 1 and a pattern summing below e would lift to an integer tuple
-of valuation below e.  One depth per prime therefore decides.
+divides.  Legendre's formula gives its exponent at each prime p <= 2n - 1,
+and the product of those prime powers is checked to equal the witness, so
+it has no other prime factor.  So C(n) is that witness once each prime
+exponent e of it is shown to be the least p-adic valuation any tuple
+reaches.  The minimum over all residue patterns mod p^(e+1) of the pairwise
+valuation sum, each pair capped at e + 1, is computed exactly by a dynamic
+program over the trie of squares in Z/p^(e+1).  It is a lower bound for
+every integer tuple, so it certifies e when it equals e.  It cannot exceed
+e, since the witness reaches e; and it is never below e when e is the true
+minimum, since no pair is capped below e + 1 and a pattern summing below e
+would lift to an integer tuple of valuation below e.  One depth per prime
+therefore decides.
 
 The DP applies the same map at every trie level: a free unit node's table
 is a function of its child's, and a zero node's of the zero table below
@@ -34,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .exactpoly import Report
 
@@ -79,66 +81,46 @@ def tuple_product(rs: Sequence[int]) -> int:
     return out
 
 
-def _primes_up_to(m: int) -> list[int]:
-    out = []
-    for c in range(2, m + 1):
+def cn_prime_support(n: int) -> list[int]:
+    """The primes p <= 2n-1: those of the witness, and so those of C(n)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    out: list[int] = []
+    for c in range(2, 2 * n):
         if all(c % p for p in out if p * p <= c):
             out.append(c)
     return out
 
 
-def _distinct_squares_mod(p: int) -> int:
-    return len({i * i % p for i in range(p)})
-
-
-def cn_prime_support(n: int) -> list[int]:
-    """Primes p <= 2n-1; each is checked to admit at most n distinct squares.
-
-    Having at most n distinct squares mod p forces a repeated square in any
-    n+1 entries, hence p divides every tuple product.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    support = _primes_up_to(2 * n - 1)
-    for p in support:
-        expected = 2 if p == 2 else (p + 1) // 2
-        count = _distinct_squares_mod(p)
-        if count != expected or count > n:
-            raise AssertionError(f"square count witness failed for p={p}")
-    return support
-
-
-def _factor_over(value: int, primes: Iterable[int]) -> tuple[dict[int, int], int]:
-    fact: dict[int, int] = {}
-    rem = value
-    for p in primes:
-        e = 0
-        while rem % p == 0:
-            rem //= p
-            e += 1
-        if e:
-            fact[p] = e
-    return fact, rem
+def _witness_exponent(n: int, p: int) -> int:
+    """v_p of prod_{k=1..n} (2k)!/2, by Legendre's formula."""
+    e = -n if p == 2 else 0
+    for k in range(1, n + 1):
+        q = 2 * k
+        while q := q // p:
+            e += q
+    return e
 
 
 @cache
 def cn_value(n: int) -> CnCertificate:
     """C(n) from the witness tuple (0, 1, ..., n), every prime exponent certified.
 
-    The witness is factored over ``cn_prime_support(n)`` and each exponent
-    is proved minimal by one ``min_padic_valuation`` call (see the module
-    docstring).  A witness with a prime outside the support, or an exponent
-    the residue minimum does not meet, is a defect and raises
-    AssertionError.
+    Each exponent of the witness over ``cn_prime_support(n)`` comes from
+    Legendre's formula, and the product of those prime powers is checked
+    against the witness; each exponent is then proved minimal by one
+    ``min_padic_valuation`` call (see the module docstring).  A product
+    that misses the witness, or an exponent the residue minimum does not
+    meet, is a defect and raises AssertionError.
     """
     support = cn_prime_support(n)
     witness = abs(tuple_product(range(n + 1)))
-    fact, rem = _factor_over(witness, support)
-    if rem != 1:
-        raise AssertionError(f"witness for n={n} has a prime factor above 2n-1")
-    for p, e in fact.items():
+    fact = tuple((p, _witness_exponent(n, p)) for p in support)
+    if math.prod(p**e for p, e in fact) != witness:
+        raise AssertionError(f"Legendre exponents for n={n} do not multiply to the witness")
+    for p, e in fact:
         _certify_exponent(n, p, e)
-    return CnCertificate(n=n, value=witness, factorization=tuple(fact.items()))
+    return CnCertificate(n=n, value=witness, factorization=fact)
 
 
 def _certify_exponent(n: int, p: int, e: int) -> None:

@@ -78,6 +78,16 @@ class TestChernData:
         back = ChernData.from_json(json.loads(blob))
         assert back.n == d.n and back.values == d.values
 
+    def test_report_shape_repr_and_identity(self):
+        d = ChernData(2, {(2,): Fraction(1, 2), (1, 1): -3})
+        assert d.to_json() == {
+            "n": 2,
+            "values": [{"partition": [1, 1], "value": "-3"}, {"partition": [2], "value": "1/2"}],
+        }
+        assert repr(d) == "ChernData(n=2, values={(2,): Fraction(1, 2), (1, 1): Fraction(-3, 1)})"
+        # Equality and hashing stay by identity.
+        assert d == d and d != ChernData(2, dict(d.values)) and len({d, d}) == 1
+
 
 class TestPartitions:
     def test_small_counts(self):

@@ -258,6 +258,17 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {where}: ")
 
+    @pytest.mark.parametrize("argv", [["profile", "--poly"], ["qrr", "--chern"]], ids=["profile", "qrr"])
+    @pytest.mark.parametrize("wrap", ["{}", '{{"coeffs": {}}}'], ids=["bare", "coeffs"])
+    def test_deeply_nested_input(self, capsys, tmp_path, argv, wrap):
+        # json.load raises RecursionError past the interpreter's depth limit.
+        path = tmp_path / "nested.json"
+        path.write_text(wrap.format("[" * 100_000 + "]" * 100_000))
+        assert run(argv + [str(path)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith(f"error: cannot parse {path}: ")
+
     SPLIT_CUBIC = Poly((4, Fraction(13, 6), Fraction(3, 8), Fraction(1, 48)))
 
     @pytest.mark.parametrize("shift", ["1e3000000", "1e1000000", "6E0", "x"])

@@ -229,10 +229,12 @@ class TestCnValue:
                 if product:
                     assert product % value == 0
 
-    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("n", range(2, 61))
     def test_factorization_primes_equal_support(self, n):
+        # Every prime p <= 2n - 1 divides C(n): at most n squares mod p.
         cert = cn_value(n)
         assert [p for p, _ in cert.factorization] == cn_prime_support(n)
+        assert all(e >= 1 for _, e in cert.factorization)
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_matches_layered_search(self, n):
@@ -263,6 +265,20 @@ class TestCnValue:
         finally:
             cn_value.cache_clear()
         assert depths == [(p, e + 1) for p, e in cert.factorization]
+
+    def test_exponent_missing_the_witness_is_a_defect(self, capsys, monkeypatch):
+        legendre = cnconst._witness_exponent
+        monkeypatch.setattr(cnconst, "_witness_exponent", lambda n, p: legendre(n, p) + (p == 3))
+        cn_value.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match="witness"):
+                cn_value(5)
+            assert run(["cn", "5"]) == 70
+        finally:
+            cn_value.cache_clear()
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: internal: AssertionError: ")
 
     def test_certificate_validates_factorization(self):
         with pytest.raises(ValueError):
