@@ -9,7 +9,6 @@ by the multiset {k_1,...,k_r}, since products of cohomology classes commute.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -17,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .chebbern import bernoulli, pk_poly
-from .exactpoly import ONE, Poly, Report, ZERO, as_rat, rat_from_json, rat_str
+from .exactpoly import ONE, Poly, Report, ZERO, as_rat, json_echo, rat_from_json, rat_str
 
 __all__ = ["ChernData", "Partition", "partitions", "q_rr_from_chern"]
 
@@ -85,15 +84,14 @@ class ChernData(Report):
             raise ValueError("Chern data JSON must carry 'n' and a 'values' list")
         n = obj["n"]
         if not _is_json_int(n):
-            raise ValueError(f"n: expected an integer, got {json.dumps(n, default=repr)}")
+            raise ValueError(f"n: expected an integer, got {json_echo(n)}")
         values = {}
         for i, entry in enumerate(obj["values"]):
             part = entry.get("partition") if isinstance(entry, dict) else None
             if not isinstance(part, list) or "value" not in entry:
                 raise ValueError(f"values[{i}]: expected an object with a 'partition' list and a 'value'")
             if not all(_is_json_int(k) for k in part):
-                got = json.dumps(part, default=repr)
-                raise ValueError(f"values[{i}].partition: expected integers, got {got}")
+                raise ValueError(f"values[{i}].partition: expected integers, got {json_echo(part)}")
             if tuple(part) in values:
                 raise ValueError(f"values[{i}]: duplicate partition {part}")
             values[tuple(part)] = rat_from_json(entry["value"], f"values[{i}].value")

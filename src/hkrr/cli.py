@@ -27,14 +27,12 @@ from .hkprofile import (
     real_root_classifier,
 )
 from .isosolver import solve_case
-from .qkbasis import qk_laurent_check, qk_poly, qk_roots, decompose_qk, decompose_shifted
+from .qkbasis import ROOT_TOLERANCE, qk_laurent_check, qk_poly, qk_roots, decompose_qk, decompose_shifted
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70  # EX_SOFTWARE
-
-ROOT_TOLERANCE = 1e-9
 
 
 class _UsageError(Exception):

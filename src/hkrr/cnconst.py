@@ -19,16 +19,17 @@ minimum, since no pair is capped below e + 1 and a pattern summing below e
 would lift to an integer tuple of valuation below e.  One depth per prime
 therefore decides.
 
-The DP applies the same map at every trie level: a free unit node's table
-is a function of its child's, and a zero node's of the zero table below
-it and, at even d, of the unit tables, so the two-level zero map is fixed
-once the unit tables stop changing.  Both chains of tables grow with
-height but stay bounded (points split apart after about log_p(points)
-levels), so each reaches a fixed point.  A table equal to the one a map
-step earlier is that fixed point, and every higher table equals it.  The
-DP stops at the first repeat and jumps to the top levels: its minimum at
-depth e + 1 is the same exact number, reached in about O(log_p n) levels
-instead of e + 1.
+Every table of the DP is convex in its point count t: a node's own cost
+t(t - 1)/2 is, and so are sums and min-plus convolutions of convex tables
+(Murota, "Discrete Convex Analysis", SIAM 2003).  So a min-plus
+convolution merges the two slope sequences, and a k-fold power splits t
+as evenly as possible.  A unit node's table sums its levels, each filled
+evenly, and is final once a level has as many nodes as there are points.
+From there a zero node's table is one fixed two-level map of the zero
+table below it; the tables grow with height but stay bounded, so the
+chain reaches a fixed point.  The DP stops at its first repeat and jumps
+to the top levels: the same exact minimum at depth e + 1, in about
+O(log_p n) levels instead of e + 1.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import accumulate
 from typing import Sequence
 
 from .exactpoly import Report
@@ -158,51 +160,46 @@ def min_padic_valuation(p: int, points: int, depth: int) -> int:
     fan, pinned, zero_units = (2, 2, 1) if p == 2 else (p, 0, (p - 1) // 2)
     # Each table maps t = 0..points to the least cost of t points below one
     # node of a given height; a node's own cost counts the pairs it holds.
-    # free[i] is a free unit node of height i, built up to its first repeat
-    # (or to the trie's height); the last table stands for every greater
-    # height.
+    # At level h, unit is a unit node of height h - 1, and the next level
+    # below it has width = fan^(h - pinned) nodes (one while pinned).  Once
+    # width >= points no deeper level costs anything: unit is final.
     own = [t * (t - 1) // 2 for t in range(points + 1)]
-    free = [own]
-    while len(free) < depth - pinned and (row := _add(own, _minplus_power(free[-1], fan))) != free[-1]:
-        free.append(row)
-    unit = [[(k + 1) * c for c in own] for k in range(pinned)]
-    unit += [_add([pinned * c for c in own], row) for row in free]
-    # gain[i]: the unit children of an even-d zero node, of height i; the
-    # last entry, too, stands for every greater height.
-    gain = [_minplus_power(u, zero_units) for u in unit]
+    unit, width = own, 1
     zero, before, h = own, None, 0
     while h < depth:
         h += 1
         d = depth - h
+        if h > pinned and width < points:
+            width *= fan
         if d % 2 == 0:
-            zero = _minplus(zero, gain[min(h - 1, len(gain) - 1)])
+            zero = _minplus(zero, _even_split(unit, zero_units))
         if d:
-            zero = _add(own, zero)
+            zero = [c + z for c, z in zip(own, zero)]
         if d and d % 2 == 0:
-            # Past the last gain table the two-level map no longer changes,
-            # so a repeat is its fixed point: skip to d = 1 and d = 0.
-            if zero == before and h >= len(gain):
+            # With unit final the two-level map no longer changes, so a
+            # repeat is its fixed point: skip to d = 1 and d = 0.
+            if zero == before and width >= points:
                 h = depth - 2
             before = zero
+        if width < points:
+            unit = [u + c for u, c in zip(unit, _even_split(own, width))]
     return zero[points]
 
 
-def _add(a: list[int], b: list[int]) -> list[int]:
-    return [x + y for x, y in zip(a, b)]
+def _slopes(a: list[int]) -> list[int]:
+    """The steps a[t + 1] - a[t]; AssertionError unless they never decrease."""
+    s = [y - x for x, y in zip(a, a[1:])]
+    if any(x > y for x, y in zip(s, s[1:])):
+        raise AssertionError(f"min-plus table is not convex: {a}")
+    return s
 
 
 def _minplus(a: list[int], b: list[int]) -> list[int]:
-    """Least a[s] + b[t - s] for every t: the cost of splitting t points."""
-    return [min(a[s] + b[t - s] for s in range(t + 1)) for t in range(len(a))]
+    """Least a[s] + b[t - s] for every t, for convex a and b: their slopes merged."""
+    return list(accumulate(sorted(_slopes(a) + _slopes(b))[: len(a) - 1], initial=a[0] + b[0]))
 
 
-def _minplus_power(a: list[int], k: int) -> list[int]:
-    """The k-fold min-plus power of a (k >= 1); exact by associativity."""
-    out = None
-    while True:
-        if k & 1:
-            out = a if out is None else _minplus(out, a)
-        k >>= 1
-        if not k:
-            return out
-        a = _minplus(a, a)
+def _even_split(a: list[int], k: int) -> list[int]:
+    """The k-fold min-plus power of convex a: (k - t mod k)*a[t // k] + (t mod k)*a[t // k + 1]."""
+    s = _slopes(a)
+    return list(accumulate((s[t // k] for t in range(len(a) - 1)), initial=k * a[0]))

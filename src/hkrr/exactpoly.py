@@ -60,8 +60,7 @@ def rat_from_json(value: object, where: str) -> Fraction:
     power of ten, which takes minutes and memory in proportion.
     """
     if isinstance(value, bool) or not isinstance(value, (int, str)):
-        got = json.dumps(value, default=repr)
-        raise ValueError(f"{where}: expected an integer or a 'p/q' string, got {got}")
+        raise ValueError(f"{where}: expected an integer or a 'p/q' string, got {json_echo(value)}")
     if isinstance(value, str) and ("e" in value or "E" in value):
         raise ValueError(f"{where}: exponent notation is not accepted, got {value!r}")
     try:
@@ -70,6 +69,22 @@ def rat_from_json(value: object, where: str) -> Fraction:
         raise ValueError(f"{where}: {exc}") from None
     except ZeroDivisionError:
         raise ValueError(f"{where}: zero denominator in {value!r}") from None
+
+
+def json_echo(value: object, depth: int = 3) -> str:
+    """A rejected JSON input value as compact JSON text, for an error message.
+
+    Arrays and objects nested more than ``depth`` levels in are written as
+    ``[...]`` and ``{...}``: the echo takes a few stack frames however deep
+    the input is, where ``json.dumps`` would recurse past the depth at
+    which the parser accepted it.
+    """
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(json_echo(v, depth - 1) for v in value) + "]" if depth else "[...]"
+    if isinstance(value, dict):
+        items = (f"{json.dumps(k)}: {json_echo(v, depth - 1)}" for k, v in value.items())
+        return "{" + ", ".join(items) + "}" if depth else "{...}"
+    return json.dumps(value, default=repr)
 
 
 def rat_str(x: Fraction) -> str:

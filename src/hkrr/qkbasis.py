@@ -38,6 +38,9 @@ __all__ = [
     "all_roots_real",
 ]
 
+# How far a root qk_roots reports may lie from the closed form.
+ROOT_TOLERANCE = 1e-9
+
 
 class NotInSpan(ValueError):
     """The polynomial does not lie in the span of the requested basis."""
@@ -69,20 +72,21 @@ def qk_laurent_check(k: int) -> bool:
 
 
 def qk_roots(k: int) -> list[float]:
-    """The k real roots of qk_poly(k), each accurate to 1e-9, ascending.
+    """The k real roots of qk_poly(k), each within ROOT_TOLERANCE, ascending.
 
     Roots are isolated and refined with exact rational arithmetic; the
-    closed form -4*sin(j*pi/(2(k+1)))^2 is used only as a final cross-check
-    and a mismatch beyond 1e-9 signals an implementation bug.
+    closed form -4*sin(j*pi/(2(k+1)))^2 is used only as a final cross-check.
+    A wrong root count or a mismatch beyond ROOT_TOLERANCE is a defect in
+    hkrr and raises AssertionError.
     """
     enclosures = real_roots(qk_poly(k), Fraction(1, 10**10))
     if len(enclosures) != k:
-        raise ArithmeticError(f"expected {k} real roots, isolated {len(enclosures)}")
+        raise AssertionError(f"expected {k} real roots, isolated {len(enclosures)}")
     roots = [float((lo + hi) / 2) for lo, hi in enclosures]
     expected = sorted(-4 * math.sin(j * math.pi / (2 * (k + 1))) ** 2 for j in range(1, k + 1))
     for got, want in zip(roots, expected):
-        if abs(got - want) > 1e-9:
-            raise ArithmeticError(f"root {got} deviates from {want} by more than 1e-9")
+        if abs(got - want) > ROOT_TOLERANCE:
+            raise AssertionError(f"root {got} deviates from {want} by more than {ROOT_TOLERANCE}")
     return roots
 
 

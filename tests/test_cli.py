@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import hkrr.cli
+import hkrr.qkbasis
 from hkrr.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, render_markdown, run
 from hkrr.exactpoly import Poly
 from hkrr.hkprofile import known_family_prr
@@ -78,6 +79,23 @@ class TestQkCommand:
         report = run_json(capsys, ["qk", "3"])
         assert Poly.from_json(report["results"]["poly"]) == Poly((4, 10, 6, 1))
 
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda encl: encl[1:], "expected 3 real roots, isolated 2"),
+            (lambda encl: [(lo + Fraction(1, 10**6), hi + Fraction(1, 10**6)) for lo, hi in encl], "root "),
+        ],
+        ids=["count", "closed-form"],
+    )
+    def test_failed_root_cross_check_is_a_defect(self, capsys, monkeypatch, spoil, message):
+        # Both self-checks of qk_roots catch hkrr's own errors, not bad input.
+        real_roots = hkrr.qkbasis.real_roots
+        monkeypatch.setattr(hkrr.qkbasis, "real_roots", lambda *args: spoil(real_roots(*args)))
+        assert run(["qk", "3", "--roots"]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"error: internal: AssertionError: {message}")
 
 class TestQrrCommand:
     def test_k3_surface(self, capsys, tmp_path):
@@ -268,6 +286,26 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith(f"error: cannot parse {path}: ")
+
+    @pytest.mark.parametrize(
+        "argv, template",
+        [
+            (["profile", "--poly"], '{{"coeffs": {}}}'),
+            (["qrr", "--chern"], '{{"n": {}, "values": []}}'),
+            (["qrr", "--chern"], '{{"n": 1, "values": [{{"partition": {}, "value": 1}}]}}'),
+        ],
+        ids=["coeffs", "n", "partition"],
+    )
+    def test_nesting_just_below_parser_limit(self, capsys, tmp_path, argv, template):
+        # A value the parser accepted is echoed in the error without
+        # recursing as deep as it is nested.
+        for depth in range(950, 1001):
+            path = tmp_path / f"nested{depth}.json"
+            path.write_text(template.format("[" * depth + "1" + "]" * depth))
+            assert run(argv + [str(path)]) == EXIT_VALIDATION, depth
+            captured = capsys.readouterr()
+            assert captured.out == "" and len(captured.err.splitlines()) == 1, depth
+            assert captured.err.startswith("error: "), depth
 
     SPLIT_CUBIC = Poly((4, Fraction(13, 6), Fraction(3, 8), Fraction(1, 48)))
 

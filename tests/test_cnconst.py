@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 
@@ -40,11 +40,16 @@ def layer_gcd(n: int, bound: int) -> int:
     return g
 
 
+def quadratic_minplus(a: list[int], b: list[int]) -> list[int]:
+    """Least a[s] + b[t - s] for every t, by trying every s: no convexity assumed."""
+    return [min(a[s] + b[t - s] for s in range(t + 1)) for t in range(len(a))]
+
+
 def minplus_fold(a: list[int], k: int) -> list[int]:
-    """k-fold min-plus power of a as a linear left fold of ``_minplus``."""
+    """k-fold min-plus power of a as a linear left fold of ``quadratic_minplus``."""
     out = a
     for _ in range(k - 1):
-        out = cnconst._minplus(out, a)
+        out = quadratic_minplus(out, a)
     return out
 
 
@@ -61,7 +66,7 @@ def reference_min_padic_valuation(p: int, points: int, depth: int) -> int:
     for h in range(1, depth + 1):
         d = depth - h
         if d % 2 == 0:
-            zero = cnconst._minplus(zero, minplus_fold(unit[h - 1], zero_units))
+            zero = quadratic_minplus(zero, minplus_fold(unit[h - 1], zero_units))
         if d:
             zero = [x + y for x, y in zip(own, zero)]
     return zero[points]
@@ -155,13 +160,35 @@ class TestPadicMinimization:
         with pytest.raises(ValueError, match="prime"):
             min_padic_valuation(p, 3, 2)
 
-    def test_minplus_power_matches_left_fold(self):
+    @staticmethod
+    def seeded_tables(convex):
+        # Running sums of seeded nondecreasing steps, mostly not convex;
+        # the same steps sorted give a convex table.
         rng = random.Random(12)
         for size in (1, 2, 5, 9, 17):
             steps = [0] + [rng.randint(0, 9) for _ in range(size - 1)]
-            table = [sum(steps[: i + 1]) for i in range(size)]
+            yield list(accumulate(sorted(steps) if convex else steps))
+
+    def test_convex_closed_forms_match_quadratic_fold(self):
+        tables = list(self.seeded_tables(convex=True))
+        for a in tables:
             for k in range(1, 41):
-                assert cnconst._minplus_power(table, k) == minplus_fold(table, k), (table, k)
+                assert cnconst._even_split(a, k) == minplus_fold(a, k), (a, k)
+            for b in tables:
+                if len(b) >= len(a):
+                    assert cnconst._minplus(a, b) == quadratic_minplus(a, b), (a, b)
+
+    def test_non_convex_tables_are_defects(self):
+        tables = self.seeded_tables(convex=False)
+        bent = [a for a in tables if any(2 * y > x + z for x, y, z in zip(a, a[1:], a[2:]))]
+        assert len(bent) == 3
+        for a in bent:
+            with pytest.raises(AssertionError, match="not convex"):
+                cnconst._even_split(a, 2)
+            with pytest.raises(AssertionError, match="not convex"):
+                cnconst._minplus(a, a)
+            with pytest.raises(AssertionError, match="not convex"):
+                cnconst._minplus([0] * len(a), a)
 
     def test_monotone_in_depth(self):
         vals = [min_padic_valuation(2, 4, d) for d in range(1, 9)]
@@ -213,7 +240,7 @@ class TestCnValue:
         assert cert.value == reference_value(n)
         assert dict(cert.factorization) == REFERENCE_TABLE[n]
 
-    @pytest.mark.parametrize("n", [*range(1, 41), 50, 60])
+    @pytest.mark.parametrize("n", [*range(1, 101), 150, 200])
     def test_matches_closed_form(self, n):
         # C(n) = prod_{k=1..n} (2k)!/2 (Bhargava, "The factorial function
         # and generalizations", Amer. Math. Monthly 107, 2000).
@@ -279,6 +306,19 @@ class TestCnValue:
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: internal: AssertionError: ")
+
+    def test_non_convex_table_is_a_defect(self, capsys, monkeypatch):
+        # A wrong table must stop the certificate, not give a wrong minimum.
+        even_split = cnconst._even_split
+        monkeypatch.setattr(cnconst, "_even_split", lambda a, k: even_split(a, k)[:-2] + [0, 1])
+        cn_value.cache_clear()
+        try:
+            assert run(["cn", "5"]) == 70
+        finally:
+            cn_value.cache_clear()
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: internal: AssertionError: min-plus table is not convex")
 
     def test_certificate_validates_factorization(self):
         with pytest.raises(ValueError):
