@@ -70,17 +70,18 @@ class CnCertificate(Report):
 
 
 def tuple_product(rs: Sequence[int]) -> int:
-    """prod over all pairs j < k of (rs[j]^2 - rs[k]^2), exactly."""
+    """prod over all pairs j < k of (rs[j]^2 - rs[k]^2), exactly.
+
+    Each row j is one ``math.prod``; the rows are then multiplied pairwise
+    in a balanced tree, so the large products are of operands of like size.
+    """
     if len(rs) < 2:
         raise ValueError("need at least two entries")
     sq = [r * r for r in rs]
-    out = 1
-    for j in range(len(sq)):
-        for k in range(j + 1, len(sq)):
-            out *= sq[j] - sq[k]
-            if out == 0:
-                return 0
-    return out
+    rows = [math.prod(s - t for t in sq[j + 1 :]) for j, s in enumerate(sq[:-1])]
+    while len(rows) > 1:
+        rows = [math.prod(rows[i : i + 2]) for i in range(0, len(rows), 2)]
+    return rows[0]
 
 
 def cn_prime_support(n: int) -> list[int]:

@@ -16,14 +16,24 @@ read at -inf and +inf from the chain's leading coefficients, since no root
 lies outside (-B, B); splits stay at exact rational points.  Each isolating
 interval is refined on the grid bisection would reach, by Illinois regula
 falsi over integer grid values, so the enclosures are exactly bisection's.
+
+qk_roots needs no Sturm chain, since the roots of q_k are known in closed
+form, -4 sin^2(j pi/(2k + 2)).  Floats place k + 1 short dyadic separators
+between them; if q_k's exact signs at those ascending points are nonzero
+and alternate, each of the k brackets holds at least one root, so, q_k
+having degree k, exactly one, simple, and none lies outside.  The brackets
+then count the roots of every node of real_roots' bisection tree, and each
+root's grid cell is the one holding its closed form, confirmed by the
+exact signs at the cell's two ends; so the enclosures are real_roots'.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .exactpoly import Poly, RatLike, as_rat, int_horner, integer_form, pseudo_divmod
 
@@ -74,17 +84,39 @@ def qk_laurent_check(k: int) -> bool:
 def qk_roots(k: int) -> list[float]:
     """The k real roots of qk_poly(k), each within ROOT_TOLERANCE, ascending.
 
-    Roots are isolated and refined with exact rational arithmetic; the
-    closed form -4*sin(j*pi/(2(k+1)))^2 is used only as a final cross-check.
-    A wrong root count or a mismatch beyond ROOT_TOLERANCE is a defect in
-    hkrr and raises AssertionError.
+    The alternation certificate (see the module docstring) gives each root
+    a bracket; real_roots' bisection tree and grid then give its enclosure,
+    exactly real_roots(qk_poly(k)).  Signs that fail to alternate at k + 1
+    ascending separators, or a midpoint farther than ROOT_TOLERANCE from
+    the closed form, are a defect in hkrr and raise AssertionError.
     """
-    enclosures = real_roots(qk_poly(k), Fraction(1, 10**10))
-    if len(enclosures) != k:
-        raise AssertionError(f"expected {k} real roots, isolated {len(enclosures)}")
-    roots = [float((lo + hi) / 2) for lo, hi in enclosures]
-    expected = sorted(-4 * math.sin(j * math.pi / (2 * (k + 1))) ** 2 for j in range(1, k + 1))
-    for got, want in zip(roots, expected):
+    ps = integer_form(qk_poly(k))[0]
+    # -4 sin^2(j pi/(2k + 2)) for j = k + 1..0: -4, the k roots ascending, 0.
+    closed = [-4 * math.sin(j * math.pi / (2 * (k + 1))) ** 2 for j in range(k + 1, -1, -1)]
+    seps = _separators(closed)
+    signs = [_sign(int_horner(ps, t.numerator, t.denominator)) for t in seps]
+    if (
+        len(seps) != k + 1
+        or 0 in signs
+        or any(s >= t for s, t in zip(seps, seps[1:]))
+        or any(u == v for u, v in zip(signs, signs[1:]))
+    ):
+        raise AssertionError(f"q_{k} does not alternate in sign at {k + 1} ascending separators")
+    tol = Fraction(1, 10**10)
+    bound = _root_bound(ps)
+    found: list[tuple[Fraction, Fraction]] = []
+    # Entries (lo, roots below lo, hi, roots below hi), as in real_roots.
+    stack = [(-bound, 0, bound, k)]
+    while stack:
+        lo, c_lo, hi, c_hi = stack.pop()
+        if c_hi - c_lo == 1:
+            found.append(_refine_near(ps, lo, hi, tol, closed[c_lo + 1]))
+        elif c_hi > c_lo:
+            mid, c_mid = _bracket_split(ps, seps, signs, lo, hi)
+            stack.append((lo, c_lo, mid, c_mid))
+            stack.append((mid, c_mid, hi, c_hi))
+    roots = [float((lo + hi) / 2) for lo, hi in sorted(found)]
+    for got, want in zip(roots, closed[1:-1]):
         if abs(got - want) > ROOT_TOLERANCE:
             raise AssertionError(f"root {got} deviates from {want} by more than {ROOT_TOLERANCE}")
     return roots
@@ -221,15 +253,18 @@ def _root_bound(p: list[int]) -> Fraction:
     return 1 + Fraction(max(abs(c) for c in p), abs(p[-1]))
 
 
-def _split_point(p: list[int], lo: Fraction, hi: Fraction) -> Fraction:
-    """A point strictly inside (lo, hi) that is not a root of p."""
+def _split_candidates(lo: Fraction, hi: Fraction) -> Iterator[Fraction]:
+    """lo + (hi - lo) * i/k for i = 1..k-1 and k = 2, 5, 11, ...: strictly inside."""
     k = 2
     while True:
         for i in range(1, k):
-            m = lo + (hi - lo) * Fraction(i, k)
-            if int_horner(p, m.numerator, m.denominator):
-                return m
-        k = k * 2 + 1  # more candidates than p has roots, eventually
+            yield lo + (hi - lo) * Fraction(i, k)
+        k = k * 2 + 1  # eventually more candidates than a polynomial has roots
+
+
+def _split_point(p: list[int], lo: Fraction, hi: Fraction) -> Fraction:
+    """The first split candidate in (lo, hi) that is not a root of p."""
+    return next(m for m in _split_candidates(lo, hi) if int_horner(p, m.numerator, m.denominator))
 
 
 def real_roots(p: Poly, tol: Fraction = Fraction(1, 10**10)) -> list[tuple[Fraction, Fraction]]:
@@ -268,6 +303,19 @@ def real_roots(p: Poly, tol: Fraction = Fraction(1, 10**10)) -> list[tuple[Fract
     return sorted(found)
 
 
+def _grid(lo: Fraction, hi: Fraction, tol: Fraction) -> tuple[int, int, int, int]:
+    """(base, step, den, m): bisection's grid x_j = (base + j*step)/den, j = 0..2^m.
+
+    m is the number of halvings that bring hi - lo to width <= tol.
+    """
+    den = lo.denominator * hi.denominator
+    a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+    width, allowed = (b - a) * tol.denominator, tol.numerator * den
+    m = max(width.bit_length() - allowed.bit_length(), 0)
+    m += width > allowed << m
+    return a << m, b - a, den << m, m
+
+
 def _refine(p: list[int], lo: Fraction, hi: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
     """Shrink an isolating interval for a simple root to width <= tol.
 
@@ -282,12 +330,7 @@ def _refine(p: list[int], lo: Fraction, hi: Fraction, tol: Fraction) -> tuple[Fr
     1971) over j on the integers den^d p(x_j), bisecting whenever a step
     fails to halve the bracket.
     """
-    den = lo.denominator * hi.denominator
-    a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
-    width, allowed = (b - a) * tol.denominator, tol.numerator * den
-    m = max(width.bit_length() - allowed.bit_length(), 0)
-    m += width > allowed << m
-    base, step, den = a << m, b - a, den << m
+    base, step, den, m = _grid(lo, hi, tol)
     jl, jr = 0, 1 << m
     fl, fr = int_horner(p, base, den), int_horner(p, base + jr * step, den)
     if fl == 0:
@@ -319,3 +362,62 @@ def _refine(p: list[int], lo: Fraction, hi: Fraction, tol: Fraction) -> tuple[Fr
             kept = -1
         bisect = not bisect and 2 * (jr - jl) > w
     return (Fraction(base + jl * step, den), Fraction(base + jr * step, den))
+
+
+# -- q_k's roots from the alternation certificate (see the module docstring) --
+
+
+def _sign(v: int) -> int:
+    return (v > 0) - (v < 0)
+
+
+def _separators(points: list[float]) -> list[Fraction]:
+    """A short dyadic near the middle of each two adjacent ascending points.
+
+    With 2^-e <= gap/4, the nearest multiple of 2^-e to the midpoint is
+    within gap/8 of it.  Floats only choose these points; qk_roots proves
+    what it uses of them by exact signs.
+    """
+    out = []
+    for a, b in zip(points, points[1:]):
+        e = max(math.ceil(math.log2(4 / (b - a))), 0)
+        out.append(Fraction(round(math.ldexp(a + b, e - 1)), 1 << e))
+    return out
+
+
+def _bracket_split(
+    p: list[int], seps: list[Fraction], signs: list[int], lo: Fraction, hi: Fraction
+) -> tuple[Fraction, int]:
+    """_split_point(p, lo, hi), and the number of roots of p below it.
+
+    seps ascend, signs are p's at them, and p has one simple root between
+    each two adjacent separators and none elsewhere.  A candidate is
+    evaluated only when it lies strictly inside a bracket; anywhere else it
+    is known not to be a root.
+    """
+    for m in _split_candidates(lo, hi):
+        j = bisect_right(seps, m)
+        if j == 0:
+            return m, 0
+        if j == len(seps) or m == seps[j - 1]:
+            return m, j - 1
+        v = int_horner(p, m.numerator, m.denominator)
+        if v:
+            # The bracket's root lies below m iff p's sign changed from seps[j - 1].
+            return m, j - (_sign(v) == signs[j - 1])
+
+
+def _refine_near(p: list[int], lo: Fraction, hi: Fraction, tol: Fraction, guess: float) -> tuple[Fraction, Fraction]:
+    """_refine(p, lo, hi, tol), where guess approximates the one root in (lo, hi].
+
+    The answer is the grid cell holding guess when p has nonzero, opposite
+    signs at its two ends.  Otherwise (guess is a cell off, or the root is
+    a grid point) _refine searches the grid.
+    """
+    base, step, den, m = _grid(lo, hi, tol)
+    a, b = guess.as_integer_ratio()
+    j = min(max((a * den - base * b) // (step * b), 0), (1 << m) - 1)
+    x = base + j * step
+    if _sign(int_horner(p, x, den)) * _sign(int_horner(p, x + step, den)) < 0:
+        return Fraction(x, den), Fraction(x + step, den)
+    return _refine(p, lo, hi, tol)

@@ -81,21 +81,25 @@ class TestQkCommand:
 
 
     @pytest.mark.parametrize(
-        "spoil, message",
+        "seam, spoil, message",
         [
-            (lambda encl: encl[1:], "expected 3 real roots, isolated 2"),
-            (lambda encl: [(lo + Fraction(1, 10**6), hi + Fraction(1, 10**6)) for lo, hi in encl], "root "),
+            ("_separators", lambda seps: seps[1:], "q_3 does not alternate in sign at 4 ascending separators"),
+            ("_separators", lambda seps: [t / 2 for t in seps], "q_3 does not alternate in sign at 4 ascending separators"),
+            ("_refine_near", lambda cell: tuple(x + Fraction(1, 10**6) for x in cell), "root "),
         ],
-        ids=["count", "closed-form"],
+        ids=["count", "alternation", "closed-form"],
     )
-    def test_failed_root_cross_check_is_a_defect(self, capsys, monkeypatch, spoil, message):
-        # Both self-checks of qk_roots catch hkrr's own errors, not bad input.
-        real_roots = hkrr.qkbasis.real_roots
-        monkeypatch.setattr(hkrr.qkbasis, "real_roots", lambda *args: spoil(real_roots(*args)))
+    def test_failed_root_cross_check_is_a_defect(self, capsys, monkeypatch, seam, spoil, message):
+        # The alternation certificate and the closed-form check of qk_roots
+        # catch hkrr's own errors, not bad input.  Halving q_3's separators
+        # leaves two of them between the same pair of roots.
+        original = getattr(hkrr.qkbasis, seam)
+        monkeypatch.setattr(hkrr.qkbasis, seam, lambda *args: spoil(original(*args)))
         assert run(["qk", "3", "--roots"]) == EXIT_INTERNAL
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err.splitlines()) == 1
         assert captured.err.startswith(f"error: internal: AssertionError: {message}")
+
 
 class TestQrrCommand:
     def test_k3_surface(self, capsys, tmp_path):

@@ -87,6 +87,22 @@ class TestTupleProduct:
         with pytest.raises(ValueError):
             tuple_product((7,))
 
+    def test_equals_pairwise_loop(self):
+        def pairwise(rs):
+            out = 1
+            for j in range(len(rs)):
+                for k in range(j + 1, len(rs)):
+                    out *= rs[j] ** 2 - rs[k] ** 2
+            return out
+
+        for n in range(1, 61):
+            assert tuple_product(range(n + 1)) == pairwise(range(n + 1))
+        rng = random.Random(53)
+        for _ in range(500):
+            rs = [rng.randint(-9, 9) for _ in range(rng.randint(2, 12))]
+            assert tuple_product(rs) == pairwise(rs), rs
+        assert tuple_product((0, 0)) == tuple_product((5, 2, -5)) == 0
+
 
 class TestPrimeSupport:
     def test_examples(self):

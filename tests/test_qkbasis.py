@@ -92,6 +92,60 @@ class TestQkRoots:
         assert qk_poly(2) == Poly((1, 1)) * Poly((3, 1))
 
 
+def _q3_certificate():
+    """q_3's integer coefficients, separators and signs, as qk_roots builds them."""
+    ps = [4, 10, 6, 1]  # roots -2 - sqrt(2), -2, -2 + sqrt(2)
+    closed = [-4 * math.sin(j * math.pi / 8) ** 2 for j in range(4, -1, -1)]
+    seps = qkbasis._separators(closed)
+    assert seps == [Fraction(-15, 4), Fraction(-11, 4), Fraction(-5, 4), Fraction(-1, 4)]
+    return ps, seps, [qkbasis._sign(qkbasis.int_horner(ps, t.numerator, t.denominator)) for t in seps]
+
+
+class TestQkRootCertificate:
+    @pytest.mark.parametrize("k", [*range(0, 61), 80, 100])
+    def test_equals_real_roots_midpoints(self, k):
+        want = [float((lo + hi) / 2) for lo, hi in real_roots(qk_poly(k), Fraction(1, 10**10))]
+        assert qk_roots(k) == want
+
+    @pytest.mark.parametrize(
+        "lo, hi, want, evaluated",
+        [
+            (Fraction(-3), Fraction(-1), (Fraction(-13, 5), 1), 2),  # the midpoint -2 is a root
+            (Fraction(-1, 8), Fraction(3), (Fraction(23, 16), 3), 0),  # above every bracket
+            (Fraction(-12), Fraction(-4), (Fraction(-8), 0), 0),  # below every bracket
+            (Fraction(-4), Fraction(-7, 2), (Fraction(-15, 4), 0), 0),  # on a separator
+            (Fraction(-1), Fraction(0), (Fraction(-1, 2), 3), 1),  # in a bracket, above its root
+            (Fraction(-1), Fraction(-1, 4), (Fraction(-5, 8), 2), 1),  # in a bracket, below its root
+        ],
+    )
+    def test_split_matches_split_point(self, monkeypatch, lo, hi, want, evaluated):
+        ps, seps, signs = _q3_certificate()
+        assert qkbasis._split_point(ps, lo, hi) == want[0]
+        calls = []
+        horner = qkbasis.int_horner
+        monkeypatch.setattr(qkbasis, "int_horner", lambda *args: calls.append(args) or horner(*args))
+        assert qkbasis._bracket_split(ps, seps, signs, lo, hi) == want
+        assert len(calls) == evaluated
+
+    @pytest.mark.parametrize("cells", [-1, 0, 1])
+    def test_guess_a_cell_off_falls_back_to_refine(self, monkeypatch, cells):
+        ps, lo, hi, tol = [4, 10, 6, 1], Fraction(-1), Fraction(0), Fraction(1, 10**10)
+        want = qkbasis._refine(ps, lo, hi, tol)
+        _, step, den, _ = qkbasis._grid(lo, hi, tol)
+        assert want[1] - want[0] == Fraction(step, den)
+        guess = math.sqrt(2) - 2 + cells * step / den
+        fallbacks = []
+        refine = qkbasis._refine
+        monkeypatch.setattr(qkbasis, "_refine", lambda *args: fallbacks.append(args) or refine(*args))
+        assert qkbasis._refine_near(ps, lo, hi, tol, guess) == want
+        assert len(fallbacks) == (cells != 0)
+
+    def test_root_on_the_grid_falls_back_to_refine(self):
+        # -2 is a root of q_3 and the midpoint of (-3, -1), so a grid point.
+        ps, lo, hi, tol = [4, 10, 6, 1], Fraction(-3), Fraction(-1), Fraction(1, 10**10)
+        assert qkbasis._refine_near(ps, lo, hi, tol, -2.0) == (Fraction(-2), Fraction(-2))
+
+
 class TestDecomposeQk:
     def test_basis_vectors(self):
         assert decompose_qk(qk_poly(3) + qk_poly(1)) == [1, 1]
