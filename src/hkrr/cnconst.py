@@ -60,10 +60,7 @@ class CnCertificate(Report):
     factorization: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        prod = 1
-        for p, e in self.factorization:
-            prod *= p**e
-        if prod != self.value:
+        if _tree_product([p**e for p, e in self.factorization]) != self.value:
             raise ValueError("factorization does not multiply to value")
         if any(p > 2 * self.n - 1 for p, _ in self.factorization):
             raise ValueError("a factor prime exceeds 2n-1")
@@ -72,16 +69,20 @@ class CnCertificate(Report):
 def tuple_product(rs: Sequence[int]) -> int:
     """prod over all pairs j < k of (rs[j]^2 - rs[k]^2), exactly.
 
-    Each row j is one ``math.prod``; the rows are then multiplied pairwise
-    in a balanced tree, so the large products are of operands of like size.
+    Each row j is one ``math.prod``; the rows are then multiplied by
+    _tree_product.
     """
     if len(rs) < 2:
         raise ValueError("need at least two entries")
     sq = [r * r for r in rs]
-    rows = [math.prod(s - t for t in sq[j + 1 :]) for j, s in enumerate(sq[:-1])]
-    while len(rows) > 1:
-        rows = [math.prod(rows[i : i + 2]) for i in range(0, len(rows), 2)]
-    return rows[0]
+    return _tree_product([math.prod(s - t for t in sq[j + 1 :]) for j, s in enumerate(sq[:-1])])
+
+
+def _tree_product(xs: list[int]) -> int:
+    """prod(xs), multiplied pairwise in a balanced tree so the large products are of operands of like size."""
+    while len(xs) > 1:
+        xs = [math.prod(xs[i : i + 2]) for i in range(0, len(xs), 2)]
+    return xs[0] if xs else 1
 
 
 def cn_prime_support(n: int) -> list[int]:
@@ -110,20 +111,22 @@ def cn_value(n: int) -> CnCertificate:
     """C(n) from the witness tuple (0, 1, ..., n), every prime exponent certified.
 
     Each exponent of the witness over ``cn_prime_support(n)`` comes from
-    Legendre's formula, and the product of those prime powers is checked
-    against the witness; each exponent is then proved minimal by one
-    ``min_padic_valuation`` call (see the module docstring).  A product
-    that misses the witness, or an exponent the residue minimum does not
-    meet, is a defect and raises AssertionError.
+    Legendre's formula, and the certificate checks the product of those
+    prime powers against the witness; each exponent is then proved minimal
+    by one ``min_padic_valuation`` call (see the module docstring).  A
+    product that misses the witness, or an exponent the residue minimum
+    does not meet, is a defect and raises AssertionError.
     """
     support = cn_prime_support(n)
     witness = abs(tuple_product(range(n + 1)))
     fact = tuple((p, _witness_exponent(n, p)) for p in support)
-    if math.prod(p**e for p, e in fact) != witness:
-        raise AssertionError(f"Legendre exponents for n={n} do not multiply to the witness")
+    try:
+        cert = CnCertificate(n=n, value=witness, factorization=fact)
+    except ValueError as err:
+        raise AssertionError(f"Legendre exponents for n={n} do not multiply to the witness") from err
     for p, e in fact:
         _certify_exponent(n, p, e)
-    return CnCertificate(n=n, value=witness, factorization=fact)
+    return cert
 
 
 def _certify_exponent(n: int, p: int, e: int) -> None:

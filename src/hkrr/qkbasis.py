@@ -9,22 +9,21 @@ degrees, and has k simple real roots in (-4, 0).
 Decomposition of a symmetric polynomial into the q_k (or into shifted
 powers (T+s)^{n-2j}) is by descending-degree elimination, which is exact
 and yields uniqueness for free.  Root isolation is the one place floats
-appear, and only in the returned approximations: the isolation itself uses
-Sturm chains of primitive integer polynomials, deciding each sign of p(a/b)
-as that of b^d p(a/b).  The counts at -B and B (B the Cauchy bound) are
-read at -inf and +inf from the chain's leading coefficients, since no root
-lies outside (-B, B); splits stay at exact rational points.  Each isolating
-interval is refined on the grid bisection would reach, by Illinois regula
-falsi over integer grid values, so the enclosures are exactly bisection's.
+appear, and only in the returned approximations.  real_roots and qk_roots
+share one bisection walk from (-B, B), B the Cauchy bound, that splits at
+exact rational nonroots and bisects each isolating interval on an integer
+grid; they differ only in how they count the roots below a point.
+real_roots uses the Sturm chain of a primitive integer polynomial, with
+the sign of p(a/b) that of b^d p(a/b), and reads the counts at -B and B
+at -inf and +inf, since no root lies outside (-B, B).
 
 qk_roots needs no Sturm chain, since the roots of q_k are known in closed
 form, -4 sin^2(j pi/(2k + 2)).  Floats place k + 1 short dyadic separators
 between them; if q_k's exact signs at those ascending points are nonzero
 and alternate, each of the k brackets holds at least one root, so, q_k
 having degree k, exactly one, simple, and none lies outside.  The brackets
-then count the roots of every node of real_roots' bisection tree, and each
-root's grid cell is the one holding its closed form, confirmed by the
-exact signs at the cell's two ends; so the enclosures are real_roots'.
+count the roots below a point, and each root's grid cell is the one
+holding its closed form, confirmed by the exact signs at its two ends.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from typing import Callable, Iterable, Iterator
 
 from .exactpoly import Poly, RatLike, as_rat, int_horner, integer_form, pseudo_divmod
@@ -85,7 +84,7 @@ def qk_roots(k: int) -> list[float]:
     """The k real roots of qk_poly(k), each within ROOT_TOLERANCE, ascending.
 
     The alternation certificate (see the module docstring) gives each root
-    a bracket; real_roots' bisection tree and grid then give its enclosure,
+    a bracket; real_roots' bisection walk and grid then give its enclosure,
     exactly real_roots(qk_poly(k)).  Signs that fail to alternate at k + 1
     ascending separators, or a midpoint farther than ROOT_TOLERANCE from
     the closed form, are a defect in hkrr and raise AssertionError.
@@ -103,19 +102,9 @@ def qk_roots(k: int) -> list[float]:
     ):
         raise AssertionError(f"q_{k} does not alternate in sign at {k + 1} ascending separators")
     tol = Fraction(1, 10**10)
-    bound = _root_bound(ps)
-    found: list[tuple[Fraction, Fraction]] = []
-    # Entries (lo, roots below lo, hi, roots below hi), as in real_roots.
-    stack = [(-bound, 0, bound, k)]
-    while stack:
-        lo, c_lo, hi, c_hi = stack.pop()
-        if c_hi - c_lo == 1:
-            found.append(_refine_near(ps, lo, hi, tol, closed[c_lo + 1]))
-        elif c_hi > c_lo:
-            mid, c_mid = _bracket_split(ps, seps, signs, lo, hi)
-            stack.append((lo, c_lo, mid, c_mid))
-            stack.append((mid, c_mid, hi, c_hi))
-    roots = [float((lo + hi) / 2) for lo, hi in sorted(found)]
+    below = partial(_bracket_below, ps, seps, signs)
+    found = _isolate(ps, k, below, lambda lo, hi, c: _refine_near(ps, lo, hi, tol, closed[c + 1]))
+    roots = [float((lo + hi) / 2) for lo, hi in found]
     for got, want in zip(roots, closed[1:-1]):
         if abs(got - want) > ROOT_TOLERANCE:
             raise AssertionError(f"root {got} deviates from {want} by more than {ROOT_TOLERANCE}")
@@ -224,11 +213,6 @@ def _variations(values: Iterable[int]) -> int:
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
-def _sign_variations(chain: list[list[int]], x: Fraction) -> int:
-    a, b = x.numerator, x.denominator
-    return _variations(int_horner(q, a, b) for q in chain)
-
-
 def _variations_at_infinity(chain: list[list[int]]) -> tuple[int, int]:
     """(V(-inf), V(+inf)), read from the signs of the leading coefficients.
 
@@ -248,11 +232,6 @@ def all_roots_real(p: Poly) -> bool:
     return v_minus - v_plus == len(ps) - 1
 
 
-def _root_bound(p: list[int]) -> Fraction:
-    """Cauchy bound: every root has absolute value strictly below this."""
-    return 1 + Fraction(max(abs(c) for c in p), abs(p[-1]))
-
-
 def _split_candidates(lo: Fraction, hi: Fraction) -> Iterator[Fraction]:
     """lo + (hi - lo) * i/k for i = 1..k-1 and k = 2, 5, 11, ...: strictly inside."""
     k = 2
@@ -262,9 +241,47 @@ def _split_candidates(lo: Fraction, hi: Fraction) -> Iterator[Fraction]:
         k = k * 2 + 1  # eventually more candidates than a polynomial has roots
 
 
-def _split_point(p: list[int], lo: Fraction, hi: Fraction) -> Fraction:
-    """The first split candidate in (lo, hi) that is not a root of p."""
-    return next(m for m in _split_candidates(lo, hi) if int_horner(p, m.numerator, m.denominator))
+def _isolate(
+    ps: list[int],
+    roots: int,
+    below: Callable[[Fraction], int | None],
+    refine: Callable[[Fraction, Fraction, int], tuple[Fraction, Fraction]],
+) -> list[tuple[Fraction, Fraction]]:
+    """One refined interval per root of the squarefree ps, ascending, by bisection from (-B, B).
+
+    roots is the number of real roots of ps; below(x) is the number below
+    x, or None when x is a root.  A node splits at its first split
+    candidate that is not a root; a node (lo, hi) holding exactly one root,
+    with c roots below lo, becomes refine(lo, hi, c).
+    """
+    d = len(ps) - 1
+    bound = 1 + Fraction(max(abs(c) for c in ps), abs(ps[-1]))  # Cauchy's: every |root| is below it
+    sep = None
+    found: list[tuple[Fraction, Fraction]] = []
+    # Entries (lo, roots below lo, hi, roots below hi), so each point is counted once.
+    stack = [(-bound, 0, bound, roots)]
+    while stack:
+        lo, c_lo, hi, c_hi = stack.pop()
+        count = c_hi - c_lo
+        if not 0 <= count <= d:
+            raise AssertionError(f"{count} roots counted for a degree-{d} polynomial")
+        if count == 1:
+            found.append(refine(lo, hi, c_lo))
+        elif count:
+            # Distinct roots of ps lie at least sep apart (Mahler's bound, |disc| >= 1);
+            # counts that break it are wrong, and would otherwise bisect forever.
+            sep = sep or Fraction(1, d ** (d + 2) * sum(abs(c) for c in ps) ** (d - 1))
+            if hi - lo < sep:
+                raise AssertionError(f"{count} roots counted closer than the separation bound")
+            mid, c_mid = next((x, c) for x in _split_candidates(lo, hi) if (c := below(x)) is not None)
+            stack += [(lo, c_lo, mid, c_mid), (mid, c_mid, hi, c_hi)]
+    return sorted(found)
+
+
+def _chain_below(chain: list[list[int]], v_minus: int, x: Fraction) -> int | None:
+    """V(-inf) - V(x), the number of roots of chain[0] below x; None when x is one."""
+    values = [int_horner(q, x.numerator, x.denominator) for q in chain]
+    return v_minus - _variations(values) if values[0] else None
 
 
 def real_roots(p: Poly, tol: Fraction = Fraction(1, 10**10)) -> list[tuple[Fraction, Fraction]]:
@@ -275,32 +292,9 @@ def real_roots(p: Poly, tol: Fraction = Fraction(1, 10**10)) -> list[tuple[Fract
     if p.degree < 1:
         return []
     ps, chain = _squarefree_sturm(p)
-    bound = _root_bound(ps)
-    # Distinct roots of the squarefree ps lie at least sep apart (Mahler's bound,
-    # |disc| >= 1); a chain whose counts break that or leave 0..d is wrong.
-    d = len(ps) - 1
-    sep = Fraction(1, d ** (d + 2) * sum(abs(c) for c in ps) ** (d - 1))
-    found: list[tuple[Fraction, Fraction]] = []
-    # Entries (lo, V(lo), hi, V(hi)), so each point's chain is evaluated once.
     v_minus, v_plus = _variations_at_infinity(chain)
-    stack = [(-bound, v_minus, bound, v_plus)]
-    while stack:
-        lo, v_lo, hi, v_hi = stack.pop()
-        count = v_lo - v_hi
-        if not 0 <= count <= d:
-            raise AssertionError(f"Sturm chain counts {count} roots of a degree-{d} polynomial")
-        if count == 0:
-            continue
-        if count == 1:
-            found.append(_refine(ps, lo, hi, tol))
-            continue
-        if hi - lo < sep:
-            raise AssertionError(f"Sturm chain counts {count} roots closer than the separation bound")
-        mid = _split_point(ps, lo, hi)
-        v_mid = _sign_variations(chain, mid)
-        stack.append((lo, v_lo, mid, v_mid))
-        stack.append((mid, v_mid, hi, v_hi))
-    return sorted(found)
+    below = partial(_chain_below, chain, v_minus)
+    return _isolate(ps, v_minus - v_plus, below, lambda lo, hi, c: _refine(ps, lo, hi, tol))
 
 
 def _grid(lo: Fraction, hi: Fraction, tol: Fraction) -> tuple[int, int, int, int]:
@@ -308,8 +302,8 @@ def _grid(lo: Fraction, hi: Fraction, tol: Fraction) -> tuple[int, int, int, int
 
     m is the number of halvings that bring hi - lo to width <= tol.
     """
-    den = lo.denominator * hi.denominator
-    a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+    den = math.lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
     width, allowed = (b - a) * tol.denominator, tol.numerator * den
     m = max(width.bit_length() - allowed.bit_length(), 0)
     m += width > allowed << m
@@ -317,51 +311,29 @@ def _grid(lo: Fraction, hi: Fraction, tol: Fraction) -> tuple[int, int, int, int
 
 
 def _refine(p: list[int], lo: Fraction, hi: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink an isolating interval for a simple root to width <= tol.
+    """Bisect an isolating interval for a simple root to width <= tol.
 
-    Requires p(lo) != 0 and exactly one root in (lo, hi]; real_roots only
-    ever passes non-root endpoints.  The answer is the one bisection gives:
-    with m the number of halvings it would make, the grid points
-    x_j = (base + j*step)/den, j = 0..2^m, share one denominator, and the
-    result is (x_j, x_j) when the root is some x_j, else the grid cell
-    holding it.  A root on the grid stays strictly inside every bisection
-    bracket until it is evaluated, so bisection returns exactly that too.
-    The cell is found by Illinois regula falsi (Dowell & Jarratt, BIT 11,
-    1971) over j on the integers den^d p(x_j), bisecting whenever a step
-    fails to halve the bracket.
+    Requires p(lo) != 0 and exactly one root in (lo, hi].  The midpoints
+    lie on _grid's x_j, so each sign is that of the integer den^d p(x_j);
+    a midpoint that is the root gives (x_j, x_j).
     """
     base, step, den, m = _grid(lo, hi, tol)
-    jl, jr = 0, 1 << m
-    fl, fr = int_horner(p, base, den), int_horner(p, base + jr * step, den)
+    fl, fr = int_horner(p, base, den), int_horner(p, base + (step << m), den)
     if fl == 0:
         raise AssertionError("isolating interval may not start at a root")
     if fr == 0:
         return (hi, hi)
     if (fl > 0) == (fr > 0):
         raise AssertionError("interval does not isolate a simple root")
-    kept = 0  # +1 (-1) when the last step moved the left (right) end
-    bisect = False
-    while jr - jl > 1:
-        w = jr - jl
-        j = jl + (w // 2 if bisect else min(max(w * fl // (fl - fr), 1), w - 1))
-        x = base + j * step
+    j = 0  # the index of the root's cell, found one bit at a time from the top
+    for i in reversed(range(m)):
+        x = base + (j + (1 << i)) * step
         y = int_horner(p, x, den)
         if y == 0:
             return (Fraction(x, den), Fraction(x, den))
-        # Illinois: an end kept twice running has its value halved, rounding
-        # the magnitude up so the sign survives and fl - fr never vanishes.
         if (y > 0) == (fl > 0):
-            jl, fl = j, y
-            if kept == 1:
-                fr = (fr + (fr > 0)) // 2
-            kept = 1
-        else:
-            jr, fr = j, y
-            if kept == -1:
-                fl = (fl + (fl > 0)) // 2
-            kept = -1
-        bisect = not bisect and 2 * (jr - jl) > w
-    return (Fraction(base + jl * step, den), Fraction(base + jr * step, den))
+            j += 1 << i
+    return (Fraction(base + j * step, den), Fraction(base + (j + 1) * step, den))
 
 
 # -- q_k's roots from the alternation certificate (see the module docstring) --
@@ -385,26 +357,21 @@ def _separators(points: list[float]) -> list[Fraction]:
     return out
 
 
-def _bracket_split(
-    p: list[int], seps: list[Fraction], signs: list[int], lo: Fraction, hi: Fraction
-) -> tuple[Fraction, int]:
-    """_split_point(p, lo, hi), and the number of roots of p below it.
+def _bracket_below(p: list[int], seps: list[Fraction], signs: list[int], x: Fraction) -> int | None:
+    """The number of roots of p below x, or None when x is one.
 
-    seps ascend, signs are p's at them, and p has one simple root between
-    each two adjacent separators and none elsewhere.  A candidate is
-    evaluated only when it lies strictly inside a bracket; anywhere else it
-    is known not to be a root.
+    seps ascend and signs are p's at them; p has one simple root between
+    each two adjacent separators and none elsewhere, so p is evaluated only
+    at an x strictly inside a bracket.
     """
-    for m in _split_candidates(lo, hi):
-        j = bisect_right(seps, m)
-        if j == 0:
-            return m, 0
-        if j == len(seps) or m == seps[j - 1]:
-            return m, j - 1
-        v = int_horner(p, m.numerator, m.denominator)
-        if v:
-            # The bracket's root lies below m iff p's sign changed from seps[j - 1].
-            return m, j - (_sign(v) == signs[j - 1])
+    j = bisect_right(seps, x)
+    if j == 0:
+        return 0
+    if j == len(seps) or x == seps[j - 1]:
+        return j - 1
+    v = int_horner(p, x.numerator, x.denominator)
+    # The bracket's root lies below x iff p's sign changed from seps[j - 1].
+    return j - (_sign(v) == signs[j - 1]) if v else None
 
 
 def _refine_near(p: list[int], lo: Fraction, hi: Fraction, tol: Fraction, guess: float) -> tuple[Fraction, Fraction]:
@@ -412,7 +379,7 @@ def _refine_near(p: list[int], lo: Fraction, hi: Fraction, tol: Fraction, guess:
 
     The answer is the grid cell holding guess when p has nonzero, opposite
     signs at its two ends.  Otherwise (guess is a cell off, or the root is
-    a grid point) _refine searches the grid.
+    a grid point) _refine bisects the grid.
     """
     base, step, den, m = _grid(lo, hi, tol)
     a, b = guess.as_integer_ratio()

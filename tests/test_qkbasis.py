@@ -1,12 +1,14 @@
+import hashlib
 import math
 import random
 import signal
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
 import pytest
 
 from hkrr import qkbasis
+from hkrr.cli import run
 from hkrr.exactpoly import ONE, Poly, X, ZERO, poly_compose_affine, pseudo_divmod
 from hkrr.qkbasis import (
     NotInSpan,
@@ -101,11 +103,36 @@ def _q3_certificate():
     return ps, seps, [qkbasis._sign(qkbasis.int_horner(ps, t.numerator, t.denominator)) for t in seps]
 
 
+CERTIFIED_SIZES = (*range(0, 61), 80, 100)
+
+# sha256 of the stdout of `hkrr qk k --roots --laurent-check` for every k in
+# CERTIFIED_SIZES, recorded when qk_roots still had a walk of its own, so it
+# checks the shared walk independently of real_roots.
+QK_REPORTS_DIGEST = "187fc96f658108e464aefc8f5520a62c74a96b3ea08b748ec5a919b441682b38"
+
+
 class TestQkRootCertificate:
-    @pytest.mark.parametrize("k", [*range(0, 61), 80, 100])
+    @pytest.mark.parametrize("k", CERTIFIED_SIZES)
     def test_equals_real_roots_midpoints(self, k):
         want = [float((lo + hi) / 2) for lo, hi in real_roots(qk_poly(k), Fraction(1, 10**10))]
         assert qk_roots(k) == want
+
+    def test_reports_digest(self, capsys):
+        digest = hashlib.sha256()
+        for k in CERTIFIED_SIZES:
+            assert run(["qk", str(k), "--roots", "--laurent-check"]) == 0
+            digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == QK_REPORTS_DIGEST
+
+    def test_every_cell_comes_from_the_closed_form(self, monkeypatch):
+        # _refine_near falls back to _refine only when the closed form misses
+        # its cell or the root is a grid point; neither happens for these k.
+        calls = []
+        refine = qkbasis._refine
+        monkeypatch.setattr(qkbasis, "_refine", lambda *args: calls.append(args) or refine(*args))
+        for k in CERTIFIED_SIZES:
+            qk_roots(k)
+        assert calls == []
 
     @pytest.mark.parametrize(
         "lo, hi, want, evaluated",
@@ -119,12 +146,19 @@ class TestQkRootCertificate:
         ],
     )
     def test_split_matches_split_point(self, monkeypatch, lo, hi, want, evaluated):
+        # _isolate splits a node at the first split candidate x whose count
+        # below(x) is not None; the chain and the bracket counters must agree.
+        def split(below):
+            return next((x, c) for x in qkbasis._split_candidates(lo, hi) if (c := below(x)) is not None)
+
         ps, seps, signs = _q3_certificate()
-        assert qkbasis._split_point(ps, lo, hi) == want[0]
+        chain = _squarefree_sturm(qk_poly(3))[1]
+        v_minus = qkbasis._variations_at_infinity(chain)[0]
+        assert split(partial(qkbasis._chain_below, chain, v_minus)) == want
         calls = []
         horner = qkbasis.int_horner
         monkeypatch.setattr(qkbasis, "int_horner", lambda *args: calls.append(args) or horner(*args))
-        assert qkbasis._bracket_split(ps, seps, signs, lo, hi) == want
+        assert split(partial(qkbasis._bracket_below, ps, seps, signs)) == want
         assert len(calls) == evaluated
 
     @pytest.mark.parametrize("cells", [-1, 0, 1])
@@ -423,7 +457,8 @@ REFINEMENT_EDGE_INTERVALS = (
     ([-1, 2], Fraction(0), Fraction(1, 2), Fraction(1, 10**10)),  # the root is hi
     ([-1, 3], Fraction(0), Fraction(1, 2), Fraction(1)),  # narrower than tol: m = 0
     ([-1, 3], Fraction(0), Fraction(1, 2), Fraction(1, 2)),  # as wide as tol: m = 0
-    # The Illinois rule halves a kept value den * p(x_j) = 64 - 7j of +1 (j = 9), and 25j - 576 of -1 (j = 23).
+    # On 64-cell grids, den * p(x_j) = 64 - 7j falls through 0 in cell 9 and 25j - 576 rises through it
+    # in cell 23: cells far from the first midpoints, for a decreasing and for an increasing p.
     ([2, -1], Fraction(1), Fraction(8), Fraction(1, 5)),
     ([-1, 1], Fraction(-2), Fraction(19, 3), Fraction(1, 7)),
 )
