@@ -112,30 +112,15 @@ def _load_json(path: str) -> Any:
         raise ValueError(f"cannot parse {path}: {exc}") from exc
 
 
-def _report(command: str, inputs: dict, results: Any, claims: list[str]) -> dict:
-    """The report of one command; library objects in it are written by ``jsonable``."""
-    report = {"command": command, "inputs": inputs, "results": results, "claims": claims}
-    # Exact results may pass the int-to-str digit limit of Python 3.10.7 and later.
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return jsonable(report)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return jsonable(report)
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
-def _cmd_cn(args: argparse.Namespace) -> dict:
-    return _report(
-        "cn",
+def _cmd_cn(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
+    return (
         {"n": args.n},
         cn_value(args.n),
         [f"certified gcd constant for n={args.n}"],
     )
 
 
-def _cmd_qk(args: argparse.Namespace) -> dict:
+def _cmd_qk(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     results: dict[str, Any] = {"k": args.k, "poly": qk_poly(args.k)}
     claims = [f"basis polynomial of degree {args.k}"]
     if args.roots:
@@ -144,26 +129,24 @@ def _cmd_qk(args: argparse.Namespace) -> dict:
     if args.laurent_check:
         results["laurent_identity"] = qk_laurent_check(args.k)
         claims.append("Laurent identity T^k q_k(T + 1/T - 2) = 1 + T^2 + ... + T^2k")
-    return _report(
-        "qk",
+    return (
         {"k": args.k, "roots": args.roots, "laurent_check": args.laurent_check},
         results,
         claims,
     )
 
 
-def _cmd_qrr(args: argparse.Namespace) -> dict:
+def _cmd_qrr(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     data = ChernData.from_json(_load_json(args.chern))
     q = q_rr_from_chern(data)
-    return _report(
-        "qrr",
+    return (
         {"chern": data},
         {"q_rr": q, "degree": q.degree},
         ["normalized Riemann-Roch polynomial from Chern numbers"],
     )
 
 
-def _cmd_profile(args: argparse.Namespace) -> dict:
+def _cmd_profile(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     if args.family:
         if args.n is None:
             raise ValueError("--family requires --n")
@@ -175,13 +158,12 @@ def _cmd_profile(args: argparse.Namespace) -> dict:
         n = args.n if args.n is not None else p.degree
         inputs = {"poly": p, "n": n}
     profile = profile_from_prr(n, p)
-    # Fields, not to_json(): numbers past the digit limit are written by _report.
     results = {f.name: getattr(profile, f.name) for f in fields(profile)}
     results["roots"] = real_root_classifier(profile)
-    return _report("profile", inputs, results, ["invariant bundle extracted and validated"])
+    return inputs, results, ["invariant bundle extracted and validated"]
 
 
-def _cmd_decompose(args: argparse.Namespace) -> dict:
+def _cmd_decompose(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     p = Poly.from_json(_load_json(args.poly))
     if args.basis == "qk":
         if args.shift is not None:
@@ -196,37 +178,35 @@ def _cmd_decompose(args: argparse.Namespace) -> dict:
         coeffs = decompose_shifted(p, shift)
         inputs = {"poly": p, "basis": "shifted", "shift": shift}
         claim = "decomposition into shifted powers (T+s)^(n-2j)"
-    return _report(
-        "decompose",
+    return (
         inputs,
         {"coefficients": coeffs},
         [claim],
     )
 
 
-def _cmd_isotropic(args: argparse.Namespace) -> dict:
+def _cmd_isotropic(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     case = solve_case(args.n, args.a)
     survivors = ", ".join(str(nx) for _, nx in case.survivors)
-    return _report(
-        "isotropic",
+    return (
         {"n": args.n, "a": args.a},
         case,
         [f"dimension-6 isotropic case a={args.a}: surviving n_x in {{{survivors}}}"],
     )
 
 
-def _cmd_check(args: argparse.Namespace) -> dict:
+def _cmd_check(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     p = Poly.from_json(_load_json(args.poly))
     den = denominator_check(args.n, p, even_form=args.even)
     even_vals = even_values_check(args.n, p)
-    return _report(
-        "check",
+    return (
         {"poly": p, "n": args.n, "even": args.even},
         {"denominator": den, "even_values": even_vals},
         ["coefficient denominator bounds and even-value integrality"],
     )
 
 
+# Each handler returns its report's inputs, results and claims; run adds the command.
 _HANDLERS = {
     "cn": _cmd_cn,
     "qk": _cmd_qk,
@@ -281,7 +261,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(parser.format_usage(), file=sys.stderr, end="")
         return EXIT_USAGE
     try:
-        report = _HANDLERS[args.command](args)
+        inputs, results, claims = _HANDLERS[args.command](args)
+        report = jsonable({"command": args.command, "inputs": inputs, "results": results, "claims": claims})
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

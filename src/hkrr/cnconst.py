@@ -40,7 +40,7 @@ from functools import cache
 from itertools import accumulate
 from typing import Sequence
 
-from .exactpoly import Report
+from .exactpoly import Report, rat_str
 
 __all__ = [
     "CnCertificate",
@@ -56,7 +56,7 @@ class CnCertificate(Report):
     """A certified gcd-constant value and its factorization over p <= 2n-1."""
 
     n: int
-    value: int = field(metadata={"json": str})
+    value: int = field(metadata={"json": rat_str})
     factorization: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:

@@ -14,6 +14,7 @@ and no epsilon anywhere.
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
 from dataclasses import dataclass, fields, is_dataclass
@@ -22,6 +23,7 @@ from itertools import zip_longest
 from typing import Iterable, Sequence, Union
 
 RatLike = Union[Fraction, int, str]
+_STR_BITS = 2000  # at most 603 digits, below 640, the lowest int-to-str limit an interpreter accepts
 
 __all__ = [
     "RatLike",
@@ -87,9 +89,31 @@ def json_echo(value: object, depth: int = 3) -> str:
     return json.dumps(value, default=repr)
 
 
-def rat_str(x: Fraction) -> str:
-    """Serialize a rational as "p/q", or just "p" when the denominator is 1."""
-    return str(Fraction(x))
+def rat_str(x: Fraction | int) -> str:
+    """Serialize a rational as "p/q", or just "p" when the denominator is 1, at any size."""
+    num = _int_str(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{_int_str(x.denominator)}"
+
+
+def _int_str(n: int) -> str:
+    """n in decimal at any size, whatever the interpreter's int-to-str limit.
+
+    Past _STR_BITS, binary halves are joined exactly in ``decimal``, as CPython 3.12's _pylong does.
+    """
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+
+    def join(m: int, bits: int) -> decimal.Decimal:  # m = (m >> h) * 2^h + (m & (2^h - 1)), negative m too
+        if bits <= _STR_BITS:
+            return decimal.Decimal(m)
+        h = bits >> 1
+        return ctx.fma(join(m >> h, bits - h), ctx.power(2, h), join(m & ((1 << h) - 1), h))
+
+    try:
+        return str(join(n, n.bit_length()))
+    except decimal.DecimalException as exc:  # an ArithmeticError, which the CLI would report as bad input
+        raise AssertionError(f"inexact decimal join: {exc!r}") from None
 
 
 def jsonable(value: object) -> object:

@@ -26,6 +26,7 @@ from .exactpoly import (
     int_horner,
     integer_form,
     poly_compose_affine,
+    rat_str,
 )
 from .qkbasis import all_roots_real
 
@@ -160,7 +161,7 @@ class DenominatorReport(Report):
 
     ok: bool
     even_form: bool
-    c_n: int = field(metadata={"json": str})
+    c_n: int = field(metadata={"json": rat_str})
     coefficient_ok: tuple[bool, ...]
     fujiki_in_lattice: bool
 

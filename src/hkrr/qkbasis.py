@@ -86,8 +86,10 @@ def qk_roots(k: int) -> list[float]:
     The alternation certificate (see the module docstring) gives each root
     a bracket; real_roots' bisection walk and grid then give its enclosure,
     exactly real_roots(qk_poly(k)).  Signs that fail to alternate at k + 1
-    ascending separators, or a midpoint farther than ROOT_TOLERANCE from
-    the closed form, are a defect in hkrr and raise AssertionError.
+    ascending separators, two roots counted in a node narrower than
+    4/(k + 1)^2 (below their least distance, so wrong counts fail within a
+    few levels), or a midpoint farther than ROOT_TOLERANCE from the closed
+    form, are a defect in hkrr and raise AssertionError.
     """
     ps = integer_form(qk_poly(k))[0]
     # -4 sin^2(j pi/(2k + 2)) for j = k + 1..0: -4, the k roots ascending, 0.
@@ -103,7 +105,9 @@ def qk_roots(k: int) -> list[float]:
         raise AssertionError(f"q_{k} does not alternate in sign at {k + 1} ascending separators")
     tol = Fraction(1, 10**10)
     below = partial(_bracket_below, ps, seps, signs)
-    found = _isolate(ps, k, below, lambda lo, hi, c: _refine_near(ps, lo, hi, tol, closed[c + 1]))
+    # Adjacent roots lie 4 sin(t) sin((2j + 1)t) >= 4 sin(t)^2 >= 4/(k + 1)^2 apart: t = pi/(2k + 2), sin(t) >= 2t/pi.
+    sep = Fraction(4, (k + 1) ** 2)
+    found = _isolate(ps, k, sep, below, lambda lo, hi, c: _refine_near(ps, lo, hi, tol, closed[c + 1]))
     roots = [float((lo + hi) / 2) for lo, hi in found]
     for got, want in zip(roots, closed[1:-1]):
         if abs(got - want) > ROOT_TOLERANCE:
@@ -244,19 +248,19 @@ def _split_candidates(lo: Fraction, hi: Fraction) -> Iterator[Fraction]:
 def _isolate(
     ps: list[int],
     roots: int,
+    sep: Fraction,
     below: Callable[[Fraction], int | None],
     refine: Callable[[Fraction, Fraction, int], tuple[Fraction, Fraction]],
 ) -> list[tuple[Fraction, Fraction]]:
     """One refined interval per root of the squarefree ps, ascending, by bisection from (-B, B).
 
-    roots is the number of real roots of ps; below(x) is the number below
-    x, or None when x is a root.  A node splits at its first split
-    candidate that is not a root; a node (lo, hi) holding exactly one root,
-    with c roots below lo, becomes refine(lo, hi, c).
+    roots is the number of real roots of ps, no two closer than sep;
+    below(x) is the number below x, or None when x is a root.  A node
+    splits at its first split candidate that is not a root; a node (lo, hi)
+    holding exactly one root, with c roots below lo, becomes refine(lo, hi, c).
     """
     d = len(ps) - 1
     bound = 1 + Fraction(max(abs(c) for c in ps), abs(ps[-1]))  # Cauchy's: every |root| is below it
-    sep = None
     found: list[tuple[Fraction, Fraction]] = []
     # Entries (lo, roots below lo, hi, roots below hi), so each point is counted once.
     stack = [(-bound, 0, bound, roots)]
@@ -268,9 +272,6 @@ def _isolate(
         if count == 1:
             found.append(refine(lo, hi, c_lo))
         elif count:
-            # Distinct roots of ps lie at least sep apart (Mahler's bound, |disc| >= 1);
-            # counts that break it are wrong, and would otherwise bisect forever.
-            sep = sep or Fraction(1, d ** (d + 2) * sum(abs(c) for c in ps) ** (d - 1))
             if hi - lo < sep:
                 raise AssertionError(f"{count} roots counted closer than the separation bound")
             mid, c_mid = next((x, c) for x in _split_candidates(lo, hi) if (c := below(x)) is not None)
@@ -294,7 +295,9 @@ def real_roots(p: Poly, tol: Fraction = Fraction(1, 10**10)) -> list[tuple[Fract
     ps, chain = _squarefree_sturm(p)
     v_minus, v_plus = _variations_at_infinity(chain)
     below = partial(_chain_below, chain, v_minus)
-    return _isolate(ps, v_minus - v_plus, below, lambda lo, hi, c: _refine(ps, lo, hi, tol))
+    d = len(ps) - 1  # >= 1; distinct roots lie at least sep apart (Mahler's bound, |disc| >= 1)
+    sep = Fraction(1, d ** (d + 2) * sum(abs(c) for c in ps) ** (d - 1))
+    return _isolate(ps, v_minus - v_plus, sep, below, lambda lo, hi, c: _refine(ps, lo, hi, tol))
 
 
 def _grid(lo: Fraction, hi: Fraction, tol: Fraction) -> tuple[int, int, int, int]:

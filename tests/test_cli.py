@@ -1,16 +1,21 @@
+import decimal
 import json
 import math
+import os
 import signal
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import hkrr.cli
 import hkrr.qkbasis
 from hkrr.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, render_markdown, run
+from hkrr.cnconst import cn_value
 from hkrr.exactpoly import Poly
-from hkrr.hkprofile import known_family_prr
+from hkrr.hkprofile import denominator_check, known_family_prr, profile_from_prr
 
 
 def run_json(capsys, argv):
@@ -326,9 +331,18 @@ class TestMalformedInput:
         assert run_json(capsys, argv)["inputs"]["shift"] == "6"
 
 
+def _refuse_limit_change(maxdigits):
+    raise AssertionError("hkrr must not change the int-to-str digit limit")
+
+
 class TestLongNumbers:
-    # Each c_x has 4301 digits, past Python's default int-to-str limit: the
-    # report must still be written, and the limit put back afterwards.
+    # Each c_x has 4301 digits and C(60) 5,296, past Python's default
+    # int-to-str limit of 4,300: reports are written in full, in and out of
+    # the CLI, and the limit is never touched.
+    @pytest.fixture(autouse=True)
+    def limit_switch_refused(self, monkeypatch):
+        monkeypatch.setattr(sys, "set_int_max_str_digits", _refuse_limit_change, raising=False)
+
     @pytest.mark.parametrize(
         "argv, coeffs, keys, c_x",
         [
@@ -345,6 +359,35 @@ class TestLongNumbers:
         assert value == c_x
         if limit is not None:
             assert sys.get_int_max_str_digits() == limit
+
+    def test_library_to_json_equals_cli(self, capsys, tmp_path):
+        cli = run_json(capsys, ["cn", "60"])["results"]
+        assert len(cli["value"]) == 5296 and int(decimal.Decimal(cli["value"])) == cn_value(60).value
+        assert cn_value(60).to_json()["value"] == cli["value"]
+
+        p = known_family_prr("split", 60)
+        cli = run_json(capsys, ["check", "--poly", write_poly(tmp_path, p), "--n", "60", "--even"])["results"]
+        assert denominator_check(60, p, True).to_json()["c_n"] == cli["denominator"]["c_n"] == cn_value(60).to_json()["value"]
+
+        p = Poly((2, "9" * 4300))
+        cli = run_json(capsys, ["profile", "--poly", write_poly(tmp_path, p), "--n", "1"])["results"]
+        assert profile_from_prr(1, p).to_json()["c_x"] == cli["c_x"] == "1" + "9" * 4299 + "8"
+
+    def test_inexact_join_is_internal(self, capsys, monkeypatch):
+        # The decimal writer's trapped Inexact is a defect (70), not bad input (1).
+        monkeypatch.setattr(decimal, "MAX_PREC", 50)
+        assert run(["cn", "60"]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal: AssertionError: inexact decimal join")
+
+    def test_lowest_interpreter_limit(self, capsys):
+        # 640 is the lowest limit an interpreter accepts; C(30) has 1,079 digits.
+        env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640", "PYTHONPATH": str(Path(hkrr.cli.__file__).parents[1])}
+        argv = ["cn", "30"]
+        proc = subprocess.run([sys.executable, "-m", "hkrr.cli", *argv], env=env, capture_output=True, text=True, timeout=60)
+        assert run(argv) == EXIT_OK
+        assert (proc.returncode, proc.stderr, proc.stdout) == (EXIT_OK, "", capsys.readouterr().out)
 
 
 class TestExitCodes:

@@ -1,6 +1,9 @@
+import decimal
 import json
 import math
 import random
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
@@ -16,6 +19,7 @@ from hkrr.exactpoly import (
     ResidueSet,
     X,
     ZERO,
+    _int_str,
     as_rat,
     binomial_poly,
     int_horner,
@@ -34,6 +38,54 @@ def rand_poly(rng, max_deg=6, denom=12):
         Fraction(rng.randint(-20, 20), rng.randint(1, denom))
         for _ in range(rng.randint(0, max_deg + 1))
     )
+
+
+@contextmanager
+def no_digit_limit():
+    """Lift the int-to-str digit limit, so that str() writes the reference strings."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def int_str_cases():
+    """Seeded integers up to 100k bits, powers of ten and of two around the
+    2,000-bit switch to the decimal join, and 0 and 1; each with both signs."""
+    rng = random.Random(19)
+    out = [0, 1]
+    for k in list(range(595, 611)) + [1204, 5000, 30103]:  # 10^602 < 2^2000 < 10^603; 10^30103 > 2^100000
+        out += [10**k, 10**k - 1]
+    for b in range(1998, 2003):
+        out += [2**b - 1, 2**b]
+    out += [rng.getrandbits(int(2 ** rng.uniform(1, math.log2(100_000)))) for _ in range(60)]
+    return out + [-n for n in out]
+
+
+class TestIntStr:
+    def test_equals_str(self):
+        numbers = int_str_cases()
+        with no_digit_limit():
+            expected = [str(n) for n in numbers]
+        assert [_int_str(n) for n in numbers] == expected
+
+    def test_rat_str_past_the_limit(self):
+        x = Fraction(10**5000 + 1, 3**9000)
+        with no_digit_limit():
+            expected = f"{x.numerator}/{x.denominator}"
+        assert rat_str(x) == expected
+        assert rat_str(10**5000) == "1" + "0" * 5000
+
+    def test_inexact_join_is_a_defect(self, monkeypatch):
+        # A join that rounds traps Inexact, a DecimalException, which is an
+        # ArithmeticError (bad input to the CLI); it must surface as a defect.
+        monkeypatch.setattr(decimal, "MAX_PREC", 50)
+        with pytest.raises(AssertionError, match="inexact decimal join"):
+            _int_str(7**900)
 
 
 class TestRatSerialization:

@@ -2,6 +2,8 @@ import hashlib
 import math
 import random
 import signal
+from bisect import bisect_right
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache, partial
 
@@ -9,10 +11,11 @@ import pytest
 
 from hkrr import qkbasis
 from hkrr.cli import run
-from hkrr.exactpoly import ONE, Poly, X, ZERO, poly_compose_affine, pseudo_divmod
+from hkrr.exactpoly import ONE, Poly, X, ZERO, int_horner, poly_compose_affine, pseudo_divmod
 from hkrr.qkbasis import (
     NotInSpan,
     _primitive,
+    _sign,
     _squarefree_sturm,
     _sturm_step,
     all_roots_real,
@@ -538,6 +541,31 @@ def _on_alarm(signum, frame):
     raise _Deadline
 
 
+@contextmanager
+def _hang_detector(what):
+    """Fail the test if its body runs past 20 s."""
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, 20)
+    try:
+        yield
+    except _Deadline:
+        pytest.fail(f"{what} still running after 20 s")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _bracket_sign_flipped(p, seps, signs, x):
+    """qkbasis._bracket_below with its sign test inverted."""
+    j = bisect_right(seps, x)
+    if j == 0:
+        return 0
+    if j == len(seps) or x == seps[j - 1]:
+        return j - 1
+    v = int_horner(p, x.numerator, x.denominator)
+    return j - (_sign(v) != signs[j - 1]) if v else None
+
+
 class TestSturmChainGuard:
     @pytest.mark.parametrize("mutant", [_sign_rule_dropped, _parity_inverted])
     def test_wrong_chain_fails_instead_of_hanging(self, monkeypatch, mutant):
@@ -547,21 +575,25 @@ class TestSturmChainGuard:
         monkeypatch.setattr(qkbasis, "_sturm_step", mutant)
         rng = random.Random(602)
         polys = [random_root_poly(rng) for _ in range(300)]
-        previous = signal.signal(signal.SIGALRM, _on_alarm)
-        signal.setitimer(signal.ITIMER_REAL, 20)
         caught = 0
-        try:
+        with _hang_detector("real_roots with a wrong Sturm chain"):
             for p in polys:
                 try:
                     real_roots(p)
                 except AssertionError:
                     caught += 1
-        except _Deadline:
-            pytest.fail("real_roots still running after 20 s with a wrong Sturm chain")
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
         assert caught > 0
+
+    def test_wrong_bracket_count_fails_instead_of_hanging(self, monkeypatch):
+        # A counter that puts a bracket's root on the wrong side of every
+        # split point keeps two roots in one shrinking node.  qk_roots' own
+        # separation bound, 4/(k + 1)^2, stops it within a few levels;
+        # Mahler's bound for q_k, about 2^(-1.39 k^2), would take thousands.
+        monkeypatch.setattr(qkbasis, "_bracket_below", _bracket_sign_flipped)
+        with _hang_detector("qk_roots with a wrong bracket count"):
+            for k in [*range(2, 61), 80, 100, 150]:
+                with pytest.raises(AssertionError, match="separation bound"):
+                    qk_roots(k)
 
 
 class TestPseudoRemainderSign:
