@@ -291,13 +291,13 @@ class Poly:
                 continue
             mono = "1" if i == 0 else ("T" if i == 1 else f"T^{i}")
             if i == 0:
-                parts.append(str(c))
+                parts.append(rat_str(c))
             elif c == 1:
                 parts.append(mono)
             elif c == -1:
                 parts.append(f"-{mono}")
             else:
-                parts.append(f"{c}*{mono}")
+                parts.append(f"{rat_str(c)}*{mono}")
         return "Poly('{}')".format(" + ".join(parts).replace("+ -", "- "))
 
     def to_json(self) -> dict:

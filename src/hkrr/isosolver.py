@@ -70,14 +70,20 @@ class UnsupportedCase(ValueError):
     """Only the fully mechanized configurations are solved end to end."""
 
 
+def _check_sizes(n: int, a: int, q_lm: int = 1) -> None:
+    if n < 1 or a < 1:
+        raise ValueError("need n >= 1 and a >= 1")
+    if q_lm < 1:
+        raise ValueError("q_lm must be positive")
+
+
 def pairing_candidates(n: int, a: int, even_form: bool) -> list[int]:
     """All pairing values q > 0 allowed by the divisibility constraint.
 
     The leading coefficient forces n! q^n | a C(n) for an even form and
     n! 2^n q^n | a C(n) otherwise.
     """
-    if n < 1 or a < 1:
-        raise ValueError("need n >= 1 and a >= 1")
+    _check_sizes(n, a)
     budget = a * cn_value(n).value
     base = math.factorial(n) * (1 if even_form else 2**n)
     out = []
@@ -91,8 +97,7 @@ def pairing_candidates(n: int, a: int, even_form: bool) -> list[int]:
 
 def fujiki_from_pairing(n: int, a: int, q_lm: int) -> Fraction:
     """c_x = a (2n-1)!! / q_lm^n, from the isotropic pairing relation."""
-    if q_lm < 1:
-        raise ValueError("q_lm must be positive")
+    _check_sizes(n, a, q_lm)
     return Fraction(a * double_factorial(2 * n - 1), q_lm**n)
 
 
@@ -123,8 +128,7 @@ class MxBounds(Report):
 
 def mx_upper_bounds(n: int, a: int, q_lm: int) -> MxBounds:
     """Rational over-approximations of the two strict upper bounds on m_x."""
-    if q_lm < 1:
-        raise ValueError("q_lm must be positive")
+    _check_sizes(n, a, q_lm)
     if a > math.factorial(n):
         raise ValueError("bound is meaningful only for a <= n!")
     eps = Fraction(1, 100)
@@ -164,8 +168,7 @@ class PairingCongruence(Report):
 
 def pairing_congruence(n: int, a: int, q_lm: int) -> PairingCongruence:
     """Integrality facts for n_x and the parity coupling with q(m)."""
-    if q_lm < 1:
-        raise ValueError("q_lm must be positive")
+    _check_sizes(n, a, q_lm)
     g = math.gcd(a, 2 * q_lm)
     qm_modulus = 2 * q_lm // g
     qm_residue = ((n - 1) * q_lm) % qm_modulus

@@ -9,27 +9,27 @@ degrees, and has k simple real roots in (-4, 0).
 Decomposition of a symmetric polynomial into the q_k (or into shifted
 powers (T+s)^{n-2j}) is by descending-degree elimination, which is exact
 and yields uniqueness for free.  Root isolation is the one place floats
-appear, and only in the returned approximations.  real_roots and qk_roots
-share one bisection walk from (-B, B), B the Cauchy bound, that splits at
-exact rational nonroots and bisects each isolating interval on an integer
-grid; they differ only in how they count the roots below a point.
-real_roots uses the Sturm chain of a primitive integer polynomial, with
-the sign of p(a/b) that of b^d p(a/b), and reads the counts at -B and B
-at -inf and +inf, since no root lies outside (-B, B).
+appear, and only in the returned approximations.  real_roots bisects from
+(-B, B), B the Cauchy bound, splitting at exact rational nonroots and
+counting with the Sturm chain of a primitive integer polynomial (the sign
+of p(a/b) is that of b^d p(a/b); the counts at -B and B are read at -inf
+and +inf), then bisects each isolating interval on an integer grid.
 
 qk_roots needs no Sturm chain, since the roots of q_k are known in closed
 form, -4 sin^2(j pi/(2k + 2)).  Floats place k + 1 short dyadic separators
 between them; if q_k's exact signs at those ascending points are nonzero
 and alternate, each of the k brackets holds at least one root, so, q_k
-having degree k, exactly one, simple, and none lies outside.  The brackets
-count the roots below a point, and each root's grid cell is the one
-holding its closed form, confirmed by the exact signs at its two ends.
+having degree k, exactly one, simple, and none lies outside.  Nor does it
+need the walk: splitting every node at its midpoint, the walk ends in the
+cells of one grid over (-B, B), x_j = -B + j 2B/2^M with M the least such
+that 2B/2^M <= tol, unless it meets a root at a grid point; q_k's only
+rational roots, -1, -2 and -3, are interior dyadic points of (-B, B) only
+if B is 2^a or 3 2^a, which for 2 <= k < 3000 it is not.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from fractions import Fraction
 from functools import cache, partial
 from typing import Callable, Iterable, Iterator
@@ -84,12 +84,17 @@ def qk_roots(k: int) -> list[float]:
     """The k real roots of qk_poly(k), each within ROOT_TOLERANCE, ascending.
 
     The alternation certificate (see the module docstring) gives each root
-    a bracket; real_roots' bisection walk and grid then give its enclosure,
-    exactly real_roots(qk_poly(k)).  Signs that fail to alternate at k + 1
-    ascending separators, two roots counted in a node narrower than
-    4/(k + 1)^2 (below their least distance, so wrong counts fail within a
-    few levels), or a midpoint farther than ROOT_TOLERANCE from the closed
-    form, are a defect in hkrr and raise AssertionError.
+    a bracket, and its enclosure is the cell of the grid over (-B, B) that
+    holds it, exactly real_roots(qk_poly(k))'.  A cell's end signs are read
+    inside its bracket, an end outside taking the separator's sign; nonzero
+    and opposite, they put the bracket's one root in the cell.  The cell
+    holding the closed form is tried first, so with no fallback q_k is
+    evaluated at most 3k + 1 times.  The fallback bisects the grid indices
+    in the bracket, within M steps; a zero at a grid point x gives (x, x),
+    as in _refine.
+    Signs that fail to alternate at k + 1 ascending separators, or a
+    midpoint farther than ROOT_TOLERANCE from the closed form, are a defect
+    in hkrr and raise AssertionError.
     """
     ps = integer_form(qk_poly(k))[0]
     # -4 sin^2(j pi/(2k + 2)) for j = k + 1..0: -4, the k roots ascending, 0.
@@ -103,12 +108,12 @@ def qk_roots(k: int) -> list[float]:
         or any(u == v for u, v in zip(signs, signs[1:]))
     ):
         raise AssertionError(f"q_{k} does not alternate in sign at {k + 1} ascending separators")
-    tol = Fraction(1, 10**10)
-    below = partial(_bracket_below, ps, seps, signs)
-    # Adjacent roots lie 4 sin(t) sin((2j + 1)t) >= 4 sin(t)^2 >= 4/(k + 1)^2 apart: t = pi/(2k + 2), sin(t) >= 2t/pi.
-    sep = Fraction(4, (k + 1) ** 2)
-    found = _isolate(ps, k, sep, below, lambda lo, hi, c: _refine_near(ps, lo, hi, tol, closed[c + 1]))
-    roots = [float((lo + hi) / 2) for lo, hi in found]
+    bound = 1 + max(ps)  # Cauchy's, q_k being monic
+    grid = _grid(Fraction(-bound), Fraction(bound), Fraction(1, 10**10))
+    roots = []
+    for c, guess in enumerate(closed[1:-1]):
+        lo, hi = _root_cell(ps, grid, seps[c : c + 2], signs[c : c + 2], guess)
+        roots.append(float((lo + hi) / 2))
     for got, want in zip(roots, closed[1:-1]):
         if abs(got - want) > ROOT_TOLERANCE:
             raise AssertionError(f"root {got} deviates from {want} by more than {ROOT_TOLERANCE}")
@@ -245,40 +250,6 @@ def _split_candidates(lo: Fraction, hi: Fraction) -> Iterator[Fraction]:
         k = k * 2 + 1  # eventually more candidates than a polynomial has roots
 
 
-def _isolate(
-    ps: list[int],
-    roots: int,
-    sep: Fraction,
-    below: Callable[[Fraction], int | None],
-    refine: Callable[[Fraction, Fraction, int], tuple[Fraction, Fraction]],
-) -> list[tuple[Fraction, Fraction]]:
-    """One refined interval per root of the squarefree ps, ascending, by bisection from (-B, B).
-
-    roots is the number of real roots of ps, no two closer than sep;
-    below(x) is the number below x, or None when x is a root.  A node
-    splits at its first split candidate that is not a root; a node (lo, hi)
-    holding exactly one root, with c roots below lo, becomes refine(lo, hi, c).
-    """
-    d = len(ps) - 1
-    bound = 1 + Fraction(max(abs(c) for c in ps), abs(ps[-1]))  # Cauchy's: every |root| is below it
-    found: list[tuple[Fraction, Fraction]] = []
-    # Entries (lo, roots below lo, hi, roots below hi), so each point is counted once.
-    stack = [(-bound, 0, bound, roots)]
-    while stack:
-        lo, c_lo, hi, c_hi = stack.pop()
-        count = c_hi - c_lo
-        if not 0 <= count <= d:
-            raise AssertionError(f"{count} roots counted for a degree-{d} polynomial")
-        if count == 1:
-            found.append(refine(lo, hi, c_lo))
-        elif count:
-            if hi - lo < sep:
-                raise AssertionError(f"{count} roots counted closer than the separation bound")
-            mid, c_mid = next((x, c) for x in _split_candidates(lo, hi) if (c := below(x)) is not None)
-            stack += [(lo, c_lo, mid, c_mid), (mid, c_mid, hi, c_hi)]
-    return sorted(found)
-
-
 def _chain_below(chain: list[list[int]], v_minus: int, x: Fraction) -> int | None:
     """V(-inf) - V(x), the number of roots of chain[0] below x; None when x is one."""
     values = [int_horner(q, x.numerator, x.denominator) for q in chain]
@@ -286,7 +257,10 @@ def _chain_below(chain: list[list[int]], v_minus: int, x: Fraction) -> int | Non
 
 
 def real_roots(p: Poly, tol: Fraction = Fraction(1, 10**10)) -> list[tuple[Fraction, Fraction]]:
-    """Enclosing intervals [lo, hi] with hi - lo <= tol, one per distinct real root."""
+    """Enclosing intervals [lo, hi] with hi - lo <= tol, one per distinct real root, ascending.
+
+    A node splits at its first split candidate that is not a root.
+    """
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -297,7 +271,23 @@ def real_roots(p: Poly, tol: Fraction = Fraction(1, 10**10)) -> list[tuple[Fract
     below = partial(_chain_below, chain, v_minus)
     d = len(ps) - 1  # >= 1; distinct roots lie at least sep apart (Mahler's bound, |disc| >= 1)
     sep = Fraction(1, d ** (d + 2) * sum(abs(c) for c in ps) ** (d - 1))
-    return _isolate(ps, v_minus - v_plus, sep, below, lambda lo, hi, c: _refine(ps, lo, hi, tol))
+    bound = 1 + Fraction(max(abs(c) for c in ps), abs(ps[-1]))  # Cauchy's: every |root| is below it
+    found: list[tuple[Fraction, Fraction]] = []
+    # Entries (lo, roots below lo, hi, roots below hi), so each point is counted once.
+    stack = [(-bound, 0, bound, v_minus - v_plus)]
+    while stack:
+        lo, c_lo, hi, c_hi = stack.pop()
+        count = c_hi - c_lo
+        if not 0 <= count <= d:
+            raise AssertionError(f"{count} roots counted for a degree-{d} polynomial")
+        if count == 1:
+            found.append(_refine(ps, lo, hi, tol))
+        elif count:
+            if hi - lo < sep:
+                raise AssertionError(f"{count} roots counted closer than the separation bound")
+            mid, c_mid = next((x, c) for x in _split_candidates(lo, hi) if (c := below(x)) is not None)
+            stack += [(lo, c_lo, mid, c_mid), (mid, c_mid, hi, c_hi)]
+    return sorted(found)
 
 
 def _grid(lo: Fraction, hi: Fraction, tol: Fraction) -> tuple[int, int, int, int]:
@@ -360,34 +350,32 @@ def _separators(points: list[float]) -> list[Fraction]:
     return out
 
 
-def _bracket_below(p: list[int], seps: list[Fraction], signs: list[int], x: Fraction) -> int | None:
-    """The number of roots of p below x, or None when x is one.
+def _root_cell(
+    p: list[int], grid: tuple[int, int, int, int], bracket: list[Fraction], ends: list[int], guess: float
+) -> tuple[Fraction, Fraction]:
+    """The cell (x_j, x_j+1) of grid holding p's one root in bracket, where p has signs ends."""
+    base, step, den, _ = grid
 
-    seps ascend and signs are p's at them; p has one simple root between
-    each two adjacent separators and none elsewhere, so p is evaluated only
-    at an x strictly inside a bracket.
-    """
-    j = bisect_right(seps, x)
-    if j == 0:
-        return 0
-    if j == len(seps) or x == seps[j - 1]:
-        return j - 1
-    v = int_horner(p, x.numerator, x.denominator)
-    # The bracket's root lies below x iff p's sign changed from seps[j - 1].
-    return j - (_sign(v) == signs[j - 1]) if v else None
+    def cell(x: Fraction) -> int:  # the j with x_j <= x < x_j+1
+        return (x.numerator * den - base * x.denominator) // (step * x.denominator)
 
+    first, last = cell(bracket[0]), cell(bracket[1])
 
-def _refine_near(p: list[int], lo: Fraction, hi: Fraction, tol: Fraction, guess: float) -> tuple[Fraction, Fraction]:
-    """_refine(p, lo, hi, tol), where guess approximates the one root in (lo, hi].
+    def sign(j: int) -> int:  # p's at x_j, or a separator's where x_j is not inside the bracket
+        if j <= first:
+            return ends[0]
+        if j > last:
+            return ends[1]
+        return _sign(int_horner(p, base + j * step, den))
 
-    The answer is the grid cell holding guess when p has nonzero, opposite
-    signs at its two ends.  Otherwise (guess is a cell off, or the root is
-    a grid point) _refine bisects the grid.
-    """
-    base, step, den, m = _grid(lo, hi, tol)
-    a, b = guess.as_integer_ratio()
-    j = min(max((a * den - base * b) // (step * b), 0), (1 << m) - 1)
-    x = base + j * step
-    if _sign(int_horner(p, x, den)) * _sign(int_horner(p, x + step, den)) < 0:
-        return Fraction(x, den), Fraction(x + step, den)
-    return _refine(p, lo, hi, tol)
+    lo = cell(Fraction(guess))
+    hi = lo + 1
+    if sign(lo) * sign(hi) >= 0:
+        lo, hi = first, last + 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            s = sign(mid)
+            if s == 0:
+                return Fraction(base + mid * step, den), Fraction(base + mid * step, den)
+            lo, hi = (mid, hi) if s == ends[0] else (lo, mid)
+    return Fraction(base + lo * step, den), Fraction(base + hi * step, den)

@@ -90,7 +90,7 @@ class TestQkCommand:
         [
             ("_separators", lambda seps: seps[1:], "q_3 does not alternate in sign at 4 ascending separators"),
             ("_separators", lambda seps: [t / 2 for t in seps], "q_3 does not alternate in sign at 4 ascending separators"),
-            ("_refine_near", lambda cell: tuple(x + Fraction(1, 10**6) for x in cell), "root "),
+            ("_root_cell", lambda cell: tuple(x + Fraction(1, 10**6) for x in cell), "root "),
         ],
         ids=["count", "alternation", "closed-form"],
     )

@@ -80,6 +80,12 @@ class TestIntStr:
         assert rat_str(x) == expected
         assert rat_str(10**5000) == "1" + "0" * 5000
 
+    def test_poly_repr_past_the_limit(self):
+        with no_digit_limit():
+            expected = f"Poly('{10**5000}*T + 2')"
+        assert repr(Poly((2, 10**5000))) == expected
+        assert repr(Poly((Fraction(-1, 2), 0, -1, 3))) == "Poly('3*T^3 - T^2 - 1/2')"
+
     def test_inexact_join_is_a_defect(self, monkeypatch):
         # A join that rounds traps Inexact, a DecimalException, which is an
         # ArithmeticError (bad input to the CLI); it must surface as a defect.

@@ -67,6 +67,13 @@ class TestMxBounds:
             mx_upper_bounds(3, 7, 1)
 
 
+@pytest.mark.parametrize("f", [pairing_congruence, mx_upper_bounds, fujiki_from_pairing])
+@pytest.mark.parametrize("n, a", [(3, 0), (3, -2), (0, 1), (-1, 1)])
+def test_sizes_below_one_refused(f, n, a):
+    with pytest.raises(ValueError, match=r"^need n >= 1 and a >= 1$"):
+        f(n, a, 1)
+
+
 class TestPairingCongruence:
     def test_a1_qlm1(self):
         facts = pairing_congruence(3, 1, 1)

@@ -2,7 +2,6 @@ import hashlib
 import math
 import random
 import signal
-from bisect import bisect_right
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache, partial
@@ -11,7 +10,7 @@ import pytest
 
 from hkrr import qkbasis
 from hkrr.cli import run
-from hkrr.exactpoly import ONE, Poly, X, ZERO, int_horner, poly_compose_affine, pseudo_divmod
+from hkrr.exactpoly import ONE, Poly, X, ZERO, integer_form, poly_compose_affine, pseudo_divmod
 from hkrr.qkbasis import (
     NotInSpan,
     _primitive,
@@ -109,9 +108,16 @@ def _q3_certificate():
 CERTIFIED_SIZES = (*range(0, 61), 80, 100)
 
 # sha256 of the stdout of `hkrr qk k --roots --laurent-check` for every k in
-# CERTIFIED_SIZES, recorded when qk_roots still had a walk of its own, so it
-# checks the shared walk independently of real_roots.
+# CERTIFIED_SIZES, recorded when qk_roots still had a walk of its own.  Now
+# that qk_roots reads its cells off one grid, test_equals_real_roots_midpoints
+# is once more an independent oracle too: the walk against the grid.
 QK_REPORTS_DIGEST = "187fc96f658108e464aefc8f5520a62c74a96b3ea08b748ec5a919b441682b38"
+
+# sha256 of repr(qk_roots(k)), recorded when qk_roots still ran the walk.
+QK_ROOTS_DIGESTS = {
+    120: "c174fdcd51d83cfb43f8c453c66d19880ce993f7ae34c839b04b3146969d1c37",
+    150: "0a67da1ee22b3bb5dad509fb3fc96a17bf7f141bcc7e4dc66bf88c806ca2d498",
+}
 
 
 class TestQkRootCertificate:
@@ -127,60 +133,98 @@ class TestQkRootCertificate:
             digest.update(capsys.readouterr().out.encode())
         assert digest.hexdigest() == QK_REPORTS_DIGEST
 
+    @pytest.mark.parametrize("k", sorted(QK_ROOTS_DIGESTS))
+    def test_roots_digest_past_the_oracle(self, k):
+        assert hashlib.sha256(repr(qk_roots(k)).encode()).hexdigest() == QK_ROOTS_DIGESTS[k]
+
     def test_every_cell_comes_from_the_closed_form(self, monkeypatch):
-        # _refine_near falls back to _refine only when the closed form misses
-        # its cell or the root is a grid point; neither happens for these k.
-        calls = []
-        refine = qkbasis._refine
-        monkeypatch.setattr(qkbasis, "_refine", lambda *args: calls.append(args) or refine(*args))
-        for k in CERTIFIED_SIZES:
-            qk_roots(k)
-        assert calls == []
-
-    @pytest.mark.parametrize(
-        "lo, hi, want, evaluated",
-        [
-            (Fraction(-3), Fraction(-1), (Fraction(-13, 5), 1), 2),  # the midpoint -2 is a root
-            (Fraction(-1, 8), Fraction(3), (Fraction(23, 16), 3), 0),  # above every bracket
-            (Fraction(-12), Fraction(-4), (Fraction(-8), 0), 0),  # below every bracket
-            (Fraction(-4), Fraction(-7, 2), (Fraction(-15, 4), 0), 0),  # on a separator
-            (Fraction(-1), Fraction(0), (Fraction(-1, 2), 3), 1),  # in a bracket, above its root
-            (Fraction(-1), Fraction(-1, 4), (Fraction(-5, 8), 2), 1),  # in a bracket, below its root
-        ],
-    )
-    def test_split_matches_split_point(self, monkeypatch, lo, hi, want, evaluated):
-        # _isolate splits a node at the first split candidate x whose count
-        # below(x) is not None; the chain and the bracket counters must agree.
-        def split(below):
-            return next((x, c) for x in qkbasis._split_candidates(lo, hi) if (c := below(x)) is not None)
-
-        ps, seps, signs = _q3_certificate()
-        chain = _squarefree_sturm(qk_poly(3))[1]
-        v_minus = qkbasis._variations_at_infinity(chain)[0]
-        assert split(partial(qkbasis._chain_below, chain, v_minus)) == want
+        # k + 1 separator signs and two cell ends per root: a fallback
+        # bisection would cost about 30 more evaluations for its root.
         calls = []
         horner = qkbasis.int_horner
         monkeypatch.setattr(qkbasis, "int_horner", lambda *args: calls.append(args) or horner(*args))
-        assert split(partial(qkbasis._bracket_below, ps, seps, signs)) == want
-        assert len(calls) == evaluated
+        for k in CERTIFIED_SIZES:
+            calls.clear()
+            qk_roots(k)
+            assert len(calls) <= 3 * k + 1, k
+
+    def test_rational_roots_are_off_the_grid(self):
+        # q_k's only rational roots are -1, -2 and -3, interior grid points
+        # of (-B, B) only if B is 2^a or 3 2^a: then the walk would split a
+        # node off its midpoint, and its cells would leave the grid.
+        for k in range(2, 411):
+            bound = 1 + max(integer_form(qk_poly(k))[0])
+            assert bound >> (bound & -bound).bit_length() - 1 not in (1, 3), k
+
+    @pytest.mark.parametrize(
+        "lo, hi, want",
+        [
+            (Fraction(-3), Fraction(-1), (Fraction(-13, 5), 1)),  # the midpoint -2 is a root
+            (Fraction(-1, 8), Fraction(3), (Fraction(23, 16), 3)),  # above every root
+            (Fraction(-12), Fraction(-4), (Fraction(-8), 0)),  # below every root
+            (Fraction(-4), Fraction(-7, 2), (Fraction(-15, 4), 0)),
+            (Fraction(-1), Fraction(0), (Fraction(-1, 2), 3)),  # above the root -2 + sqrt(2)
+            (Fraction(-1), Fraction(-1, 4), (Fraction(-5, 8), 2)),  # below the root -2 + sqrt(2)
+        ],
+    )
+    def test_split_matches_split_point(self, lo, hi, want):
+        # real_roots splits a node at the first split candidate x whose count
+        # _chain_below(x) is not None, that is, the first that is not a root.
+        chain = _squarefree_sturm(qk_poly(3))[1]
+        v_minus = qkbasis._variations_at_infinity(chain)[0]
+        below = partial(qkbasis._chain_below, chain, v_minus)
+        assert next((x, c) for x in qkbasis._split_candidates(lo, hi) if (c := below(x)) is not None) == want
 
     @pytest.mark.parametrize("cells", [-1, 0, 1])
     def test_guess_a_cell_off_falls_back_to_refine(self, monkeypatch, cells):
-        ps, lo, hi, tol = [4, 10, 6, 1], Fraction(-1), Fraction(0), Fraction(1, 10**10)
-        want = qkbasis._refine(ps, lo, hi, tol)
-        _, step, den, _ = qkbasis._grid(lo, hi, tol)
+        # A guess one cell off fails its two end signs, and the grid indices
+        # inside the bracket are bisected to the same cell.
+        ps, seps, signs = _q3_certificate()
+        grid = qkbasis._grid(Fraction(-11), Fraction(11), Fraction(1, 10**10))  # qk_roots' grid for q_3
+        want = real_roots(qk_poly(3), Fraction(1, 10**10))[2]
+        _, step, den, _ = grid
         assert want[1] - want[0] == Fraction(step, den)
         guess = math.sqrt(2) - 2 + cells * step / den
-        fallbacks = []
-        refine = qkbasis._refine
-        monkeypatch.setattr(qkbasis, "_refine", lambda *args: fallbacks.append(args) or refine(*args))
-        assert qkbasis._refine_near(ps, lo, hi, tol, guess) == want
-        assert len(fallbacks) == (cells != 0)
+        calls = []
+        horner = qkbasis.int_horner
+        monkeypatch.setattr(qkbasis, "int_horner", lambda *args: calls.append(args) or horner(*args))
+        assert qkbasis._root_cell(ps, grid, seps[2:], signs[2:], guess) == want
+        assert (len(calls) > 2) == (cells != 0)
 
     def test_root_on_the_grid_falls_back_to_refine(self):
-        # -2 is a root of q_3 and the midpoint of (-3, -1), so a grid point.
-        ps, lo, hi, tol = [4, 10, 6, 1], Fraction(-3), Fraction(-1), Fraction(1, 10**10)
-        assert qkbasis._refine_near(ps, lo, hi, tol, -2.0) == (Fraction(-2), Fraction(-2))
+        # -2 is a root of q_3 and the midpoint of (-3, -1), so a point of
+        # that grid: the bisection meets it and returns (-2, -2).
+        ps, seps, signs = _q3_certificate()
+        grid = qkbasis._grid(Fraction(-3), Fraction(-1), Fraction(1, 10**10))
+        for guess in (-2.0, -2.5, -1.3):
+            assert qkbasis._root_cell(ps, grid, seps[1:3], signs[1:3], guess) == (Fraction(-2), Fraction(-2))
+
+    @pytest.mark.parametrize("guess", [-4.0, -1.0, -0.25, 0.0])
+    def test_guess_outside_its_cell_is_bisected_inside_the_bracket(self, guess):
+        # A cell below or above the bracket has both ends read as one
+        # separator's sign, so it fails and the bracket is bisected.  Over
+        # (-4, 4) the separators -5/4 and -1/4 are grid points, so the cell
+        # holding -1/4 has both ends at or above the bracket.
+        # The grid over (-1, 0) has the same step, 2^-34, and points.
+        ps, seps, signs = _q3_certificate()
+        tol = Fraction(1, 10**10)
+        grid = qkbasis._grid(Fraction(-4), Fraction(4), tol)
+        want = qkbasis._refine(ps, Fraction(-1), Fraction(0), tol)
+        assert qkbasis._root_cell(ps, grid, seps[2:], signs[2:], guess) == want
+
+    def test_a_cell_across_a_separator_reads_the_separator(self, monkeypatch):
+        # 2^40 T - 2^38 - 1 has its root 1/4 + 2^-40 in the grid cell
+        # (1/4, 1/4 + 2^-34) over (-4, 4), across the separator 1/4 + 2^-41:
+        # the cell's lower end takes that separator's sign, unevaluated.
+        ps, tol = [-(2**38) - 1, 2**40], Fraction(1, 10**10)
+        grid = qkbasis._grid(Fraction(-4), Fraction(4), tol)
+        calls = []
+        horner = qkbasis.int_horner
+        monkeypatch.setattr(qkbasis, "int_horner", lambda *args: calls.append(args) or horner(*args))
+        cell = qkbasis._root_cell(ps, grid, [Fraction(1, 4) + Fraction(1, 2**41), Fraction(1)], [-1, 1], 0.25)
+        assert cell == (Fraction(1, 4), Fraction(1, 4) + Fraction(1, 2**34))
+        assert len(calls) == 1
+        assert cell == qkbasis._refine(ps, Fraction(-4), Fraction(4), tol)
 
 
 class TestDecomposeQk:
@@ -555,17 +599,6 @@ def _hang_detector(what):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _bracket_sign_flipped(p, seps, signs, x):
-    """qkbasis._bracket_below with its sign test inverted."""
-    j = bisect_right(seps, x)
-    if j == 0:
-        return 0
-    if j == len(seps) or x == seps[j - 1]:
-        return j - 1
-    v = int_horner(p, x.numerator, x.denominator)
-    return j - (_sign(v) != signs[j - 1]) if v else None
-
-
 class TestSturmChainGuard:
     @pytest.mark.parametrize("mutant", [_sign_rule_dropped, _parity_inverted])
     def test_wrong_chain_fails_instead_of_hanging(self, monkeypatch, mutant):
@@ -585,15 +618,22 @@ class TestSturmChainGuard:
         assert caught > 0
 
     def test_wrong_bracket_count_fails_instead_of_hanging(self, monkeypatch):
-        # A counter that puts a bracket's root on the wrong side of every
-        # split point keeps two roots in one shrinking node.  qk_roots' own
-        # separation bound, 4/(k + 1)^2, stops it within a few levels;
-        # Mahler's bound for q_k, about 2^(-1.39 k^2), would take thousands.
-        monkeypatch.setattr(qkbasis, "_bracket_below", _bracket_sign_flipped)
-        with _hang_detector("qk_roots with a wrong bracket count"):
+        # With every cell sign spoiled at random (the k + 1 separator signs
+        # are left alone), qk_roots must still end, in a result or in
+        # AssertionError: its cell search only ever narrows a finite range
+        # of grid indices.
+        with _hang_detector("qk_roots with spoiled cell signs"):
             for k in [*range(2, 61), 80, 100, 150]:
-                with pytest.raises(AssertionError, match="separation bound"):
+                rng, exact = random.Random(k), iter(range(k + 1))
+
+                def spoiled(v):
+                    return _sign(v) if next(exact, None) is not None else rng.choice((-1, 0, 1))
+
+                monkeypatch.setattr(qkbasis, "_sign", spoiled)
+                try:
                     qk_roots(k)
+                except AssertionError:
+                    pass
 
 
 class TestPseudoRemainderSign:
