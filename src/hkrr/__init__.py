@@ -5,7 +5,7 @@ Modules
 exactpoly   rational scalars, dense exact polynomials, residue sets
 chebbern    quarter-shift Chebyshev substitutes P_k by closed form, Bernoulli numbers
 chernrr     Riemann-Roch polynomial from Chern numbers (partition-product formula)
-qkbasis     positive symmetric basis, decompositions, exact root isolation
+qkbasis     positive symmetric basis, its certified roots, decompositions, reality test
 cnconst     certified gcd constants of square-difference products
 hkprofile   invariant bundles, known families, denominator and parity checks
 isosolver   residue sieve for the dimension-6 isotropic-class cases
@@ -63,5 +63,4 @@ from .qkbasis import (
     qk_laurent_check,
     qk_poly,
     qk_roots,
-    real_roots,
 )

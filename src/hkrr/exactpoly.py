@@ -368,7 +368,7 @@ def pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[i
     coefficient l; s = max(0, len(a) - len(b) + 1) is the number of
     division steps, len(r) < len(b) and r has no trailing zero.  This is
     the one division loop: ``Poly.__divmod__`` and the Sturm chains of
-    root isolation both scale its result.
+    ``all_roots_real`` both scale its result.
     """
     lead = b[-1]
     r = list(a)

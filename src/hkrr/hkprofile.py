@@ -253,7 +253,8 @@ def real_root_classifier(profile: HKProfile) -> RootVerdict:
 
     n = 2 uses the quadratic discriminant 4 a_x (4 a_x - 3); n = 3 first
     verifies the exact factorization Q_RR = (T+2)(a_x (T^2+4T) + 2) and then
-    signs 8 a_x (2 a_x - 1); n >= 4 falls back to exact root isolation.
+    signs 8 a_x (2 a_x - 1); n >= 4 falls back to the Sturm count of
+    all_roots_real.
     """
     n, a = profile.n, profile.a_x
     if n == 1:
@@ -267,4 +268,5 @@ def real_root_classifier(profile: HKProfile) -> RootVerdict:
             raise ProfileError("factorization failed")
         disc = 8 * a * (2 * a - 1)
         return RootVerdict(n=3, method="factored-discriminant", all_real=disc >= 0, discriminant=disc)
+    # Reports name this Sturm count "isolation"; renaming it would change every n >= 4 report.
     return RootVerdict(n=n, method="isolation", all_real=all_roots_real(profile.q_rr))

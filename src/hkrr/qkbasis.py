@@ -8,31 +8,28 @@ degrees, and has k simple real roots in (-4, 0).
 
 Decomposition of a symmetric polynomial into the q_k (or into shifted
 powers (T+s)^{n-2j}) is by descending-degree elimination, which is exact
-and yields uniqueness for free.  Root isolation is the one place floats
-appear, and only in the returned approximations.  real_roots bisects from
-(-B, B), B the Cauchy bound, splitting at exact rational nonroots and
-counting with the Sturm chain of a primitive integer polynomial (the sign
-of p(a/b) is that of b^d p(a/b); the counts at -B and B are read at -inf
-and +inf), then bisects each isolating interval on an integer grid.
+and yields uniqueness for free.  all_roots_real counts the distinct real
+roots with the Sturm chain of a primitive integer polynomial, its sign
+variations at -inf and +inf read from the leading coefficients.
 
 qk_roots needs no Sturm chain, since the roots of q_k are known in closed
 form, -4 sin^2(j pi/(2k + 2)).  Floats place k + 1 short dyadic separators
 between them; if q_k's exact signs at those ascending points are nonzero
 and alternate, each of the k brackets holds at least one root, so, q_k
-having degree k, exactly one, simple, and none lies outside.  Nor does it
-need the walk: splitting every node at its midpoint, the walk ends in the
-cells of one grid over (-B, B), x_j = -B + j 2B/2^M with M the least such
-that 2B/2^M <= tol, unless it meets a root at a grid point; q_k's only
-rational roots, -1, -2 and -3, are interior dyadic points of (-B, B) only
-if B is 2^a or 3 2^a, which for 2 <= k < 3000 it is not.
+having degree k, exactly one, simple, and none lies outside.  Each root's
+enclosure is the cell holding it of one grid over (-B, B), B the Cauchy
+bound: x_j = -B + j 2B/2^M, M the least such that 2B/2^M <= 10^-10, or
+(x_j, x_j) for a root at a grid point.  The sign of q_k at a/b is that of
+the integer b^k q_k(a/b).  Floats appear only in choosing the separators
+and the first cell tried, and in the returned midpoints.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache, partial
-from typing import Callable, Iterable, Iterator
+from functools import cache
+from typing import Callable, Iterable
 
 from .exactpoly import Poly, RatLike, as_rat, int_horner, integer_form, pseudo_divmod
 
@@ -43,7 +40,6 @@ __all__ = [
     "qk_roots",
     "decompose_qk",
     "decompose_shifted",
-    "real_roots",
     "all_roots_real",
 ]
 
@@ -85,13 +81,12 @@ def qk_roots(k: int) -> list[float]:
 
     The alternation certificate (see the module docstring) gives each root
     a bracket, and its enclosure is the cell of the grid over (-B, B) that
-    holds it, exactly real_roots(qk_poly(k))'.  A cell's end signs are read
-    inside its bracket, an end outside taking the separator's sign; nonzero
-    and opposite, they put the bracket's one root in the cell.  The cell
-    holding the closed form is tried first, so with no fallback q_k is
-    evaluated at most 3k + 1 times.  The fallback bisects the grid indices
-    in the bracket, within M steps; a zero at a grid point x gives (x, x),
-    as in _refine.
+    holds it.  A cell's end signs are read inside its bracket, an end
+    outside taking the separator's sign; nonzero and opposite, they put the
+    bracket's one root in the cell.  The cell holding the closed form is
+    tried first, so with no fallback q_k is evaluated at most 3k + 1 times.
+    The fallback bisects the grid indices in the bracket, within M steps;
+    a zero at a grid point x gives (x, x).
     Signs that fail to alternate at k + 1 ascending separators, or a
     midpoint farther than ROOT_TOLERANCE from the closed form, are a defect
     in hkrr and raise AssertionError.
@@ -109,7 +104,7 @@ def qk_roots(k: int) -> list[float]:
     ):
         raise AssertionError(f"q_{k} does not alternate in sign at {k + 1} ascending separators")
     bound = 1 + max(ps)  # Cauchy's, q_k being monic
-    grid = _grid(Fraction(-bound), Fraction(bound), Fraction(1, 10**10))
+    grid = _grid(-bound, bound, Fraction(1, 10**10))
     roots = []
     for c, guess in enumerate(closed[1:-1]):
         lo, hi = _root_cell(ps, grid, seps[c : c + 2], signs[c : c + 2], guess)
@@ -154,12 +149,12 @@ def _eliminate(p: Poly, basis: Callable[[int], Poly]) -> list[Fraction]:
     return out
 
 
-# -- exact real-root isolation (integer Sturm chains, grid-exact refinement) --
+# -- whether every root is real (integer Sturm chains) --
 #
 # A polynomial here is the ascending list of its integer coefficients, made
 # primitive (content divided out, sign kept).  Every element of the Sturm
 # chain is a positive multiple of the one Euclidean division over Q gives,
-# so every sign, every sign count and hence every enclosure is the same.
+# so every sign and every sign count is the same.
 
 
 def _primitive(cs: list[int]) -> list[int]:
@@ -222,111 +217,17 @@ def _variations(values: Iterable[int]) -> int:
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
-def _variations_at_infinity(chain: list[list[int]]) -> tuple[int, int]:
-    """(V(-inf), V(+inf)), read from the signs of the leading coefficients.
-
-    Every root lies in (-B, B) for the Cauchy bound B, so these equal
-    V(-B) and V(B) without evaluating the chain there.
-    """
-    at_minus = _variations(q[-1] if len(q) % 2 else -q[-1] for q in chain)
-    return at_minus, _variations(q[-1] for q in chain)
-
-
 def all_roots_real(p: Poly) -> bool:
-    """True iff every complex root of p is real (multiplicity discounted)."""
+    """True iff every complex root of p is real (multiplicity discounted).
+
+    Sturm's theorem counts the distinct real roots as V(-inf) - V(+inf),
+    read from the signs of the chain's leading coefficients.
+    """
     if p.degree < 1:
         return not p.is_zero()
     ps, chain = _squarefree_sturm(p)
-    v_minus, v_plus = _variations_at_infinity(chain)
-    return v_minus - v_plus == len(ps) - 1
-
-
-def _split_candidates(lo: Fraction, hi: Fraction) -> Iterator[Fraction]:
-    """lo + (hi - lo) * i/k for i = 1..k-1 and k = 2, 5, 11, ...: strictly inside."""
-    k = 2
-    while True:
-        for i in range(1, k):
-            yield lo + (hi - lo) * Fraction(i, k)
-        k = k * 2 + 1  # eventually more candidates than a polynomial has roots
-
-
-def _chain_below(chain: list[list[int]], v_minus: int, x: Fraction) -> int | None:
-    """V(-inf) - V(x), the number of roots of chain[0] below x; None when x is one."""
-    values = [int_horner(q, x.numerator, x.denominator) for q in chain]
-    return v_minus - _variations(values) if values[0] else None
-
-
-def real_roots(p: Poly, tol: Fraction = Fraction(1, 10**10)) -> list[tuple[Fraction, Fraction]]:
-    """Enclosing intervals [lo, hi] with hi - lo <= tol, one per distinct real root, ascending.
-
-    A node splits at its first split candidate that is not a root.
-    """
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    if p.degree < 1:
-        return []
-    ps, chain = _squarefree_sturm(p)
-    v_minus, v_plus = _variations_at_infinity(chain)
-    below = partial(_chain_below, chain, v_minus)
-    d = len(ps) - 1  # >= 1; distinct roots lie at least sep apart (Mahler's bound, |disc| >= 1)
-    sep = Fraction(1, d ** (d + 2) * sum(abs(c) for c in ps) ** (d - 1))
-    bound = 1 + Fraction(max(abs(c) for c in ps), abs(ps[-1]))  # Cauchy's: every |root| is below it
-    found: list[tuple[Fraction, Fraction]] = []
-    # Entries (lo, roots below lo, hi, roots below hi), so each point is counted once.
-    stack = [(-bound, 0, bound, v_minus - v_plus)]
-    while stack:
-        lo, c_lo, hi, c_hi = stack.pop()
-        count = c_hi - c_lo
-        if not 0 <= count <= d:
-            raise AssertionError(f"{count} roots counted for a degree-{d} polynomial")
-        if count == 1:
-            found.append(_refine(ps, lo, hi, tol))
-        elif count:
-            if hi - lo < sep:
-                raise AssertionError(f"{count} roots counted closer than the separation bound")
-            mid, c_mid = next((x, c) for x in _split_candidates(lo, hi) if (c := below(x)) is not None)
-            stack += [(lo, c_lo, mid, c_mid), (mid, c_mid, hi, c_hi)]
-    return sorted(found)
-
-
-def _grid(lo: Fraction, hi: Fraction, tol: Fraction) -> tuple[int, int, int, int]:
-    """(base, step, den, m): bisection's grid x_j = (base + j*step)/den, j = 0..2^m.
-
-    m is the number of halvings that bring hi - lo to width <= tol.
-    """
-    den = math.lcm(lo.denominator, hi.denominator)
-    a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
-    width, allowed = (b - a) * tol.denominator, tol.numerator * den
-    m = max(width.bit_length() - allowed.bit_length(), 0)
-    m += width > allowed << m
-    return a << m, b - a, den << m, m
-
-
-def _refine(p: list[int], lo: Fraction, hi: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
-    """Bisect an isolating interval for a simple root to width <= tol.
-
-    Requires p(lo) != 0 and exactly one root in (lo, hi].  The midpoints
-    lie on _grid's x_j, so each sign is that of the integer den^d p(x_j);
-    a midpoint that is the root gives (x_j, x_j).
-    """
-    base, step, den, m = _grid(lo, hi, tol)
-    fl, fr = int_horner(p, base, den), int_horner(p, base + (step << m), den)
-    if fl == 0:
-        raise AssertionError("isolating interval may not start at a root")
-    if fr == 0:
-        return (hi, hi)
-    if (fl > 0) == (fr > 0):
-        raise AssertionError("interval does not isolate a simple root")
-    j = 0  # the index of the root's cell, found one bit at a time from the top
-    for i in reversed(range(m)):
-        x = base + (j + (1 << i)) * step
-        y = int_horner(p, x, den)
-        if y == 0:
-            return (Fraction(x, den), Fraction(x, den))
-        if (y > 0) == (fl > 0):
-            j += 1 << i
-    return (Fraction(base + j * step, den), Fraction(base + (j + 1) * step, den))
+    at_minus = _variations(q[-1] if len(q) % 2 else -q[-1] for q in chain)
+    return at_minus - _variations(q[-1] for q in chain) == len(ps) - 1
 
 
 # -- q_k's roots from the alternation certificate (see the module docstring) --
@@ -350,11 +251,22 @@ def _separators(points: list[float]) -> list[Fraction]:
     return out
 
 
+def _grid(lo: int, hi: int, tol: Fraction) -> tuple[int, int, int]:
+    """(base, step, den): the grid x_j = (base + j*step)/den, j = 0..2^m, over [lo, hi].
+
+    den = 2^m, m the least number of halvings that bring hi - lo to width <= tol.
+    """
+    width, allowed = (hi - lo) * tol.denominator, tol.numerator
+    m = max(width.bit_length() - allowed.bit_length(), 0)
+    m += width > allowed << m
+    return lo << m, hi - lo, 1 << m
+
+
 def _root_cell(
-    p: list[int], grid: tuple[int, int, int, int], bracket: list[Fraction], ends: list[int], guess: float
+    p: list[int], grid: tuple[int, int, int], bracket: list[Fraction], ends: list[int], guess: float
 ) -> tuple[Fraction, Fraction]:
     """The cell (x_j, x_j+1) of grid holding p's one root in bracket, where p has signs ends."""
-    base, step, den, _ = grid
+    base, step, den = grid
 
     def cell(x: Fraction) -> int:  # the j with x_j <= x < x_j+1
         return (x.numerator * den - base * x.denominator) // (step * x.denominator)
