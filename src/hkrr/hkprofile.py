@@ -253,8 +253,17 @@ def real_root_classifier(profile: HKProfile) -> RootVerdict:
 
     n = 2 uses the quadratic discriminant 4 a_x (4 a_x - 3); n = 3 first
     verifies the exact factorization Q_RR = (T+2)(a_x (T^2+4T) + 2) and then
-    signs 8 a_x (2 a_x - 1); n >= 4 falls back to the Sturm count of
-    all_roots_real.
+    signs 8 a_x (2 a_x - 1).  n >= 4 uses the reflection symmetry
+    Q_RR(-4 - T) = (-1)^n Q_RR(T): S(x) = Q_RR(x - 2) is x^e R(x^2),
+    e = n mod 2, with R of degree n // 2; a coefficient of S of the other
+    parity raises ``ProfileError``.  The roots of Q_RR are -2 +- sqrt(u)
+    for the roots u of R, and -2 when e = 1, so all are real iff every root
+    of R is real and >= 0.  A real-rooted R has no negative root iff its
+    coefficients weakly alternate in sign, (-1)^j r_j never taking both
+    signs: Vieta's formulas give the alternation when every root is >= 0,
+    and with it R(-u) is a sum of terms of one sign, nonzero for u > 0.
+    So the verdict is that alternation and the Sturm count of
+    all_roots_real on R.
     """
     n, a = profile.n, profile.a_x
     if n == 1:
@@ -268,5 +277,11 @@ def real_root_classifier(profile: HKProfile) -> RootVerdict:
             raise ProfileError("factorization failed")
         disc = 8 * a * (2 * a - 1)
         return RootVerdict(n=3, method="factored-discriminant", all_real=disc >= 0, discriminant=disc)
+    s, _ = integer_form(poly_compose_affine(profile.q_rr, 1, -2))
+    e = n % 2
+    if any(s[1 - e :: 2]):
+        raise ProfileError("no symmetry about -2")
+    r = s[e::2]
+    alternating = len({(c > 0) == (j % 2 == 0) for j, c in enumerate(r) if c}) <= 1
     # Reports name this Sturm count "isolation"; renaming it would change every n >= 4 report.
-    return RootVerdict(n=n, method="isolation", all_real=all_roots_real(profile.q_rr))
+    return RootVerdict(n=n, method="isolation", all_real=alternating and all_roots_real(Poly(r)))

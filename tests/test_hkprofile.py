@@ -4,6 +4,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkrr.exactpoly import Poly, X, poly_compose_affine
 from hkrr.hkprofile import (
@@ -17,6 +19,7 @@ from hkrr.hkprofile import (
     profile_from_prr,
     real_root_classifier,
 )
+from hkrr.qkbasis import all_roots_real, qk_poly
 
 
 class TestDoubleFactorial:
@@ -292,3 +295,68 @@ class TestRealRootClassifier:
         prof = profile_from_prr(4, p)
         verdict = real_root_classifier(prof)
         assert verdict.method == "isolation" and not verdict.all_real
+
+    def test_real_rooted_r_with_a_negative_root_is_not_all_real(self):
+        # Q_RR = ((T+2)^4 - 1)/3 has R(u) = (u^2 - 1)/3, real-rooted, but its
+        # root u = -1 gives Q_RR the roots -2 +- i: only the sign alternation
+        # of R's coefficients rules it out.
+        prof = profile_from_prr(4, (Poly((2, 1)) ** 4 - 1) / 3)
+        assert prof.a_x == Fraction(1, 3)
+        verdict = real_root_classifier(prof)
+        assert verdict.method == "isolation" and not verdict.all_real
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_asymmetric_profile_raises(self, n):
+        prof = profile_from_prr(n, known_family_prr("split", n))
+        with pytest.raises(ProfileError, match="^no symmetry about -2$"):
+            real_root_classifier(replace(prof, q_rr=prof.q_rr + X))
+
+    @pytest.mark.parametrize("kind", ["split", "product"])
+    def test_families_agree_with_full_degree_sturm(self, kind):
+        for n in range(4, 121):
+            prof = profile_from_prr(n, known_family_prr(kind, n))
+            assert real_root_classifier(prof).all_real == all_roots_real(prof.q_rr), n
+
+
+def _hand_built(q: Poly) -> HKProfile:
+    """A profile with Q_RR = q that skips validate; the n >= 4 verdict reads only n and q_rr."""
+    one = Fraction(1)
+    return HKProfile(n=q.degree, c_x=one, n_x=2 * one, m_x=one, a_x=one / 2, p_rr=q, q_rr=q)
+
+
+RATIONALS = st.fractions(min_value=-8, max_value=8, max_denominator=6)
+ORACLE_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+class TestRootVerdictOracle:
+    """The n >= 4 verdict on R(u), u = (T+2)^2, against all_roots_real on Q_RR itself."""
+
+    @ORACLE_SETTINGS
+    @given(n=st.integers(4, 16), data=st.data())
+    def test_signed_qk_combinations(self, n, data):
+        # Each q_{n-2i} has Q_RR's reflection symmetry, so every such sum does.
+        bs = [data.draw(RATIONALS.filter(bool))] + data.draw(st.lists(RATIONALS, max_size=n // 2))
+        q = sum((qk_poly(n - 2 * i) * b for i, b in enumerate(bs)), Poly())
+        assert real_root_classifier(_hand_built(q)).all_real == all_roots_real(q)
+
+    @ORACLE_SETTINGS
+    @given(
+        us=st.lists(st.one_of(st.just(Fraction(0)), RATIONALS), min_size=1, max_size=5),
+        repeats=st.integers(0, 2),
+        pairs=st.lists(st.tuples(RATIONALS, RATIONALS.filter(bool)), max_size=2),
+        odd=st.booleans(),
+        scale=RATIONALS.filter(bool),
+    )
+    def test_factored_in_u(self, us, repeats, pairs, odd, scale):
+        # Q_RR = scale (T+2)^odd prod ((T+2)^2 - u) prod (((T+2)^2 - a)^2 + b^2):
+        # every root is real iff each u >= 0 and there is no pair a +- ib.
+        w = Poly((4, 4, 1))  # (T+2)^2
+        q = Poly((2, 1)) ** odd * scale
+        for u in us + us[:repeats]:
+            q = q * (w - u)
+        for a, b in pairs:
+            q = q * ((w - a) ** 2 + b * b)
+        if q.degree < 4:
+            q = q * w
+        want = min(us) >= 0 and not pairs
+        assert real_root_classifier(_hand_built(q)).all_real == all_roots_real(q) == want

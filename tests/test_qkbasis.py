@@ -105,6 +105,17 @@ def _q3_certificate():
     return ps, seps, [qkbasis._sign(qkbasis.int_horner(ps, t.numerator, t.denominator)) for t in seps]
 
 
+def _qk_cauchy_bound(k: int) -> int:
+    """B = 1 + the largest coefficient of q_k, without building q_k.
+
+    c_j = binom(k+j+1, 2j+1) has c_{j+1}/c_j = (k+j+2)(k-j)/((2j+3)(2j+2)),
+    which is >= 1 iff 5j^2 + 12j + 6 <= k^2 + 2k: the coefficients rise,
+    then fall, and peak within two of j0 = (isqrt(5k^2 + 10k + 6) - 6) // 5.
+    """
+    j0 = (math.isqrt(5 * k * k + 10 * k + 6) - 6) // 5
+    return 1 + max(math.comb(k + j + 1, 2 * j + 1) for j in range(max(j0 - 1, 0), min(j0 + 2, k) + 1))
+
+
 CERTIFIED_SIZES = (*range(0, 61), 80, 100)
 
 # sha256 of the stdout of `hkrr qk k --roots --laurent-check` for every k in
@@ -150,12 +161,17 @@ class TestQkRootCertificate:
             qk_roots(k)
             assert len(calls) <= 3 * k + 1, k
 
+    def test_cauchy_bound_from_the_peak_coefficient(self):
+        for k in range(0, 411):
+            assert _qk_cauchy_bound(k) == 1 + max(integer_form(qk_poly(k))[0]), k
+
     def test_rational_roots_are_off_the_grid(self):
         # q_k's only rational roots are -1, -2 and -3, interior grid points
         # of (-B, B) only if B is 2^a or 3 2^a: then the Fraction walk would
         # split a node off its midpoint, and its cells would leave the grid.
-        for k in range(2, 411):
-            bound = 1 + max(integer_form(qk_poly(k))[0])
+        # README states it for 2 <= k < 3000.
+        for k in range(2, 3000):
+            bound = _qk_cauchy_bound(k)
             assert bound >> (bound & -bound).bit_length() - 1 not in (1, 3), k
 
     @pytest.mark.parametrize("cells", [-1, 0, 1])
