@@ -1,18 +1,22 @@
 """Command-line surface: every subcommand emits one deterministic report.
 
-A report is {"command", "inputs", "results", "claims"}; --markdown renders
-the same object as nested sections instead of JSON.  Exit codes: 0 success,
-1 validation error, 64 usage error, 70 internal error (a defect in hkrr,
-reported in one line).
+A report is {"command", "inputs", "results", "claims"}, made plain by
+``exactpoly.jsonable``.  render_json writes it with the bytes of
+``json.dumps(report, indent=2)``; --markdown renders the same object as
+nested sections instead.  Exit codes: 0 success, 1 validation error, 64
+usage error, 70 internal error (a defect in hkrr, such as a report value
+that cannot be written, reported in one line).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
 from . import __version__
@@ -218,6 +222,101 @@ _HANDLERS = {
 }
 
 
+def render_json(tree: Any) -> str:
+    """``json.dumps(tree, indent=2)``, byte for byte, for a plain tree such as ``jsonable`` gives.
+
+    json's encoder takes its pure-Python path whenever ``indent`` is set
+    (before Python 3.13); this writer keeps its C string escaper and its
+    rules: ``int.__repr__`` and ``float.__repr__`` (``NaN``, ``Infinity``),
+    a list or tuple as an array, dict keys coerced to str, ``[]`` and ``{}``
+    for empty containers, and the same ``TypeError`` for any other value.
+    """
+    out: list[str] = []
+    _write_json(tree, out, "\n")
+    return "".join(out)
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# The text of each scalar type; json writes a subclass of str, int or float as its base.
+_JSON_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _json_float,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_scalar(value: Any) -> str | None:
+    """The JSON text of a str, int, bool, float or None; None for any other value."""
+    text = _JSON_TEXT.get(type(value))
+    if text is not None:
+        return text(value)
+    for base in (str, int, float):
+        if isinstance(value, base):
+            return _JSON_TEXT[base](value)
+    return None
+
+
+def _json_key(key: Any) -> str:
+    """A dict key coerced to str as json coerces it."""
+    text = key if isinstance(key, str) else _json_scalar(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return encode_basestring_ascii(text)
+
+
+def _write_json(value: Any, out: list[str], newline: str) -> None:
+    """Append value's text to out; newline is the line break and indent of value's own level.
+
+    A scalar item is written in the loop, by its exact type, with no call of this function.
+    """
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            sep = "," + inner
+            text = _JSON_TEXT.get(type(item))
+            if text is None:
+                _write_json(item, out, inner)
+            else:
+                out.append(text(item))
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        sep = "{" + inner
+        for key, item in value.items():
+            out.append(sep)
+            sep = "," + inner
+            out.append((encode_basestring_ascii(key) if type(key) is str else _json_key(key)) + ": ")
+            text = _JSON_TEXT.get(type(item))
+            if text is None:
+                _write_json(item, out, inner)
+            else:
+                out.append(text(item))
+        out.append(newline + "}")
+    else:
+        text = _json_scalar(value)
+        if text is None:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        out.append(text)
+
+
 def render_markdown(report: dict) -> str:
     lines = [f"# hkrr {report['command']}", ""]
     _render_value(report, lines, 0)
@@ -263,16 +362,14 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         inputs, results, claims = _HANDLERS[args.command](args)
         report = jsonable({"command": args.command, "inputs": inputs, "results": results, "claims": claims})
+        text = render_markdown(report) if args.fmt == "markdown" else render_json(report) + "\n"
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # a defect, such as a failed internal assertion
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    if args.fmt == "markdown":
-        print(render_markdown(report), end="")
-    else:
-        print(json.dumps(report, indent=2))
+    print(text, end="")
     return EXIT_OK
 
 

@@ -91,8 +91,12 @@ def json_echo(value: object, depth: int = 3) -> str:
 
 def rat_str(x: Fraction | int) -> str:
     """Serialize a rational as "p/q", or just "p" when the denominator is 1, at any size."""
-    num = _int_str(x.numerator)
-    return num if x.denominator == 1 else f"{num}/{_int_str(x.denominator)}"
+    return _ratio_str(x.numerator, x.denominator)
+
+
+def _ratio_str(num: int, den: int) -> str:
+    """num/den, in lowest terms with den > 0, as ``rat_str`` writes it."""
+    return _int_str(num) if den == 1 else f"{_int_str(num)}/{_int_str(den)}"
 
 
 def _int_str(n: int) -> str:
@@ -119,16 +123,22 @@ def _int_str(n: int) -> str:
 def jsonable(value: object) -> object:
     """The JSON form of a report value; the one place the report format is set.
 
-    A Fraction becomes "p/q", a Poly ``{"coeffs": [...]}``, a set a sorted
-    list, a named tuple an object, any other list or tuple a list, a dict a
-    dict, and a dataclass an object of its fields in declaration order.  A
-    field whose metadata carries ``"json"`` is written by that function
-    instead.  Every other value (int, bool, str, float, None) is kept as is.
+    A str, int, bool, float or None is kept as is.  A Fraction becomes
+    "p/q", a Poly ``{"coeffs": [...]}``, a set a sorted list, a named tuple
+    an object, any other list or tuple a list, a dict a dict, and a
+    dataclass an object of its fields in declaration order.  A field whose
+    metadata carries ``"json"`` is written by that function instead.  A
+    Poly's coefficients are written from its integer form: each c/den is
+    reduced by one gcd and written as ``rat_str`` writes it, with no
+    Fraction built.
     """
+    if value is None or isinstance(value, (str, int, float)):
+        return value
     if isinstance(value, Fraction):
         return rat_str(value)
     if isinstance(value, Poly):
-        return {"coeffs": jsonable(value.coeffs)}
+        den = value._den
+        return {"coeffs": [_ratio_str(c // (g := math.gcd(c, den)), den // g) for c in value._nums]}
     if isinstance(value, (set, frozenset)):
         return jsonable(sorted(value))
     if isinstance(value, tuple) and hasattr(value, "_fields"):

@@ -9,10 +9,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hkrr.cli
 import hkrr.qkbasis
-from hkrr.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, render_markdown, run
+from hkrr.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, render_json, render_markdown, run
 from hkrr.cnconst import cn_value
 from hkrr.exactpoly import Poly
 from hkrr.hkprofile import denominator_check, known_family_prr, profile_from_prr
@@ -434,6 +436,74 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: internal: {type(exc).__name__}: {exc}\n"
+
+
+    def test_unwritable_report_is_internal(self, capsys, monkeypatch):
+        monkeypatch.setitem(hkrr.cli._HANDLERS, "qk", lambda args: ({}, {"x": object()}, []))
+        assert run(["qk", "3"]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: internal: TypeError: Object of type object is not JSON serializable\n"
+
+
+# Quotes, backslashes, control characters, non-ASCII, astral and lone surrogates.
+JSON_STRINGS = st.text(
+    st.one_of(st.characters(exclude_categories=()), st.sampled_from('"\\\x00\x1f\x7f\u2028é😀\ud800\udfff')),
+    max_size=6,
+)
+JSON_FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0]))
+JSON_KEYS = st.one_of(JSON_STRINGS, st.integers(), JSON_FLOATS, st.booleans(), st.none())
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**4000), 10**4000),  # below the 4,300-digit int-to-str limit
+    JSON_FLOATS,
+    JSON_STRINGS,
+)
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(JSON_KEYS, kids, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+class TestRenderJson:
+    """render_json against json.dumps(indent=2), the oracle it must equal byte for byte."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(tree=JSON_TREES)
+    def test_equals_json_dumps(self, tree):
+        assert render_json(tree) == json.dumps(tree, indent=2)
+
+    def test_subclasses_are_written_as_their_base(self):
+        class Text(str):
+            pass
+
+        class Count(int):
+            def __repr__(self):
+                return "count"
+
+        class Real(float):
+            def __repr__(self):
+                return "real"
+
+        tree = {Text("k"): [Text("v"), Real(0.5), Real("nan"), Count(7)], Count(3): {Real(2.0): ()}}
+        assert render_json(tree) == json.dumps(tree, indent=2)
+
+    @pytest.mark.parametrize(
+        "tree", [object(), {"x": object()}, [1, Fraction(1, 2)], {(1, 2): 0}, [{"a": {frozenset(): 1}}]]
+    )
+    def test_unwritable_value_raises_as_json_does(self, tree):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(tree, indent=2)
+        with pytest.raises(TypeError) as got:
+            render_json(tree)
+        assert str(got.value) == str(expected.value)
 
 
 class TestSharedParser:

@@ -152,6 +152,21 @@ class TestJsonable:
         assert jsonable(ZERO) == {"coeffs": []}
         assert Poly((Fraction(1, 3), 0, -2)).to_json() == {"coeffs": ["1/3", "0", "-2"]}
 
+    @pytest.mark.parametrize(
+        "p",
+        [
+            ZERO,
+            Poly((5, -7, 0, 12)),
+            Poly((-1, Fraction(-3, 4), -6)),
+            Poly((Fraction(1, 6), Fraction(1, 2), 3, Fraction(-2, 3), 0, Fraction(5, 6))),
+            # Past _STR_BITS and past the 4,300-digit int-to-str limit.
+            Poly((Fraction(2**15000 + 1, 3), -(10**5000), Fraction(-1, 2**15001 - 1))),
+        ]
+        + [rand_poly(random.Random(seed), max_deg=8, denom=30) for seed in range(12)],
+    )
+    def test_poly_equals_rat_str_of_its_coeffs(self, p):
+        assert jsonable(p) == {"coeffs": [rat_str(c) for c in p.coeffs]}
+
     def test_sets_are_sorted(self):
         assert jsonable(frozenset({5, 1, 3})) == [1, 3, 5]
         assert jsonable({Fraction(1, 2), Fraction(-1, 3)}) == ["-1/3", "1/2"]
