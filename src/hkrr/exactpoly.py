@@ -287,7 +287,10 @@ class Poly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._nums, self._den))
+        if len(self._nums) > 1:
+            return hash((self._nums, self._den))
+        # A constant equals its value (Poly((3,)) == 3), so it hashes as one.
+        return hash(Fraction(self._nums[0], self._den)) if self._nums else 0
 
     def __bool__(self) -> bool:
         return bool(self._nums)
@@ -377,8 +380,8 @@ def pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[i
     a and b are ascending integer coefficient lists, b with nonzero leading
     coefficient l; s = max(0, len(a) - len(b) + 1) is the number of
     division steps, len(r) < len(b) and r has no trailing zero.  This is
-    the one division loop: ``Poly.__divmod__`` and the Sturm chains of
-    ``all_roots_real`` both scale its result.
+    the one division loop: ``Poly.__divmod__`` scales q and r, and the
+    Sturm chain of ``all_roots_real`` keeps r only, made primitive.
     """
     lead = b[-1]
     r = list(a)

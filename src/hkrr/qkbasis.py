@@ -10,7 +10,10 @@ Decomposition of a symmetric polynomial into the q_k (or into shifted
 powers (T+s)^{n-2j}) is by descending-degree elimination, which is exact
 and yields uniqueness for free.  all_roots_real counts the distinct real
 roots with the Sturm chain of a primitive integer polynomial, its sign
-variations at -inf and +inf read from the leading coefficients.
+variations at -inf and +inf read from the leading coefficients.  The chain
+need not be squarefree: it ends in g, gcd(p, p') up to a nonzero factor,
+p has deg p - deg g distinct roots, and every root is real iff the count
+equals that.
 
 qk_roots needs no Sturm chain, since the roots of q_k are known in closed
 form, -4 sin^2(j pi/(2k + 2)).  Floats place k + 1 short dyadic separators
@@ -154,7 +157,11 @@ def _eliminate(p: Poly, basis: Callable[[int], Poly]) -> list[Fraction]:
 # A polynomial here is the ascending list of its integer coefficients, made
 # primitive (content divided out, sign kept).  Every element of the Sturm
 # chain is a positive multiple of the one Euclidean division over Q gives,
-# so every sign and every sign count is the same.
+# so every sign and every sign count is the same.  p need not be squarefree:
+# the chain ends in a multiple g of gcd(p, p'), and every element is g times
+# the Sturm chain of p/g.  g has one sign near -inf and one near +inf, so
+# V(-inf) - V(+inf) is the number of distinct real roots of p, while p has
+# deg p - deg g distinct complex roots.
 
 
 def _primitive(cs: list[int]) -> list[int]:
@@ -177,7 +184,11 @@ def _sturm_step(a: list[int], b: list[int]) -> list[int]:
 
 
 def _sturm_chain(p: list[int]) -> list[list[int]]:
-    """p, p', then _sturm_step until a constant or an exact division."""
+    """p, p', then _sturm_step until a constant or an exact division.
+
+    The last element is gcd(p, p') times a nonzero integer, a constant when
+    p is squarefree.
+    """
     chain = [p, _primitive([i * c for i, c in enumerate(p)][1:])]
     while len(chain[-1]) > 1:
         nxt = _sturm_step(chain[-2], chain[-1])
@@ -185,31 +196,6 @@ def _sturm_chain(p: list[int]) -> list[list[int]]:
             break
         chain.append(nxt)
     return chain
-
-
-def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
-    """a / b in Z[T]; b primitive and dividing a."""
-    q, r = pseudo_divmod(a, b)
-    scale = b[-1] ** len(q)
-    if r or any(c % scale for c in q):
-        raise AssertionError("gcd does not divide polynomial")
-    return [c // scale for c in q]
-
-
-def _squarefree_sturm(p: Poly) -> tuple[list[int], list[list[int]]]:
-    """The primitive squarefree part of p (same sign as p) and its Sturm chain.
-
-    p has degree >= 1.  The chain of p ends in gcd(p, p'); when that is not
-    constant, p is divided by it, leading coefficient made positive, and
-    the chain is built again.
-    """
-    ps = _primitive(integer_form(p)[0])
-    chain = _sturm_chain(ps)
-    g = chain[-1]
-    if len(g) > 1:
-        ps = _exact_quotient(ps, g if g[-1] > 0 else [-c for c in g])
-        chain = _sturm_chain(ps)
-    return ps, chain
 
 
 def _variations(values: Iterable[int]) -> int:
@@ -221,13 +207,15 @@ def all_roots_real(p: Poly) -> bool:
     """True iff every complex root of p is real (multiplicity discounted).
 
     Sturm's theorem counts the distinct real roots as V(-inf) - V(+inf),
-    read from the signs of the chain's leading coefficients.
+    read from the signs of the chain's leading coefficients.  The chain ends
+    in g, a multiple of gcd(p, p'), and p has deg p - deg g distinct roots:
+    every one is real iff the count equals that.
     """
     if p.degree < 1:
         return not p.is_zero()
-    ps, chain = _squarefree_sturm(p)
+    chain = _sturm_chain(_primitive(integer_form(p)[0]))
     at_minus = _variations(q[-1] if len(q) % 2 else -q[-1] for q in chain)
-    return at_minus - _variations(q[-1] for q in chain) == len(ps) - 1
+    return at_minus - _variations(q[-1] for q in chain) == len(chain[0]) - len(chain[-1])
 
 
 # -- q_k's roots from the alternation certificate (see the module docstring) --

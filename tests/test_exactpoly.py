@@ -776,6 +776,15 @@ class TestCanonicalForm:
             assert integer_form(zero) == ((), 1)
             assert zero == ZERO and hash(zero) == hash(ZERO)
 
+    def test_constant_hashes_as_its_value(self):
+        for value in (3, -7, Fraction(-3, 7), Fraction(4, 2)):
+            const = Poly((value,))
+            assert const == value and hash(const) == hash(value)
+        assert ZERO == 0 and hash(ZERO) == hash(0)
+        assert {3: "x"}[Poly((3,))] == "x"
+        assert {Fraction(1, 2): "half"}[Poly((Fraction(1, 2),))] == "half"
+        assert len({Poly((3,)), 3}) == 1 and len({ZERO, 0}) == 1
+
     def test_division_by_zero_raises(self):
         p = Poly((1, Fraction(2, 3)))
         for zero in (0, Fraction(0), "0"):

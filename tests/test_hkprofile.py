@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from dataclasses import replace
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hkrr.cli import run
 from hkrr.exactpoly import Poly, X, poly_compose_affine
 from hkrr.hkprofile import (
     HKProfile,
@@ -360,3 +362,18 @@ class TestRootVerdictOracle:
             q = q * w
         want = min(us) >= 0 and not pairs
         assert real_root_classifier(_hand_built(q)).all_real == all_roots_real(q) == want
+
+
+# sha256 of the stdout of `hkrr profile --family F --n N` for F = split, then
+# product, and N = 1..120, recorded while all_roots_real still divided out
+# gcd(p, p') and built a second Sturm chain.
+PROFILE_REPORTS_DIGEST = "1006cbd5076c556c4d9c797eb2b5346dd6a75d06242db70de7947b2341e18e03"
+
+
+def test_profile_reports_digest(capsys):
+    digest = hashlib.sha256()
+    for family in ("split", "product"):
+        for n in range(1, 121):
+            assert run(["profile", "--family", family, "--n", str(n)]) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == PROFILE_REPORTS_DIGEST

@@ -16,7 +16,7 @@ from hkrr.qkbasis import (
     NotInSpan,
     _primitive,
     _sign,
-    _squarefree_sturm,
+    _sturm_chain,
     _sturm_step,
     all_roots_real,
     decompose_qk,
@@ -321,6 +321,11 @@ class TestDecomposeShifted:
 class TestRootMachinery:
     def test_count_handles_multiplicity(self):
         assert all_roots_real((X - 1) ** 2 * (X + 2))
+        assert not all_roots_real((X**2 + 1) ** 2 * (X - 1))
+        assert not all_roots_real(((X - 2) ** 2 + 1) ** 3)
+        assert all_roots_real((X - 1) ** 2 * (X + 2) ** 3)
+        assert all_roots_real(X**3)
+        assert all_roots_real((X + 1) ** 4 * -3)
 
     def test_complex_roots_flagged(self):
         assert not all_roots_real(Poly((1, 0, 1)))
@@ -460,9 +465,25 @@ def random_root_poly(rng: random.Random) -> Poly:
     return p
 
 
+def repeated_pair_poly(rng: random.Random, real: bool) -> Poly:
+    """((X - a)^2 + b^2)^m, m = 2..3, times real factors and a power X^j.
+
+    b = 0 when real, so that gcd(p, p') has only real roots; otherwise it
+    holds the pair a +- ib.  Each real factor X - r has multiplicity 1..4.
+    """
+    a = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    b = 0 if real else Fraction(rng.randint(1, 5), rng.randint(1, 3))
+    p = ((X - a) ** 2 + b**2) ** rng.randint(2, 3) * X ** rng.randint(0, 2)
+    for _ in range(rng.randint(1, 2)):
+        p = p * (X - Fraction(rng.randint(-9, 9), rng.randint(1, 4))) ** rng.randint(1, 4)
+    return p * Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+
+
 @cache
 def oracle_cases() -> tuple[Poly, ...]:
-    """q_k for k = 1..40, both families' Q_RR for n = 1..40, 300 random polynomials."""
+    """q_k for k = 1..40, both families' Q_RR for n = 1..40, 300 random
+    polynomials, then 30 with repeated factors: in 24 of them gcd(p, p')
+    has a pair of non-real roots, in every fifth it has real roots only."""
     from hkrr.hkprofile import known_family_prr, profile_from_prr
 
     cases = [qk_poly(k) for k in range(1, 41)]
@@ -470,6 +491,8 @@ def oracle_cases() -> tuple[Poly, ...]:
         cases += [profile_from_prr(n, known_family_prr(kind, n)).q_rr for n in range(1, 41)]
     rng = random.Random(601)
     cases += [random_root_poly(rng) for _ in range(300)]
+    rng = random.Random(701)
+    cases += [repeated_pair_poly(rng, real=i % 5 == 4) for i in range(30)]
     return tuple(cases)
 
 
@@ -491,13 +514,14 @@ def _parity_inverted(a: list[int], b: list[int]) -> list[int]:
 
 
 def _chain_matches(p: Poly) -> bool:
-    """p's squarefree part and Sturm chain are primitive positive multiples of the Fraction ones."""
-    ps, chain = _squarefree_sturm(p)
-    want_ps = _fraction_squarefree_part(p)
-    want = fraction_sturm_chain(want_ps)
+    """Each element of all_roots_real's Sturm chain of p is a primitive positive multiple of the Fraction one's.
+
+    Both chains stop at gcd(p, p'), so p need not be squarefree.
+    """
+    chain = _sturm_chain(_primitive(integer_form(p)[0]))
+    want = fraction_sturm_chain(p)
     return (
-        _positive_multiple(ps, want_ps)
-        and len(chain) == len(want)
+        len(chain) == len(want)
         and all(math.gcd(*got) == 1 and _positive_multiple(got, ref) for got, ref in zip(chain, want))
     )
 
@@ -508,7 +532,7 @@ class TestIntegerIsolationAgainstFractionOracle:
     )
     def test_chain_is_primitive_positive_multiple_of_fraction_chain(self, monkeypatch, mutant):
         # A wrong sign rule in _sturm_step must show in the chains themselves
-        # (in 7 and in 200 of the cases for these two mutants): all_roots_real
+        # (in 7 and in 224 of the cases for these two mutants): all_roots_real
         # reads them only at -inf and +inf.
         if mutant:
             monkeypatch.setattr(qkbasis, "_sturm_step", mutant)
@@ -519,6 +543,14 @@ class TestIntegerIsolationAgainstFractionOracle:
         verdicts = [all_roots_real(p) for p in oracle_cases()]
         assert verdicts == [fraction_all_roots_real(p) for p in oracle_cases()]
         assert set(verdicts) == {True, False}
+
+    def test_cases_include_gcds_with_nonreal_roots(self):
+        # The one chain's count rests on gcd(p, p') changing no sign count,
+        # also when the gcd has non-real roots.
+        repeated = oracle_cases()[-30:]
+        gcds = [_fraction_gcd(p, p.derivative()) for p in repeated]
+        assert sum(not fraction_all_roots_real(g) for g in gcds) == 24
+        assert {fraction_all_roots_real(p) for p in repeated} == {True, False}
 
     def test_constants(self):
         for p in (ZERO, ONE, Poly((Fraction(-3, 7),))):
