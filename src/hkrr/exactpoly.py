@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 RatLike = Union[Fraction, int, str]
 _STR_BITS = 2000  # at most 603 digits, below 640, the lowest int-to-str limit an interpreter accepts
@@ -120,6 +120,10 @@ def _int_str(n: int) -> str:
         raise AssertionError(f"inexact decimal join: {exc!r}") from None
 
 
+# One (field name, writer) pair per field of each dataclass type jsonable has met.
+_FIELD_WRITERS: dict[type, tuple[tuple[str, Callable[[object], object]], ...]] = {}
+
+
 def jsonable(value: object) -> object:
     """The JSON form of a report value; the one place the report format is set.
 
@@ -127,10 +131,11 @@ def jsonable(value: object) -> object:
     "p/q", a Poly ``{"coeffs": [...]}``, a set a sorted list, a named tuple
     an object, any other list or tuple a list, a dict a dict, and a
     dataclass an object of its fields in declaration order.  A field whose
-    metadata carries ``"json"`` is written by that function instead.  A
-    Poly's coefficients are written from its integer form: each c/den is
-    reduced by one gcd and written as ``rat_str`` writes it, with no
-    Fraction built.
+    metadata carries ``"json"`` is written by that function instead; the
+    field names and writers are read once per dataclass type.  A Poly's
+    coefficients are written from its integer form: each c/den is reduced
+    by one gcd and written as ``rat_str`` writes it, with no Fraction
+    built.
     """
     if value is None or isinstance(value, (str, int, float)):
         return value
@@ -147,9 +152,13 @@ def jsonable(value: object) -> object:
         return [jsonable(v) for v in value]
     if isinstance(value, dict):
         return {k: jsonable(v) for k, v in value.items()}
-    if is_dataclass(value):
-        return {f.name: f.metadata.get("json", jsonable)(getattr(value, f.name)) for f in fields(value)}
-    return value
+    cls = type(value)
+    writers = _FIELD_WRITERS.get(cls)
+    if writers is None:
+        if not is_dataclass(cls):
+            return value
+        writers = _FIELD_WRITERS[cls] = tuple((f.name, f.metadata.get("json", jsonable)) for f in fields(cls))
+    return {name: write(getattr(value, name)) for name, write in writers}
 
 
 class Report:

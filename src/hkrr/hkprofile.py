@@ -145,14 +145,22 @@ def cubic_prr(c_x: RatLike, n_x: RatLike) -> Poly:
     """The degree-3 symmetric candidate with invariants (c_x, n_x).
 
     c_x/720 (T+n_x)^3 + b (T+n_x) with b pinned by the constant term 4:
-    b = 4/n_x - c_x n_x^2 / 720.
+    b = 4/n_x - c_x n_x^2 / 720.  The constant term is c n^3/720 + b n,
+    and b n = 4 - c n^3/720 cancels the first part, so expanded, with
+    c = c_x and n = n_x, the cubic is
+
+        4 + (c n^2/360 + 4/n) T + (c n/240) T^2 + (c/720) T^3.
+
+    With c = c1/c2 and n = n1/n2 in lowest terms and d = 720 c2 n1 n2^2,
+    that is the integer polynomial
+    (4d, 2 c1 n1^3 + 2880 c2 n2^3, 3 c1 n1^2 n2, c1 n1 n2^2) over d.
     """
     c_x, n_x = as_rat(c_x), as_rat(n_x)
     if n_x == 0:
         raise ValueError("n_x must be nonzero")
-    shifted = Poly((n_x, 1))
-    b = Fraction(4, 1) / n_x - c_x * n_x**2 / 720
-    return shifted**3 * (c_x / 720) + shifted * b
+    c1, c2, n1, n2 = c_x.numerator, c_x.denominator, n_x.numerator, n_x.denominator
+    d = 720 * c2 * n1 * n2**2
+    return Poly((4 * d, 2 * c1 * n1**3 + 2880 * c2 * n2**3, 3 * c1 * n1**2 * n2, c1 * n1 * n2**2)) / d
 
 
 @dataclass(frozen=True)

@@ -102,16 +102,25 @@ def fujiki_from_pairing(n: int, a: int, q_lm: int) -> Fraction:
 
 
 def _nth_root_upper(x: Fraction, n: int, eps: Fraction) -> Fraction:
-    """Smallest multiple of eps that is >= x^(1/n), by exact bracketing."""
+    """Smallest positive multiple h eps (h >= 1) with (h eps)^n >= x, by exact bracketing.
+
+    (h eps)^n < x is tested on integers, as h^n eps_num^n x_den < x_num eps_den^n.
+    """
     if x < 0:
         raise ValueError("x must be >= 0")
+    if eps <= 0:
+        raise ValueError("eps must be > 0")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    scale = eps.numerator**n * x.denominator
+    target = x.numerator * eps.denominator**n
     hi = 1
-    while (hi * eps) ** n < x:
+    while scale * hi**n < target:
         hi *= 2
     lo = 0
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if (mid * eps) ** n < x:
+        if scale * mid**n < target:
             lo = mid
         else:
             hi = mid

@@ -189,6 +189,24 @@ class TestJsonable:
         assert list(out) == ["big", "inner", "pair", "missing"]
         assert list(out["inner"]) == ["z", "residues"]
 
+    def test_field_writers_are_kept_per_type(self):
+        @dataclass
+        class Wider(Inner):
+            extra: int = field(default=0, metadata={"json": lambda v: f"<{v}>"})
+
+        first = Inner(Fraction(1, 2), ResidueSet(4, frozenset({3})))
+        assert jsonable(first) == {"z": "1/2", "residues": {"modulus": 4, "allowed": [3]}}
+        assert jsonable(Wider(Fraction(1, 3), ResidueSet(2, frozenset()), 7)) == {
+            "z": "1/3",
+            "residues": {"modulus": 2, "allowed": []},
+            "extra": "<7>",
+        }
+        # A second instance of a type already met reads its own values.
+        assert jsonable(Inner(5, ResidueSet(1, frozenset({0})))) == {"z": 5, "residues": {"modulus": 1, "allowed": [0]}}
+        # Neither a dataclass type nor a non-dataclass value is written as one.
+        plain = object()
+        assert jsonable(plain) is plain and jsonable(Inner) is Inner
+
     def test_every_report_class_gives_plain_json(self):
         profile = hkprofile.profile_from_prr(3, hkprofile.known_family_prr("split", 3))
         case = isosolver.solve_case(3, 1)

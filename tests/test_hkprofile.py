@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkrr.cli import run
-from hkrr.exactpoly import Poly, X, poly_compose_affine
+from hkrr.exactpoly import Poly, X, integer_form, poly_compose_affine
 from hkrr.hkprofile import (
     HKProfile,
     ProfileError,
@@ -161,8 +161,36 @@ class TestCubicPrr:
         assert hits > 20
 
     def test_zero_shift_rejected(self):
-        with pytest.raises(ValueError):
-            cubic_prr(15, 0)
+        for zero in (0, Fraction(0), "0/5"):
+            with pytest.raises(ValueError, match="n_x must be nonzero"):
+                cubic_prr(15, zero)
+
+    @staticmethod
+    def cubic_by_definition(c_x, n_x):
+        """c_x/720 (T + n_x)^3 + (4/n_x - c_x n_x^2/720)(T + n_x), built by Poly arithmetic."""
+        c_x, n_x = Fraction(c_x), Fraction(n_x)
+        shifted = Poly((n_x, 1))
+        return shifted**3 * (c_x / 720) + shifted * (4 / n_x - c_x * n_x**2 / 720)
+
+    @staticmethod
+    def definition_cases():
+        # Every (c_x, n_x) the sieve workload draws, the non-integral Fujiki
+        # values 15/8 and 15/4, then seeded signed rationals, c_x = 0 included.
+        cases = [(c, n) for c in (15, 30, 60, Fraction(15, 8), Fraction(15, 4)) for n in range(1, 65)]
+        rng = random.Random(2501)
+        for _ in range(500):
+            c = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+            n = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**4), rng.randint(1, 10**3))
+            cases.append((c, n))
+        cases += [(0, 1), (0, Fraction(-3, 7)), (Fraction(-15, 8), -2), ("15/4", "-5/3")]
+        return cases
+
+    def test_equals_its_definition(self):
+        for c_x, n_x in self.definition_cases():
+            p, expected = cubic_prr(c_x, n_x), self.cubic_by_definition(c_x, n_x)
+            assert integer_form(p) == integer_form(expected), (c_x, n_x)
+            assert p == expected
+            assert p.coeff(0) == 4
 
 
 class TestDenominatorCheck:

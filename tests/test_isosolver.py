@@ -11,6 +11,7 @@ from hkrr.hkprofile import cubic_prr, denominator_check, even_values_check, know
 from hkrr.isosolver import (
     UnsupportedCase,
     _analyze_candidate,
+    _nth_root_upper,
     divisibility_residues,
     fujiki_from_pairing,
     gcd_constraint,
@@ -67,6 +68,46 @@ class TestMxBounds:
             mx_upper_bounds(3, 7, 1)
 
 
+class TestNthRootUpper:
+    @staticmethod
+    def cases():
+        rng = random.Random(2502)
+        for n in range(1, 7):
+            for _ in range(150):
+                x = Fraction(rng.randint(0, 10**9), rng.randint(1, 10**4))
+                eps = Fraction(rng.randint(1, 10**3), rng.randint(1, 10**5))
+                yield x, n, eps
+            # x = 0, and exact n-th powers of a multiple of eps, where a bracket
+            # that tests "<=" instead of "<" lands one step high.
+            yield Fraction(0), n, Fraction(1, 100)
+            for _ in range(30):
+                eps = Fraction(rng.randint(1, 50), rng.randint(1, 500))
+                yield (rng.randint(1, 10**4) * eps) ** n, n, eps
+
+    def test_smallest_positive_multiple_at_or_above_the_root(self):
+        for x, n, eps in self.cases():
+            r = _nth_root_upper(x, n, eps)
+            h = r / eps
+            assert h.denominator == 1 and h >= 1, (x, n, eps)
+            assert r**n >= x, (x, n, eps)
+            assert h == 1 or (r - eps) ** n < x, (x, n, eps)
+
+    @pytest.mark.parametrize(
+        "x,n,eps,message",
+        [
+            (Fraction(-1), 3, Fraction(1, 100), "x must be >= 0"),
+            (Fraction(6), 3, Fraction(0), "eps must be > 0"),
+            (Fraction(6), 3, Fraction(-1, 100), "eps must be > 0"),
+            (Fraction(0), 3, Fraction(-1, 100), "eps must be > 0"),
+            (Fraction(6), 0, Fraction(1, 100), "n must be >= 1"),
+            (Fraction(6), -2, Fraction(1, 100), "n must be >= 1"),
+        ],
+    )
+    def test_bad_arguments_refused(self, x, n, eps, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _nth_root_upper(x, n, eps)
+
+
 @pytest.mark.parametrize("f", [pairing_congruence, mx_upper_bounds, fujiki_from_pairing])
 @pytest.mark.parametrize("n, a", [(3, 0), (3, -2), (0, 1), (-1, 1)])
 def test_sizes_below_one_refused(f, n, a):
@@ -109,6 +150,9 @@ class TestPairingCongruence:
         assert pairing_congruence(3, 1, 2).nx_coset_step == 4
 
 
+DIVISIBILITY_DIGEST = "906a354718d0d3442f51a807972355e0cc7b3111b6bb31964f21080623d43a9f"
+
+
 class TestDivisibilityResidues:
     def test_c15_n1(self):
         rs = divisibility_residues(3, 15, 1)
@@ -132,6 +176,16 @@ class TestDivisibilityResidues:
         p = cubic_prr(c_x, n_x)
         for q in range(-200, 201):
             assert rs.contains(q) == (p(q).denominator == 1)
+
+    def test_residue_digest(self):
+        # sha256 of [modulus, sorted residues] for every Fujiki value the
+        # n = 3 pipeline meets and n_x = 1..64, one set a line: pinned.
+        digest = hashlib.sha256()
+        for c_x in (Fraction(15), Fraction(30), Fraction(60), Fraction(15, 8), Fraction(15, 4)):
+            for n_x in range(1, 65):
+                rs = divisibility_residues(3, c_x, n_x)
+                digest.update(json.dumps([rs.modulus, rs.sorted_residues()]).encode() + b"\n")
+        assert digest.hexdigest() == DIVISIBILITY_DIGEST
 
 
 class TestSquareClosure:
