@@ -48,7 +48,7 @@ def _values_json(values: dict[Partition, Fraction]) -> list[dict]:
     return [{"partition": list(key), "value": rat_str(v)} for key, v in sorted(values.items())]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, repr=False)
 class ChernData(Report):
     """Intersection numbers of Chern character components, keyed by multiset.
 

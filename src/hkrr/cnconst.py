@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class CnCertificate(Report):
     """A certified gcd-constant value and its factorization over p <= 2n-1."""
 

@@ -162,10 +162,35 @@ def jsonable(value: object) -> object:
 
 
 class Report:
-    """Base of the report dataclasses: ``to_json()`` is ``jsonable(self)``."""
+    """Base of the report dataclasses: ``to_json()`` is ``jsonable(self)``.
+
+    They are declared with ``repr=False`` so that this ``__repr__`` serves:
+    the dataclass one, but with every int and Fraction written by
+    ``rat_str``, so it works at any size.
+    """
 
     def to_json(self) -> dict:
         return jsonable(self)
+
+    def __repr__(self) -> str:
+        items = (f"{f.name}={_repr(getattr(self, f.name))}" for f in fields(self) if f.repr)
+        return f"{type(self).__qualname__}({', '.join(items)})"
+
+
+def _repr(value: object) -> str:
+    """repr(value), except that ints and Fractions, also inside tuples, lists and dicts, are written by rat_str."""
+    if type(value) is int:
+        return rat_str(value)
+    if isinstance(value, Fraction):
+        return f"Fraction({rat_str(value.numerator)}, {rat_str(value.denominator)})"
+    if type(value) is list:
+        return "[" + ", ".join(map(_repr, value)) + "]"
+    if type(value) is tuple:
+        inner = ", ".join(map(_repr, value))
+        return f"({inner},)" if len(value) == 1 else f"({inner})"
+    if type(value) is dict:
+        return "{" + ", ".join(f"{_repr(k)}: {_repr(v)}" for k, v in value.items()) + "}"
+    return repr(value)
 
 
 class Poly:
@@ -256,12 +281,16 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result, base = ONE, self
-        while n:
+        if not n:
+            return ONE
+        base = self
+        while not n & 1:
+            base, n = base * base, n >> 1
+        result = base  # from the lowest set bit, squaring no further than the top one
+        while n := n >> 1:
+            base = base * base
             if n & 1:
                 result = result * base
-            base = base * base
-            n >>= 1
         return result
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:

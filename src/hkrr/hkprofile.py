@@ -28,7 +28,7 @@ from .exactpoly import (
     poly_compose_affine,
     rat_str,
 )
-from .qkbasis import all_roots_real
+from .qkbasis import NotInSpan, _centred, all_roots_real
 
 __all__ = [
     "ProfileError",
@@ -57,7 +57,7 @@ def double_factorial(m: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class HKProfile(Report):
     """Invariants (n, c_x, n_x, m_x, a_x, P_RR, Q_RR) of one candidate.
 
@@ -90,9 +90,11 @@ class HKProfile(Report):
         # Multiplied out, so that m_x = 0 reaches the A_X check below.
         if self.c_x * self.m_x**n != fact2n * self.a_x:
             raise ProfileError("c_x, a_x, m_x are inconsistent")
-        sign = -1 if n % 2 else 1
-        if poly_compose_affine(self.p_rr, -1, -2 * self.n_x) != self.p_rr * sign:
-            raise ProfileError("no symmetry")
+        # p(-T - 2 n_x) = (-1)^n p(T) iff p(U - n_x) has only terms of n's parity.
+        try:
+            _centred(self.p_rr, self.n_x, n % 2)
+        except NotInSpan:
+            raise ProfileError("no symmetry") from None
         if n > 1 and not (0 < self.a_x < 1):
             raise ProfileError("A_X out of range")
 
@@ -163,7 +165,7 @@ def cubic_prr(c_x: RatLike, n_x: RatLike) -> Poly:
     return Poly((4 * d, 2 * c1 * n1**3 + 2880 * c2 * n2**3, 3 * c1 * n1**2 * n2, c1 * n1 * n2**2)) / d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class DenominatorReport(Report):
     """Coefficient denominators against the gcd-constant lattice bound."""
 
@@ -200,7 +202,7 @@ def denominator_check(n: int, p: Poly, even_form: bool) -> DenominatorReport:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class EvenValuesReport(Report):
     """Consequences of the form representing all large even numbers."""
 
@@ -246,7 +248,7 @@ def even_values_check(n: int, p: Poly) -> EvenValuesReport:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class RootVerdict(Report):
     """Reality classification of the roots of Q_RR."""
 
@@ -271,7 +273,10 @@ def real_root_classifier(profile: HKProfile) -> RootVerdict:
     signs: Vieta's formulas give the alternation when every root is >= 0,
     and with it R(-u) is a sum of terms of one sign, nonzero for u > 0.
     So the verdict is that alternation and the Sturm count of
-    all_roots_real on R.
+    all_roots_real on R.  When m_x is nonzero, both read R(v/m_x^2) up to a
+    positive factor instead: R in P_RR's own variable, since Q_RR(T) =
+    P_RR(m_x T).  Its roots are R's times m_x^2 > 0, so the verdict is the
+    same, and its coefficients lose R's m_x^(2j) growth.
     """
     n, a = profile.n, profile.a_x
     if n == 1:
@@ -285,11 +290,13 @@ def real_root_classifier(profile: HKProfile) -> RootVerdict:
             raise ProfileError("factorization failed")
         disc = 8 * a * (2 * a - 1)
         return RootVerdict(n=3, method="factored-discriminant", all_real=disc >= 0, discriminant=disc)
-    s, _ = integer_form(poly_compose_affine(profile.q_rr, 1, -2))
-    e = n % 2
-    if any(s[1 - e :: 2]):
-        raise ProfileError("no symmetry about -2")
-    r = s[e::2]
+    try:
+        r, _ = _centred(profile.q_rr, 2, n % 2)
+    except NotInSpan:
+        raise ProfileError("no symmetry about -2") from None
+    if profile.m_x:  # m_x^2 = num/den: r_j den^j num^(d-j) = num^d R(v/m_x^2)
+        num, den, d = profile.m_x.numerator ** 2, profile.m_x.denominator ** 2, len(r) - 1
+        r = [c * den**j * num ** (d - j) for j, c in enumerate(r)]
     alternating = len({(c > 0) == (j % 2 == 0) for j, c in enumerate(r) if c}) <= 1
     # Reports name this Sturm count "isolation"; renaming it would change every n >= 4 report.
     return RootVerdict(n=n, method="isolation", all_real=alternating and all_roots_real(Poly(r)))

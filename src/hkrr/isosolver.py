@@ -127,7 +127,7 @@ def _nth_root_upper(x: Fraction, n: int, eps: Fraction) -> Fraction:
     return hi * eps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class MxBounds(Report):
     """Strict rational upper bounds for m_x (each over-approximates by < 1/100)."""
 
@@ -153,7 +153,7 @@ class Congruence(NamedTuple):
     residue: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class PairingCongruence(Report):
     """Arithmetic facts the isotropic pair imposes on n_x and q(m).
 
@@ -255,13 +255,13 @@ def gcd_constraint(rs: ResidueSet, required_gcd: int) -> str:
 # -- the mechanized n = 3 pipeline ----------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class TraceStep(Report):
     rule: str
     detail: str
 
 
-@dataclass
+@dataclass(repr=False)
 class CandidateAnalysis(Report):
     """One n_x (or m_x, on the halved branch) candidate and its fate."""
 
@@ -276,7 +276,7 @@ class CandidateAnalysis(Report):
     trace: list[TraceStep] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(repr=False)
 class PairingBranch(Report):
     q_lm: int
     c_x: Fraction
@@ -296,7 +296,7 @@ class Survivor(NamedTuple):
     n_x: int
 
 
-@dataclass
+@dataclass(repr=False)
 class IsotropicCase(Report):
     """Full case report: branches per pairing value, traces, and survivors."""
 

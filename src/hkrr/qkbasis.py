@@ -6,14 +6,15 @@ The family satisfies the Laurent identity T^k * q_k(T + 1/T - 2) =
 1 + T^2 + ... + T^{2k}, is antisymmetric about T = -2 in alternating
 degrees, and has k simple real roots in (-4, 0).
 
-Decomposition of a symmetric polynomial into the q_k (or into shifted
-powers (T+s)^{n-2j}) is by descending-degree elimination, which is exact
-and yields uniqueness for free.  all_roots_real counts the distinct real
-roots with the Sturm chain of a primitive integer polynomial, its sign
-variations at -inf and +inf read from the leading coefficients.  The chain
-need not be squarefree: it ends in g, gcd(p, p') up to a nonzero factor,
-p has deg p - deg g distinct roots, and every root is real iff the count
-equals that.
+Both decompositions are changes of variables.  T^n p(T + 1/T - 2) is
+sum_i b_i (T^{2i} + ... + T^{2n-2i}) for p = sum_i b_i q_{n-2i}, so p is in the
+span iff it has no odd term, and then b_i = c_{2i} - c_{2i-2} of its coefficients c;
+and p = sum_j c_j (T+s)^{n-2j} iff p(U - s) = sum_j c_j U^{n-2j}.
+all_roots_real counts the distinct real roots with the Sturm chain of a
+primitive integer polynomial, its sign variations at -inf and +inf read
+from the leading coefficients.  The chain need not be squarefree: it ends
+in g, gcd(p, p') up to a nonzero factor, p has deg p - deg g distinct
+roots, and every root is real iff the count equals that.
 
 qk_roots needs no Sturm chain, since the roots of q_k are known in closed
 form, -4 sin^2(j pi/(2k + 2)).  Floats place k + 1 short dyadic separators
@@ -32,9 +33,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Iterable
+from typing import Iterable, Sequence
 
-from .exactpoly import Poly, RatLike, as_rat, int_horner, integer_form, pseudo_divmod
+from .exactpoly import Poly, RatLike, as_rat, int_horner, integer_form, poly_compose_affine, pseudo_divmod
 
 __all__ = [
     "NotInSpan",
@@ -63,20 +64,19 @@ def qk_poly(k: int) -> Poly:
 
 
 def qk_laurent_check(k: int) -> bool:
-    """Verify T^k * q_k(T + 1/T - 2) = sum_{j=0..k} T^{2j} exactly.
-
-    Multiplying through by T^k turns the Laurent identity into a polynomial
-    one: sum_j c_j T^{k-j} S^j on the left, with S = (T-1)^2, since
-    (T + 1/T - 2)^j = S^j / T^j.  The left side is built by Horner's rule
-    in S, lhs <- lhs * S + c_j T^{k-j} for j = k..0, on the integer
-    numerator of q_k: O(k^2) coefficient operations.
-    """
+    """Verify T^k * q_k(T + 1/T - 2) = sum_{j=0..k} T^{2j} exactly, on q_k's integer form."""
     coeffs, m = integer_form(qk_poly(k))
-    lhs = [0] * (2 * k + 1)
-    for j in range(k, -1, -1):
-        lhs = [c - 2 * c1 + c2 for c, c1, c2 in zip(lhs, [0] + lhs, [0, 0] + lhs)]
-        lhs[k - j] += coeffs[j]
-    return lhs == [m if i % 2 == 0 else 0 for i in range(2 * k + 1)]
+    return _laurent(coeffs) == [m if i % 2 == 0 else 0 for i in range(2 * k + 1)]
+
+
+def _laurent(coeffs: Sequence[int]) -> list[int]:
+    """T^n N(T + 1/T - 2) for N = coeffs of degree n >= 0: sum_j c_j T^{n-j} S^j by Horner's rule in S = (T-1)^2."""
+    n = len(coeffs) - 1
+    acc = [coeffs[n]]
+    for j in range(n - 1, -1, -1):
+        acc = [c - 2 * c1 + c2 for c, c1, c2 in zip(acc + [0, 0], [0] + acc + [0], [0, 0] + acc)]
+        acc[n - j] += coeffs[j]
+    return acc
 
 
 def qk_roots(k: int) -> list[float]:
@@ -119,37 +119,32 @@ def qk_roots(k: int) -> list[float]:
 
 
 def decompose_qk(p: Poly) -> list[Fraction]:
-    """Coefficients b_i with p = sum_i b_i * qk_poly(n - 2i), i = 0..floor(n/2).
-
-    Descending-degree elimination: b_i is the degree-(n-2i) coefficient of
-    the running residual (each basis element is monic), and a nonzero final
-    residual means p is outside the span.
-    """
-    return _eliminate(p, qk_poly)
-
-
-def decompose_shifted(p: Poly, s: RatLike) -> list[Fraction]:
-    """Coefficients c_j with p = sum_j c_j * (T + s)^(n - 2j), or NotInSpan."""
-    shifted = Poly((as_rat(s), 1))
-    return _eliminate(p, lambda d: shifted**d)
-
-
-def _eliminate(p: Poly, basis: Callable[[int], Poly]) -> list[Fraction]:
+    """Coefficients b_i with p = sum_i b_i * qk_poly(n - 2i), i = 0..floor(n/2), or NotInSpan."""
     n = p.degree
     if n < 0:
         raise ValueError("polynomial must be nonzero")
-    out: list[Fraction] = []
-    residual = p
-    for i in range(n // 2 + 1):
-        d = n - 2 * i
-        b = basis(d)
-        c = residual.coeff(d) / b.leading()
-        out.append(c)
-        if c:
-            residual = residual - b * c
-    if not residual.is_zero():
+    nums, den = integer_form(p)
+    laurent = _laurent(nums)
+    if any(laurent[1::2]):
         raise NotInSpan("not in span")
-    return out
+    evens = laurent[: n + 1 : 2]
+    return [Fraction(c - b, den) for b, c in zip([0] + evens, evens)]
+
+
+def decompose_shifted(p: Poly, s: RatLike) -> list[Fraction]:
+    """Coefficients c_j with p = sum_j c_j * (T + s)^(n - 2j), read off p(U - s), or NotInSpan."""
+    nums, den = _centred(p, as_rat(s), p.degree % 2)
+    if not nums:
+        raise ValueError("polynomial must be nonzero")
+    return [Fraction(c, den) for c in reversed(nums)]
+
+
+def _centred(p: Poly, s: Fraction | int, e: int) -> tuple[list[int], int]:
+    """(r, M) with p(U - s) = U^e sum_j r_j U^(2j) / M, or NotInSpan for a nonzero term of parity 1 - e."""
+    nums, den = integer_form(poly_compose_affine(p, 1, -s))
+    if any(nums[1 - e :: 2]):
+        raise NotInSpan("not in span")
+    return list(nums[e::2]), den
 
 
 # -- whether every root is real (integer Sturm chains) --

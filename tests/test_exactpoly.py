@@ -86,6 +86,40 @@ class TestIntStr:
         assert repr(Poly((2, 10**5000))) == expected
         assert repr(Poly((Fraction(-1, 2), 0, -1, 3))) == "Poly('3*T^3 - T^2 - 1/2')"
 
+    def test_report_repr_past_the_limit(self):
+        # A report's repr writes its ints and Fractions as rat_str does; the
+        # dataclass repr would raise ValueError past 4,300 digits.
+        cert = cnconst.cn_value(60)
+        prof = hkprofile.profile_from_prr(1, Poly((2, 10**5000)))
+        with no_digit_limit():
+            want_cert = f"CnCertificate(n=60, value={cert.value}, factorization={cert.factorization!r})"
+            want_prof = (
+                f"HKProfile(n=1, c_x=Fraction({2 * 10**5000}, 1), n_x=Fraction(1, {5 * 10**4999}), "
+                f"m_x=Fraction(1, {10**5000}), a_x=Fraction(1, 1), n_x_is_integer=False, "
+                f"p_rr=Poly('{10**5000}*T + 2'), q_rr=Poly('T + 2'))"
+            )
+        assert cert.value > 10**4300
+        assert repr(cert) == want_cert
+        assert repr(prof) == want_prof
+
+    def test_report_repr_is_the_dataclass_one(self):
+        @dataclass(frozen=True)
+        class Plain:
+            n: int
+            x: Fraction
+            flags: tuple
+            one: tuple
+            items: list
+            table: dict
+            hidden: int = field(default=0, repr=False)
+
+        @dataclass(frozen=True, repr=False)
+        class Written(Report, Plain):
+            pass
+
+        args = (3, Fraction(-7, 2), (True, None, "a"), (Fraction(1, 3),), [ONE, X], {(2,): Fraction(5)}, 9)
+        assert repr(Written(*args)) == repr(Plain(*args)).replace("Plain", "Written", 1)
+
     def test_inexact_join_is_a_defect(self, monkeypatch):
         # A join that rounds traps Inexact, a DecimalException, which is an
         # ArithmeticError (bad input to the CLI); it must surface as a defect.
@@ -266,6 +300,28 @@ class TestPoly:
             p, q = rand_poly(rng), rand_poly(rng)
             x = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             assert (p * q)(x) == p(x) * q(x)
+
+    def test_power_squares_only_up_to_the_top_bit(self, monkeypatch):
+        # From the lowest set bit: bit_length - 1 squarings and popcount - 1
+        # products, so p**1 makes none and p**8 three.
+        calls = []
+        multiply = Poly.__mul__
+
+        def counted(a, b):
+            calls.append(1)
+            return multiply(a, b)
+
+        p = Poly((Fraction(-1, 3), 2, 5))
+        for e in range(21):
+            calls.clear()
+            monkeypatch.setattr(Poly, "__mul__", counted)
+            got = p**e
+            monkeypatch.setattr(Poly, "__mul__", multiply)
+            want = ONE
+            for _ in range(e):
+                want = want * p
+            assert got == want
+            assert len(calls) == (e.bit_length() + bin(e).count("1") - 2 if e else 0), e
 
     def test_divmod_reconstructs(self):
         rng = random.Random(3)

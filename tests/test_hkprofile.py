@@ -125,6 +125,35 @@ class TestProfileExtraction:
         with pytest.raises(ProfileError, match=f"^{message}$"):
             replace(prof, **change).validate()
 
+    def test_symmetry_check_is_the_reflection(self):
+        # validate reads the parity of p(U - n_x); the reflection
+        # p(-T - 2 n_x) = (-1)^n p(T) is the definition, n_x = 0 included.
+        rng = random.Random(2602)
+        seen = set()
+        for _ in range(400):
+            n = rng.randint(1, 7)
+            n_x = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+            shifted = Poly((n_x, 1))
+            p = sum((shifted ** (n - 2 * j) * rng.randint(-5, 5) for j in range(1, n // 2 + 1)), shifted**n)
+            if rng.random() < 0.5:
+                p = p + X ** rng.randint(0, n - 1) * Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            if not p.coeff(0):
+                continue
+            p = p * (n + 1) / p.coeff(0)
+            c_x = math.factorial(2 * n) * p.leading()
+            m_x = n_x / 2
+            a_x = c_x * m_x**n / math.factorial(2 * n)
+            prof = HKProfile(n=n, c_x=c_x, n_x=n_x, m_x=m_x, a_x=a_x, p_rr=p, q_rr=poly_compose_affine(p, m_x, 0))
+            reflected = poly_compose_affine(p, -1, -2 * n_x) == p * (-1) ** n
+            try:
+                prof.validate()
+                broken = None
+            except ProfileError as exc:
+                broken = str(exc)
+            assert (broken == "no symmetry") == (not reflected), (n, n_x, p)
+            seen.add((reflected, n_x == 0))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ProfileError):
             profile_from_prr(4, known_family_prr("split", 3))
@@ -348,13 +377,15 @@ class TestRealRootClassifier:
             assert real_root_classifier(prof).all_real == all_roots_real(prof.q_rr), n
 
 
-def _hand_built(q: Poly) -> HKProfile:
-    """A profile with Q_RR = q that skips validate; the n >= 4 verdict reads only n and q_rr."""
+def _hand_built(q: Poly, m_x: Fraction = Fraction(1)) -> HKProfile:
+    """A profile with Q_RR = q that skips validate; the n >= 4 verdict reads only n, m_x and q_rr."""
     one = Fraction(1)
-    return HKProfile(n=q.degree, c_x=one, n_x=2 * one, m_x=one, a_x=one / 2, p_rr=q, q_rr=q)
+    return HKProfile(n=q.degree, c_x=one, n_x=2 * m_x, m_x=m_x, a_x=one / 2, p_rr=q, q_rr=q)
 
 
 RATIONALS = st.fractions(min_value=-8, max_value=8, max_denominator=6)
+# The verdict rescales R by m_x^2 when m_x is nonzero: any sign, and 0, give Q_RR's own verdict.
+M_X = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-50, max_value=50, max_denominator=30))
 ORACLE_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
@@ -362,12 +393,12 @@ class TestRootVerdictOracle:
     """The n >= 4 verdict on R(u), u = (T+2)^2, against all_roots_real on Q_RR itself."""
 
     @ORACLE_SETTINGS
-    @given(n=st.integers(4, 16), data=st.data())
-    def test_signed_qk_combinations(self, n, data):
+    @given(n=st.integers(4, 16), m_x=M_X, data=st.data())
+    def test_signed_qk_combinations(self, n, m_x, data):
         # Each q_{n-2i} has Q_RR's reflection symmetry, so every such sum does.
         bs = [data.draw(RATIONALS.filter(bool))] + data.draw(st.lists(RATIONALS, max_size=n // 2))
         q = sum((qk_poly(n - 2 * i) * b for i, b in enumerate(bs)), Poly())
-        assert real_root_classifier(_hand_built(q)).all_real == all_roots_real(q)
+        assert real_root_classifier(_hand_built(q, m_x)).all_real == all_roots_real(q)
 
     @ORACLE_SETTINGS
     @given(
@@ -376,8 +407,9 @@ class TestRootVerdictOracle:
         pairs=st.lists(st.tuples(RATIONALS, RATIONALS.filter(bool)), max_size=2),
         odd=st.booleans(),
         scale=RATIONALS.filter(bool),
+        m_x=M_X,
     )
-    def test_factored_in_u(self, us, repeats, pairs, odd, scale):
+    def test_factored_in_u(self, us, repeats, pairs, odd, scale, m_x):
         # Q_RR = scale (T+2)^odd prod ((T+2)^2 - u) prod (((T+2)^2 - a)^2 + b^2):
         # every root is real iff each u >= 0 and there is no pair a +- ib.
         w = Poly((4, 4, 1))  # (T+2)^2
@@ -389,7 +421,18 @@ class TestRootVerdictOracle:
         if q.degree < 4:
             q = q * w
         want = min(us) >= 0 and not pairs
-        assert real_root_classifier(_hand_built(q)).all_real == all_roots_real(q) == want
+        assert real_root_classifier(_hand_built(q, m_x)).all_real == all_roots_real(q) == want
+
+    @pytest.mark.parametrize("kind", ["split", "product"])
+    @pytest.mark.parametrize("n", [4, 6, 10, 24])
+    def test_even_family_reflected_to_negative_m_x(self, kind, n):
+        # P(T) = P_family(-T) is a valid even-n profile with m_x < 0 and the
+        # same Q_RR, so the same verdict: all roots real.
+        family = profile_from_prr(n, known_family_prr(kind, n))
+        prof = profile_from_prr(n, poly_compose_affine(family.p_rr, -1, 0))
+        assert prof.m_x == -family.m_x < 0 and prof.q_rr == family.q_rr
+        verdict = real_root_classifier(prof)
+        assert verdict == real_root_classifier(family) and verdict.method == "isolation" and verdict.all_real
 
 
 # sha256 of the stdout of `hkrr profile --family F --n N` for F = split, then

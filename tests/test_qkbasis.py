@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 import random
 import signal
@@ -8,10 +9,12 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkrr import qkbasis
 from hkrr.cli import run
-from hkrr.exactpoly import ONE, Poly, X, ZERO, integer_form, poly_compose_affine, pseudo_divmod
+from hkrr.exactpoly import ONE, Poly, X, ZERO, integer_form, poly_compose_affine, pseudo_divmod, rat_str
 from hkrr.qkbasis import (
     NotInSpan,
     _primitive,
@@ -316,6 +319,108 @@ class TestDecomposeShifted:
             for j, c in enumerate(coeffs):
                 p = p + shifted ** (n - 2 * j) * c
             assert decompose_shifted(p, s) == coeffs
+
+
+def eliminate(p: Poly, basis) -> list[Fraction]:
+    """Descending-degree elimination, the oracle for both decompositions.
+
+    Coefficient n - 2i is the degree-(n-2i) coefficient of the running
+    residual over the leading one of basis(n - 2i); a nonzero final residual
+    means p is outside the span.
+    """
+    n = p.degree
+    if n < 0:
+        raise ValueError("polynomial must be nonzero")
+    out, residual = [], p
+    for d in range(n, -1, -2):
+        b = basis(d)
+        c = residual.coeff(d) / b.leading()
+        out.append(c)
+        residual = residual - b * c
+    if not residual.is_zero():
+        raise NotInSpan("not in span")
+    return out
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except NotInSpan as exc:
+        return str(exc)
+
+
+RATIONALS = st.fractions(min_value=-8, max_value=8, max_denominator=6)
+
+
+class TestDecompositionsAgainstElimination:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(0, 12),
+        qk=st.booleans(),
+        shift=st.one_of(st.just(Fraction(0)), RATIONALS),
+        as_text=st.booleans(),
+        kind=st.sampled_from(["span", "perturbed", "random"]),
+        data=st.data(),
+    )
+    def test_equal_to_elimination(self, n, qk, shift, as_text, kind, data):
+        # In the span, one term of the other parity added (never in the span)
+        # or any polynomial of degree n; a rational, negative or zero shift,
+        # also passed as a "p/q" string.
+        basis = qk_poly if qk else (lambda d: Poly((shift, 1)) ** d)
+        if kind == "random":
+            p = Poly(data.draw(st.lists(RATIONALS, min_size=n, max_size=n)) + [data.draw(RATIONALS.filter(bool))])
+        else:
+            bs = [data.draw(RATIONALS.filter(bool))] + data.draw(st.lists(RATIONALS, min_size=n // 2, max_size=n // 2))
+            p = sum((basis(n - 2 * i) * b for i, b in enumerate(bs)), Poly())
+            if kind == "perturbed" and n:
+                d = n - 1 - 2 * data.draw(st.integers(0, (n - 1) // 2))
+                p = p + X**d * data.draw(RATIONALS.filter(bool))
+        if qk:
+            got = _outcome(decompose_qk, p)
+        else:
+            got = _outcome(decompose_shifted, p, rat_str(shift) if as_text else shift)
+        assert got == _outcome(eliminate, p, basis)
+        if kind == "span":
+            assert isinstance(got, list) and all(type(c) is Fraction for c in got)
+        elif kind == "perturbed" and n:
+            assert got == "not in span"
+
+    def test_zero_polynomial_is_not_a_span_question(self):
+        for decompose in (decompose_qk, lambda p: decompose_shifted(p, "-1/2")):
+            with pytest.raises(ValueError, match="^polynomial must be nonzero$") as info:
+                decompose(ZERO)
+            assert type(info.value) is ValueError
+
+    def test_float_shift_refused(self):
+        with pytest.raises(TypeError):
+            decompose_shifted(ZERO, 0.5)
+
+
+# sha256 of the exit code, stdout and stderr of `hkrr decompose` on 80
+# seeded files, in and out of either span, recorded with the elimination.
+DECOMPOSE_REPORTS_DIGEST = "bdc3feaca7cd10c6b196c14c838d614d9577883e5ed36dfee18290e0db70506f"
+
+
+def test_decompose_reports_digest(tmp_path, capsys):
+    rng = random.Random(2601)
+    digest = hashlib.sha256()
+    path = tmp_path / "poly.json"
+    for i in range(80):
+        n = rng.randint(0, 16)
+        shift = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        basis = qk_poly if i % 2 == 0 else (lambda d: Poly((shift, 1)) ** d)
+        bs = [Fraction(rng.randint(-20, 20) or 1, rng.randint(1, 9)) for _ in range(n // 2 + 1)]
+        p = sum((basis(n - 2 * j) * b for j, b in enumerate(bs)), ZERO)
+        if i % 4 >= 2 and n:
+            p = p + X ** (n - 1 - 2 * rng.randint(0, (n - 1) // 2)) * rng.choice((-1, Fraction(1, 3)))
+        path.write_text(json.dumps(p.to_json()))
+        argv = ["decompose", "--poly", str(path), "--basis", "qk" if i % 2 == 0 else "shifted"]
+        if i % 2:
+            argv.append(f"--shift={rat_str(shift)}")
+        code = run(argv)
+        out, err = capsys.readouterr()
+        digest.update(f"{code}\n{out}\n{err}\n".encode())
+    assert digest.hexdigest() == DECOMPOSE_REPORTS_DIGEST
 
 
 class TestRootMachinery:
