@@ -10,13 +10,13 @@ by the multiset {k_1,...,k_r}, since products of cohomology classes commute.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Iterable
 
 from .chebbern import bernoulli, pk_poly
-from .exactpoly import ONE, Poly, Report, ZERO, as_rat, json_echo, rat_from_json, rat_str
+from .exactpoly import Poly, Report, _poly, as_rat, integer_form, json_echo, rat_from_json, rat_str
 
 __all__ = ["ChernData", "Partition", "partitions", "q_rr_from_chern"]
 
@@ -102,20 +102,30 @@ def _is_json_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+@cache
+def _factor(k: int, e: int) -> Poly:
+    """(c_k P_k)^e / e!, with c_k = -B_2k/(2k): one factor of a partition's term."""
+    return (pk_poly(k) * (-bernoulli(2 * k) / (2 * k))) ** e / math.factorial(e)
+
+
 def q_rr_from_chern(data: ChernData) -> Poly:
     """Degree-n Riemann-Roch polynomial (normalized form) from Chern numbers.
 
     exp(sum_k c_k x_k P_k) = prod_k exp(c_k x_k P_k), so the coefficient of
-    x_{k_1}^{e_1}... is prod_k (c_k P_k)^{e_k} / e_k!: one product per
-    supplied nonzero value, whatever n is.
+    x_{k_1}^{e_1}... is prod_k (c_k P_k)^{e_k} / e_k!: one product of cached
+    factors per supplied nonzero value, whatever n is.  The terms v N/M
+    (v = a/b, N/M the product's integer form) are summed as integers over
+    the lcm D of the bM, each scaled by a D/(bM), and the sum is reduced once.
     """
-    out = ZERO
+    terms = []
     for key, v in data.values.items():
-        if not v:
-            continue
-        scalar, term = v, ONE
-        for k, e in Counter(key).items():
-            scalar *= (-bernoulli(2 * k) / (2 * k)) ** e / math.factorial(e)
-            term = term * pk_poly(k) ** e
-        out = out + term * scalar
-    return out
+        if v:
+            factors = [_factor(k, key.count(k)) for k in dict.fromkeys(key)]
+            terms.append((v, integer_form(math.prod(factors[1:], start=factors[0]))))
+    den = math.lcm(*(v.denominator * m for v, (_, m) in terms))
+    out = [0] * (data.n + 1)
+    for v, (nums, m) in terms:
+        scale = v.numerator * (den // (v.denominator * m))
+        for i, c in enumerate(nums):
+            out[i] += scale * c
+    return _poly(out, den)

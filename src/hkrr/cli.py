@@ -44,8 +44,38 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises on a usage error and reads negative rationals.
+
+    argparse takes a token that starts with "-" for an option unless it
+    looks like a negative int or decimal, so ``--shift -3/2`` would leave
+    --shift without its value.  A token that starts with "-" and a digit or
+    "." names no option here, so after one of ``rational_options`` it is
+    attached as ``--shift=-3/2`` before parsing.
+    """
+
+    def __init__(self, *args: Any, rational_options: tuple[str, ...] = (), **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self.rational_options = rational_options
+
+    def parse_known_args(self, args: Sequence[str] | None = None, namespace: Any = None) -> Any:
+        if self.rational_options and args is not None:
+            args = _attach_negative_values(list(args), self.rational_options)
+        return super().parse_known_args(args, namespace)
+
     def error(self, message: str) -> None:  # noqa: A003 - argparse hook
         raise _UsageError(message)
+
+
+def _attach_negative_values(args: list[str], options: tuple[str, ...]) -> list[str]:
+    out: list[str] = []
+    tokens = iter(args)
+    for token in tokens:
+        if token == "--":
+            return out + [token, *tokens]
+        if out and out[-1] in options and token[:1] == "-" and (token[1:2].isdigit() or token[1:2] == "."):
+            token = f"{out.pop()}={token}"
+        out.append(token)
+    return out
 
 
 @cache
@@ -79,7 +109,9 @@ def build_parser() -> _Parser:
     p_profile.add_argument("--n", type=int, default=None)
     _output_flags(p_profile)
 
-    p_dec = sub.add_parser("decompose", help="decompose into the q_k or shifted-power basis")
+    p_dec = sub.add_parser(
+        "decompose", help="decompose into the q_k or shifted-power basis", rational_options=("--shift",)
+    )
     p_dec.add_argument("--poly", required=True, metavar="FILE")
     p_dec.add_argument("--basis", required=True, choices=["qk", "shifted"])
     p_dec.add_argument("--shift", default=None, metavar="RAT")

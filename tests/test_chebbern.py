@@ -1,7 +1,11 @@
+import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+import hkrr.chebbern
 from hkrr.chebbern import bernoulli, pk_poly
 from hkrr.exactpoly import ONE, Poly, X, poly_compose_affine
 from hkrr.qkbasis import qk_poly
@@ -94,6 +98,38 @@ class TestPkPoly:
             pk_poly(-1)
 
 
+def akiyama_tanigawa(m: int) -> Fraction:
+    """Reference B_m (m >= 2) by the Akiyama-Tanigawa scheme: O(m^2) Fraction steps from scratch."""
+    row = [Fraction(0)] * (m + 1)
+    for i in range(m + 1):
+        row[i] = Fraction(1, i + 1)
+        for j in range(i, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+    return row[0]
+
+
+def primes_below(bound: int) -> list[int]:
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(bound - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, bound, p)))
+    return [p for p in range(bound) if sieve[p]]
+
+
+@pytest.fixture
+def fresh_tangent_table():
+    """An empty tangent table and an empty bernoulli cache, before and after the test."""
+
+    def reset():
+        hkrr.chebbern._table = hkrr.chebbern._EMPTY_TABLE
+        bernoulli.cache_clear()
+
+    reset()
+    yield reset
+    reset()
+
+
 class TestBernoulli:
     def test_reference_values(self):
         assert bernoulli(2) == Fraction(1, 6)
@@ -104,18 +140,45 @@ class TestBernoulli:
 
     def test_binomial_recurrence(self):
         # sum_j binom(m+1, j) B_j = 0 with B_0 = 1, B_1 = -1/2, odd B vanish.
-        import math
-
         for m in range(2, 20, 2):
             total = Fraction(1) + Fraction(m + 1) * Fraction(-1, 2)
             for j in range(2, m + 1, 2):
                 total += math.comb(m + 1, j) * bernoulli(j)
             assert total == 0
 
+    def test_matches_akiyama_tanigawa(self):
+        for m in range(2, 121, 2):
+            assert bernoulli(m) == akiyama_tanigawa(m), m
+
+    def test_von_staudt_clausen_and_sign(self):
+        # The denominator of B_m is the product of the primes p with (p - 1) | m,
+        # B_m + sum 1/p over those primes is an integer, and B_m > 0 iff m = 2 mod 4.
+        primes = primes_below(1002)
+        for m in range(2, 1001, 2):
+            b = bernoulli(m)
+            ps = [p for p in primes if m % (p - 1) == 0]
+            assert b.denominator == math.prod(ps), m
+            assert (b + sum(Fraction(1, p) for p in ps)).denominator == 1, m
+            assert (b > 0) == (m % 4 == 2), m
+
+    def test_table_grows_only_on_demand(self, fresh_tangent_table):
+        bernoulli(40)
+        table = hkrr.chebbern._table
+        assert len(table[0]) == 20
+        bernoulli(10)
+        assert hkrr.chebbern._table is table
+        bernoulli(60)
+        grown = hkrr.chebbern._table[0]
+        assert len(grown) == 30 and grown[:20] == table[0]
+        assert grown[:5] == (1, 2, 16, 272, 7936)
+
     @pytest.mark.parametrize("bad", [0, 1, 3, -2])
     def test_rejects_non_even_positive(self, bad):
         with pytest.raises(ValueError):
             bernoulli(bad)
+
+    def test_is_cached(self):
+        assert hasattr(bernoulli, "cache_info") and hasattr(bernoulli, "cache_clear")
 
 
 class TestConcurrentUse:
@@ -129,3 +192,32 @@ class TestConcurrentUse:
             results = list(pool.map(worker, range(64)))
         for seed, pair in enumerate(results):
             assert pair == worker(seed)
+
+    def test_cold_table_under_contention(self, fresh_tangent_table):
+        # Eight threads each ask for a different cold B_m with the switch
+        # interval lowered, so growths of the shared table interleave.
+        ms = [2 * (100 + 37 * i) for i in range(8)]
+        expected = {m: bernoulli(m) for m in ms}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                fresh_tangent_table()
+                results: dict[int, Fraction] = {}
+                start = threading.Barrier(len(ms))
+
+                def ask(m):
+                    start.wait(timeout=30)
+                    results[m] = bernoulli(m)
+
+                threads = [threading.Thread(target=ask, args=(m,)) for m in ms]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+                assert results == expected
+                bernoulli.cache_clear()  # and the table they left reads the same values
+                assert {m: bernoulli(m) for m in ms} == expected
+        finally:
+            sys.setswitchinterval(interval)

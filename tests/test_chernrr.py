@@ -1,13 +1,18 @@
+import hashlib
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkrr.chebbern import bernoulli, pk_poly
 from hkrr.chernrr import ChernData, partitions, q_rr_from_chern
-from hkrr.exactpoly import ONE, Poly, ZERO, poly_compose_affine
+from hkrr.cli import run
+from hkrr.exactpoly import ONE, Poly, ZERO, poly_compose_affine, rat_str
 
 
 def _mul_truncated(a: dict, b: dict, cap: int) -> dict:
@@ -45,6 +50,46 @@ def truncated_exponential_oracle(data: ChernData) -> Poly:
         if sum(key) == n:
             out = out + poly * data.values.get(key, 0)
     return out
+
+
+def per_partition_oracle(data: ChernData) -> Poly:
+    """The partition-product formula term by term, one Fraction scalar and one sum per partition."""
+    out = ZERO
+    for key, v in data.values.items():
+        if not v:
+            continue
+        scalar, term = v, ONE
+        for k, e in Counter(key).items():
+            scalar *= (-bernoulli(2 * k) / (2 * k)) ** e / math.factorial(e)
+            term = term * pk_poly(k) ** e
+        out = out + term * scalar
+    return out
+
+
+VALUES = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-(10**6), 10**6).map(Fraction),
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**15)),
+)
+
+
+@st.composite
+def chern_data(draw) -> ChernData:
+    """Full, sparse, all-zero, single-part and repeated-part data for n <= 12."""
+    n = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from(["full", "sparse", "zero", "single", "repeated"]))
+    if shape == "full":
+        keys = partitions(n)
+    elif shape == "sparse":
+        keys = draw(st.lists(st.sampled_from(partitions(n)), max_size=6, unique=True))
+    elif shape == "zero":
+        return ChernData(n, {key: 0 for key in draw(st.lists(st.sampled_from(partitions(n)), unique=True))})
+    elif shape == "single":
+        keys = [(n,)]
+    else:
+        k = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+        keys = [(k,) * (n // k)]
+    return ChernData(n, {key: draw(VALUES) for key in keys})
 
 
 def random_chern(rng, n, lo=-(10**6), hi=10**6) -> ChernData:
@@ -103,6 +148,11 @@ class TestPartitions:
 class TestQrrFromChern:
     def test_all_zero_data_gives_zero(self):
         assert q_rr_from_chern(ChernData(4, {})) == ZERO
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=chern_data())
+    def test_matches_per_partition_formula(self, data):
+        assert q_rr_from_chern(data) == per_partition_oracle(data)
 
     def test_k3_surface(self):
         # n = 1 with integral of ch_2 equal to -24 gives T + 2.
@@ -177,3 +227,42 @@ class TestQrrFromChern:
         for n in range(1, 7):
             q = q_rr_from_chern(ChernData(n, {(1,) * n: 1}))
             assert q.degree == n
+
+
+# sha256 of the exit code, stdout and stderr of `hkrr qrr` on 120 seeded
+# Chern data files, recorded with the per-partition Fraction formula.
+QRR_REPORTS_DIGEST = "8ed0a2751c516776b06a846868707ee383a52d08d4ea033458bc681225814d85"
+
+
+def test_qrr_reports_digest(tmp_path, capsys):
+    rng = random.Random(2701)
+    digest = hashlib.sha256()
+    path = tmp_path / "chern.json"
+    for i in range(120):
+        shape = i % 6
+        n = rng.randint(1, 40) if shape in (2, 3) else rng.randint(1, 14)
+        if shape == 2:
+            keys = [(n,)]
+        elif shape == 3:
+            k = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+            keys = [(k,) * (n // k)]
+        elif shape == 4:
+            keys = rng.sample(partitions(n), min(3, len(partitions(n))))
+        else:
+            keys = partitions(n)
+        values = []
+        for key in keys:
+            kind = rng.random()
+            if shape == 5 or kind < 0.15:
+                v = Fraction(0)
+            elif kind < 0.6:
+                v = Fraction(rng.randint(-(10**6), 10**6))
+            else:
+                v = Fraction(rng.randint(-(10**30), 10**30), rng.randint(1, 10**12))
+            values.append({"partition": list(rng.sample(key, len(key))), "value": rat_str(v)})
+        path.write_text(json.dumps({"n": n, "values": values}))
+        argv = ["qrr", "--chern", str(path)] + (["--markdown"] if i % 7 == 0 else [])
+        code = run(argv)
+        out, err = capsys.readouterr()
+        digest.update(f"{code}\n{out}\n{err}\n".encode())
+    assert digest.hexdigest() == QRR_REPORTS_DIGEST

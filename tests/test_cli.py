@@ -332,6 +332,38 @@ class TestMalformedInput:
         argv = ["decompose", "--poly", write_poly(tmp_path, self.SPLIT_CUBIC), "--basis", "shifted", "--shift", shift]
         assert run_json(capsys, argv)["inputs"]["shift"] == "6"
 
+    @pytest.mark.parametrize("shift", ["-3/2", "-6", "6"])
+    def test_shift_value_attached_or_not(self, capsys, tmp_path, shift):
+        # --shift -3/2 is read as --shift=-3/2, though argparse takes "-3/2" for an option.
+        s = Fraction(shift)
+        path = write_poly(tmp_path, Poly((s, 1)) ** 3 + Poly((s, 1)) * Fraction(-5, 2))
+        outputs = []
+        for spelling in (["--shift", shift], [f"--shift={shift}"]):
+            code = run(["decompose", "--poly", path, "--basis", "shifted", *spelling])
+            outputs.append((code, *capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == EXIT_OK
+        report = json.loads(outputs[0][1])
+        assert report["inputs"]["shift"] == shift and report["results"]["coefficients"] == ["1", "-5/2"]
+
+    @pytest.mark.parametrize("shift", ["1e3000000", "6E0", "x", "-1e3", "-3/-2", "-.5e1"])
+    def test_bad_shift_either_spelling(self, capsys, tmp_path, shift):
+        path = write_poly(tmp_path, self.SPLIT_CUBIC)
+        errors = []
+        for spelling in (["--shift", shift], [f"--shift={shift}"]):
+            assert run(["decompose", "--poly", path, "--basis", "shifted", *spelling]) == EXIT_VALIDATION
+            captured = capsys.readouterr()
+            assert captured.out == "" and len(captured.err.splitlines()) == 1
+            assert captured.err.startswith("error: --shift: ")
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("after", [["--json"], ["-x"], ["--", "-3/2"], []])
+    def test_shift_without_a_value_is_a_usage_error(self, capsys, tmp_path, after):
+        argv = ["decompose", "--poly", write_poly(tmp_path, self.SPLIT_CUBIC), "--basis", "shifted", "--shift", *after]
+        assert run(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: argument --shift: expected one argument\n")
+
 
 def _refuse_limit_change(maxdigits):
     raise AssertionError("hkrr must not change the int-to-str digit limit")
