@@ -47,10 +47,10 @@ __all__ = [
 
 
 def as_rat(x: RatLike) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to an exact Fraction."""
+    """Coerce an int, Fraction, or "p/q" string to an exact Fraction; a Fraction itself is returned."""
     if isinstance(x, float):
         raise TypeError("floats are not exact; pass an int, Fraction, or 'p/q' string")
-    return Fraction(x)
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def rat_from_json(value: object, where: str) -> Fraction:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .cnconst import cn_value
 from .exactpoly import (
@@ -62,7 +63,8 @@ class HKProfile(Report):
     """Invariants (n, c_x, n_x, m_x, a_x, P_RR, Q_RR) of one candidate.
 
     ``n_x_is_integer`` is a reportable flag; integrality of n_x is
-    observed, never enforced.
+    observed, never enforced.  ``centred`` (not a field) is P_RR(V - n_x),
+    the one shift ``validate`` checks and ``real_root_classifier`` reads R off.
     """
 
     n: int
@@ -76,6 +78,10 @@ class HKProfile(Report):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_x_is_integer", self.n_x.denominator == 1)
+
+    @cached_property
+    def centred(self) -> tuple[list[int], int]:
+        return _centred(self.p_rr, self.n_x, self.n % 2)
 
     def validate(self) -> None:
         """Check every structural invariant, in order; the first failure raises."""
@@ -92,7 +98,7 @@ class HKProfile(Report):
             raise ProfileError("c_x, a_x, m_x are inconsistent")
         # p(-T - 2 n_x) = (-1)^n p(T) iff p(U - n_x) has only terms of n's parity.
         try:
-            _centred(self.p_rr, self.n_x, n % 2)
+            self.centred
         except NotInSpan:
             raise ProfileError("no symmetry") from None
         if n > 1 and not (0 < self.a_x < 1):
@@ -264,19 +270,16 @@ def real_root_classifier(profile: HKProfile) -> RootVerdict:
     n = 2 uses the quadratic discriminant 4 a_x (4 a_x - 3); n = 3 first
     verifies the exact factorization Q_RR = (T+2)(a_x (T^2+4T) + 2) and then
     signs 8 a_x (2 a_x - 1).  n >= 4 uses the reflection symmetry
-    Q_RR(-4 - T) = (-1)^n Q_RR(T): S(x) = Q_RR(x - 2) is x^e R(x^2),
-    e = n mod 2, with R of degree n // 2; a coefficient of S of the other
-    parity raises ``ProfileError``.  The roots of Q_RR are -2 +- sqrt(u)
-    for the roots u of R, and -2 when e = 1, so all are real iff every root
-    of R is real and >= 0.  A real-rooted R has no negative root iff its
-    coefficients weakly alternate in sign, (-1)^j r_j never taking both
-    signs: Vieta's formulas give the alternation when every root is >= 0,
-    and with it R(-u) is a sum of terms of one sign, nonzero for u > 0.
-    So the verdict is that alternation and the Sturm count of
-    all_roots_real on R.  When m_x is nonzero, both read R(v/m_x^2) up to a
-    positive factor instead: R in P_RR's own variable, since Q_RR(T) =
-    P_RR(m_x T).  Its roots are R's times m_x^2 > 0, so the verdict is the
-    same, and its coefficients lose R's m_x^(2j) growth.
+    Q_RR(-4 - T) = (-1)^n Q_RR(T): Q_RR(U - 2) = U^e R(U^2), e = n mod 2,
+    and a term of the other parity raises ``ProfileError``.  Q_RR's roots
+    are -2 +- sqrt(u) for R's roots u, and -2 when e = 1, so all are real
+    iff R is real-rooted (the Sturm count of all_roots_real) and its
+    coefficients weakly alternate in sign: by Vieta when every root is
+    >= 0, and then R(-u) is a sum of terms of one sign, nonzero for u > 0.
+    When m_x is nonzero, R is read off ``profile.centred``, the
+    P_RR(V - n_x) = V^e R_P(V^2) that ``validate`` built: Q_RR(U - 2) =
+    P_RR(m_x U - n_x) gives R(u) = m_x^e R_P(m_x^2 u): R_P's roots are R's
+    times m_x^2 > 0 and its signs R's, or all flipped, so the same verdict.
     """
     n, a = profile.n, profile.a_x
     if n == 1:
@@ -291,12 +294,9 @@ def real_root_classifier(profile: HKProfile) -> RootVerdict:
         disc = 8 * a * (2 * a - 1)
         return RootVerdict(n=3, method="factored-discriminant", all_real=disc >= 0, discriminant=disc)
     try:
-        r, _ = _centred(profile.q_rr, 2, n % 2)
+        r, _ = profile.centred if profile.m_x else _centred(profile.q_rr, 2, n % 2)
     except NotInSpan:
         raise ProfileError("no symmetry about -2") from None
-    if profile.m_x:  # m_x^2 = num/den: r_j den^j num^(d-j) = num^d R(v/m_x^2)
-        num, den, d = profile.m_x.numerator ** 2, profile.m_x.denominator ** 2, len(r) - 1
-        r = [c * den**j * num ** (d - j) for j, c in enumerate(r)]
     alternating = len({(c > 0) == (j % 2 == 0) for j, c in enumerate(r) if c}) <= 1
     # Reports name this Sturm count "isolation"; renaming it would change every n >= 4 report.
     return RootVerdict(n=n, method="isolation", all_real=alternating and all_roots_real(Poly(r)))

@@ -145,6 +145,17 @@ class TestRatSerialization:
         with pytest.raises(TypeError):
             as_rat(0.5)
 
+    def test_a_fraction_is_returned_itself(self):
+        class Half(Fraction):
+            pass
+
+        x = Fraction(3, 7)
+        assert as_rat(x) is x
+        y = as_rat(Half(1, 2))
+        assert type(y) is Fraction and y == Fraction(1, 2)
+        p = Poly([x, Half(1, 2)])
+        assert p.coeffs == (x, Fraction(1, 2))
+
     def test_json_accepts_integers_fractions_and_decimals(self):
         for value, want in ((7, 7), ("-7", -7), ("3/2", Fraction(3, 2)), ("1.5", Fraction(3, 2))):
             assert rat_from_json(value, "x") == want

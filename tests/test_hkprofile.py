@@ -1,6 +1,8 @@
 import hashlib
+import json
 import math
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ from hkrr.exactpoly import Poly, X, integer_form, poly_compose_affine
 from hkrr.hkprofile import (
     HKProfile,
     ProfileError,
+    RootVerdict,
     cubic_prr,
     denominator_check,
     double_factorial,
@@ -21,7 +24,7 @@ from hkrr.hkprofile import (
     profile_from_prr,
     real_root_classifier,
 )
-from hkrr.qkbasis import all_roots_real, qk_poly
+from hkrr.qkbasis import NotInSpan, _centred, all_roots_real, qk_poly
 
 
 class TestDoubleFactorial:
@@ -366,9 +369,12 @@ class TestRealRootClassifier:
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_asymmetric_profile_raises(self, n):
+        # P_RR + T and Q_RR + m_x T: still Q_RR = P_RR(m_x T), but neither is symmetric.
         prof = profile_from_prr(n, known_family_prr("split", n))
+        broken = replace(prof, p_rr=prof.p_rr + X, q_rr=prof.q_rr + X * prof.m_x)
+        assert broken.q_rr == poly_compose_affine(broken.p_rr, broken.m_x, 0)
         with pytest.raises(ProfileError, match="^no symmetry about -2$"):
-            real_root_classifier(replace(prof, q_rr=prof.q_rr + X))
+            real_root_classifier(broken)
 
     @pytest.mark.parametrize("kind", ["split", "product"])
     def test_families_agree_with_full_degree_sturm(self, kind):
@@ -378,13 +384,39 @@ class TestRealRootClassifier:
 
 
 def _hand_built(q: Poly, m_x: Fraction = Fraction(1)) -> HKProfile:
-    """A profile with Q_RR = q that skips validate; the n >= 4 verdict reads only n, m_x and q_rr."""
+    """A profile with Q_RR = q and P_RR = q(T/m_x), n_x = 2 m_x, that skips validate.
+
+    The n >= 4 verdict reads only n, m_x and, when m_x is nonzero,
+    P_RR(V - n_x); otherwise Q_RR.  m_x = 0 keeps P_RR = Q_RR = q.
+    """
     one = Fraction(1)
-    return HKProfile(n=q.degree, c_x=one, n_x=2 * m_x, m_x=m_x, a_x=one / 2, p_rr=q, q_rr=q)
+    p = poly_compose_affine(q, 1 / m_x, 0) if m_x else q
+    return HKProfile(n=q.degree, c_x=one, n_x=2 * m_x, m_x=m_x, a_x=one / 2, p_rr=p, q_rr=q)
+
+
+def _verdict_by_q_shift(profile: HKProfile) -> RootVerdict:
+    """The n >= 4 verdict by the former route: R off Q_RR(U - 2), rescaled by m_x^2 when m_x is nonzero."""
+    n = profile.n
+    try:
+        r, _ = _centred(profile.q_rr, 2, n % 2)
+    except NotInSpan:
+        raise ProfileError("no symmetry about -2") from None
+    if profile.m_x:  # m_x^2 = num/den: r_j den^j num^(d-j) = num^d R(v/m_x^2)
+        num, den, d = profile.m_x.numerator ** 2, profile.m_x.denominator ** 2, len(r) - 1
+        r = [c * den**j * num ** (d - j) for j, c in enumerate(r)]
+    alternating = len({(c > 0) == (j % 2 == 0) for j, c in enumerate(r) if c}) <= 1
+    return RootVerdict(n=n, method="isolation", all_real=alternating and all_roots_real(Poly(r)))
+
+
+def _outcome(classify, profile: HKProfile) -> RootVerdict | str:
+    try:
+        return classify(profile)
+    except ProfileError as exc:
+        return str(exc)
 
 
 RATIONALS = st.fractions(min_value=-8, max_value=8, max_denominator=6)
-# The verdict rescales R by m_x^2 when m_x is nonzero: any sign, and 0, give Q_RR's own verdict.
+# The verdict reads R in P_RR's variable when m_x is nonzero: any sign, and 0, give Q_RR's own verdict.
 M_X = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-50, max_value=50, max_denominator=30))
 ORACLE_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -423,6 +455,19 @@ class TestRootVerdictOracle:
         want = min(us) >= 0 and not pairs
         assert real_root_classifier(_hand_built(q, m_x)).all_real == all_roots_real(q) == want
 
+    @ORACLE_SETTINGS
+    @given(n=st.integers(4, 12), m_x=M_X, data=st.data())
+    def test_agrees_with_the_q_shift_route(self, n, m_x, data):
+        # Consistent profiles, Q_RR = P_RR(m_x T): signed q_k sums, and with
+        # a stray term mostly not symmetric about -2.  Verdict or error, the
+        # reading of P_RR(V - n_x) and the former Q_RR(U - 2) route agree.
+        bs = [data.draw(RATIONALS.filter(bool))] + data.draw(st.lists(RATIONALS, max_size=n // 2))
+        q = sum((qk_poly(n - 2 * i) * b for i, b in enumerate(bs)), Poly())
+        if data.draw(st.booleans()):
+            q = q + X ** data.draw(st.integers(0, n - 1)) * data.draw(RATIONALS.filter(bool))
+        prof = _hand_built(q, m_x)
+        assert _outcome(real_root_classifier, prof) == _outcome(_verdict_by_q_shift, prof)
+
     @pytest.mark.parametrize("kind", ["split", "product"])
     @pytest.mark.parametrize("n", [4, 6, 10, 24])
     def test_even_family_reflected_to_negative_m_x(self, kind, n):
@@ -433,6 +478,26 @@ class TestRootVerdictOracle:
         assert prof.m_x == -family.m_x < 0 and prof.q_rr == family.q_rr
         verdict = real_root_classifier(prof)
         assert verdict == real_root_classifier(family) and verdict.method == "isolation" and verdict.all_real
+
+
+@pytest.mark.parametrize("family", ["split", "product"])
+def test_profile_shifts_once(family, monkeypatch):
+    # validate centres P_RR at n_x and the root verdict reads R off that
+    # same shift: one Taylor shift per profile.
+    shifts = []
+
+    def counting(p, a, b, compose=poly_compose_affine):
+        if b:
+            shifts.append(b)
+        return compose(p, a, b)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hkrr" and hasattr(module, "poly_compose_affine"):
+            monkeypatch.setattr(module, "poly_compose_affine", counting)
+    for n in range(4, 13):
+        shifts.clear()
+        assert run(["profile", "--family", family, "--n", str(n)]) == 0
+        assert len(shifts) == 1, (n, shifts)
 
 
 # sha256 of the stdout of `hkrr profile --family F --n N` for F = split, then
@@ -448,3 +513,90 @@ def test_profile_reports_digest(capsys):
             assert run(["profile", "--family", family, "--n", str(n)]) == 0
             digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == PROFILE_REPORTS_DIGEST
+
+
+def _symmetric_q(rng: random.Random, n: int) -> Poly:
+    """a (T+2)^n + sum b_j (T+2)^(n-2j), its last term solved for Q(0) = n + 1; a is mostly in (0, 1)."""
+    w = Poly((2, 1))
+    a = Fraction(rng.randint(1, 11), 12) if rng.random() < 0.85 else Fraction(rng.randint(-3, 30), 6)
+    q = w**n * a
+    for j in range(1, n // 2):
+        q = q + w ** (n - 2 * j) * Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    if n >= 2:
+        last = w ** (n % 2)
+        return q + last * ((n + 1 - q.coeff(0)) / last.coeff(0))
+    return q
+
+
+def _u_factored_q(rng: random.Random, n: int) -> Poly:
+    """(T+2)^e prod ((T+2)^2 - u_i), u_i mostly >= 0, scaled to Q(0) = n + 1."""
+    w = Poly((2, 1))
+    q = w ** (n % 2)
+    for _ in range(n // 2):
+        u = Fraction(rng.randint(-2, 40), rng.randint(1, 5))
+        q = q * (w * w - (u if u != 4 else 5))
+    return q * Fraction(n + 1) / q.coeff(0)
+
+
+def _profile_poly_cases() -> list[tuple[list, list[str]]]:
+    """Seeded `profile --poly` inputs (coefficients, extra flags).
+
+    Valid and invalid candidates of both parities: m_x of either sign and
+    rational, n_x = 0, the known families rescaled and reflected, and each
+    ProfileError (constant term, leading coefficient, A_X range, symmetry,
+    degree); every ninth in --markdown.
+    """
+    rng = random.Random(2801)
+    cases = []
+    for i in range(600):
+        n = rng.randint(1, 12)
+        kind = i % 6
+        m_x = Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 5))
+        if kind in (0, 4, 5):
+            p = poly_compose_affine(_symmetric_q(rng, n), 1 / m_x, 0)
+        elif kind == 1:
+            p = poly_compose_affine(_u_factored_q(rng, n), 1 / m_x, 0)
+        elif kind == 2:  # symmetric about 0: n_x = m_x = a_x = 0
+            p = Poly([Fraction(rng.randint(1, 9), rng.randint(1, 7)) if (n - j) % 2 == 0 else 0 for j in range(n + 1)])
+            if n % 2 == 0:
+                p = p + (n + 1 - p.coeff(0))
+        else:
+            p = known_family_prr(rng.choice(("split", "product")), n)
+            p = poly_compose_affine(p, rng.choice((-1, 1)) * Fraction(rng.randint(1, 6), rng.randint(1, 6)), 0)
+        if kind == 4:
+            k = rng.randint(1, max(1, n - 2))
+            p = p + X**k * Fraction(rng.choice((-1, 1)), rng.randint(1, 9))
+        elif kind == 5:
+            p = rng.choice((p + 1, p * -1, p * Fraction(3, 2) - Fraction(n + 1, 2)))
+        flags = ["--n", str(n if rng.random() < 0.95 else n + 1)] if rng.random() < 0.5 else []
+        if i % 9 == 0:
+            flags.append("--markdown")
+        coeffs = [int(c) if c.denominator == 1 else str(c) for c in p.coeffs]
+        cases.append((coeffs, flags))
+    return cases
+
+
+# sha256 of exit code, stdout and stderr of `hkrr profile --poly` on each of
+# _profile_poly_cases(), recorded while the root verdict still shifted Q_RR
+# by 2 and rescaled R by m_x^2.
+PROFILE_POLY_REPORTS_DIGEST = "30e3163553f40ce20d8f8ccac1af1ece4a9360f3c1db248be4dfe550c472ee38"
+
+
+def test_profile_poly_reports_digest(tmp_path, capsys):
+    digest, seen = hashlib.sha256(), set()
+    path = tmp_path / "p.json"
+    for coeffs, flags in _profile_poly_cases():
+        path.write_text(json.dumps({"coeffs": coeffs}))
+        code = run(["profile", "--poly", str(path), *flags])
+        out, err = capsys.readouterr()
+        assert str(path) not in out + err
+        digest.update(f"{code}\n{out}\0{err}\0".encode())
+        seen.add(err or "ok")
+    assert {
+        "ok",
+        "error: bad constant term\n",
+        "error: leading coefficient must be positive\n",
+        "error: A_X out of range\n",
+        "error: no symmetry\n",
+    } <= seen
+    assert digest.hexdigest() == PROFILE_POLY_REPORTS_DIGEST
