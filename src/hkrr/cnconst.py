@@ -193,7 +193,7 @@ def min_padic_valuation(p: int, points: int, depth: int) -> int:
 def _slopes(a: list[int]) -> list[int]:
     """The steps a[t + 1] - a[t]; AssertionError unless they never decrease."""
     s = [y - x for x, y in zip(a, a[1:])]
-    if any(x > y for x, y in zip(s, s[1:])):
+    if s != sorted(s):
         raise AssertionError(f"min-plus table is not convex: {a}")
     return s
 

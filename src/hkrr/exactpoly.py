@@ -61,16 +61,27 @@ def rat_from_json(value: object, where: str) -> Fraction:
     string in exponent notation: ``Fraction("1e3000000")`` would expand the
     power of ten, which takes minutes and memory in proportion.
     """
+    return Fraction(*_rat_pair(value, where))
+
+
+def _rat_pair(value: object, where: str) -> tuple[int, int]:
+    """``rat_from_json``'s value as (num, den), den > 0: by ``int`` for an ASCII "-?digits[/digits]", else by Fraction."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(f"{where}: expected an integer or a 'p/q' string, got {json_echo(value)}")
-    if isinstance(value, str) and ("e" in value or "E" in value):
+    if isinstance(value, int):
+        return int(value), 1
+    if "e" in value or "E" in value:
         raise ValueError(f"{where}: exponent notation is not accepted, got {value!r}")
-    try:
-        return Fraction(value)
+    num, slash, den = value.partition("/")
+    try:  # int raises Fraction's own error past the int-to-str digit limit
+        if value.isascii() and num.removeprefix("-").isdigit() and (not slash or den.isdigit() and den.strip("0")):
+            return int(num), int(den or 1)
+        x = Fraction(value)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
     except ZeroDivisionError:
         raise ValueError(f"{where}: zero denominator in {value!r}") from None
+    return x.numerator, x.denominator
 
 
 def json_echo(value: object, depth: int = 3) -> str:
@@ -359,7 +370,9 @@ class Poly:
     def from_json(cls, obj: dict) -> "Poly":
         if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
             raise ValueError("polynomial JSON must be an object with a 'coeffs' list")
-        return cls(rat_from_json(c, f"coeffs[{i}]") for i, c in enumerate(obj["coeffs"]))
+        pairs = [_rat_pair(c, f"coeffs[{i}]") for i, c in enumerate(obj["coeffs"])]
+        den = math.lcm(1, *(d for _, d in pairs))
+        return _poly([c * (den // d) for c, d in pairs], den)
 
 
 def _canonical(p: Poly, nums: list[int], den: int) -> None:

@@ -51,7 +51,7 @@ class ProfileError(ValueError):
 
 
 def double_factorial(m: int) -> int:
-    """Product of the odd integers up to m."""
+    """m!!: the product of the integers from m down to 1 or 2 that share m's parity (so 8 for m = 4); 1 for m < 1."""
     out = 1
     for k in range(1 if m % 2 else 2, m + 1, 2):
         out *= k
@@ -189,16 +189,19 @@ def denominator_check(n: int, p: Poly, even_form: bool) -> DenominatorReport:
     """Check a_i * 2^i * C(n) in Z for every i (or a_i * C(n) when not even).
 
     Also reports whether the Fujiki constant (2n)! a_n lies in the lattice
-    ((2n)!/(2^n C(n))) Z, which is the i = n check in the even case.
+    ((2n)!/(2^n C(n))) Z, which is the i = n check in the even case.  With
+    (N, M) = ``integer_form(p)``, a_i 2^i C(n) is an integer iff M divides
+    N_i 2^i r for r = C(n) mod M, so C(n) is reduced once and every test is
+    on integers of M's size.
     """
     if p.degree > n:
         raise ValueError("polynomial degree exceeds n")
     cn = cn_value(n).value
-    flags = []
-    for i in range(n + 1):
-        scale = cn * 2**i if even_form else cn
-        flags.append((p.coeff(i) * scale).denominator == 1)
-    fujiki = (p.coeff(n) * 2**n * cn).denominator == 1
+    nums, m = integer_form(p)
+    r = cn % m
+    flags = [(c * r << i if even_form else c * r) % m == 0 for i, c in enumerate(nums)]
+    flags += [True] * (n + 1 - len(nums))
+    fujiki = p.degree < n or (nums[n] * r << n) % m == 0
     return DenominatorReport(
         ok=all(flags),
         even_form=even_form,
@@ -231,7 +234,7 @@ def even_values_check(n: int, p: Poly) -> EvenValuesReport:
     that is M | Delta^k N(2t) at t = 0, so the test costs d + 1 integer
     evaluations and O(d^2) subtractions, whatever the size of M.  On
     success the leading coefficient must lie in 1/(n! 2^n) Z and
-    (2n)! a_n in (2n-1)!! Z.
+    (2n)! a_n in (2n-1)!! Z; both are read off N_n and M.
     """
     if p.degree > n:
         raise ValueError("polynomial degree exceeds n")
@@ -241,15 +244,15 @@ def even_values_check(n: int, p: Poly) -> EvenValuesReport:
     while diffs and integral:
         integral = diffs[0] % m == 0
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    a_n = p.coeff(n)
-    leading_ok = (a_n * math.factorial(n) * 2**n).denominator == 1
-    c_x = math.factorial(2 * n) * a_n
-    fujiki_ok = (c_x / double_factorial(2 * n - 1)).denominator == 1
+    top = coeffs[n] if 0 <= n == p.degree else 0  # a_n = top / M
+    c_x = Fraction(math.factorial(2 * n) * top, m)
+    # (2n)! = (2n-1)!! 2^n n!, so c_x / (2n-1)!! = a_n n! 2^n: the two lattice tests are one.
+    lattice = (top * math.factorial(n) << n) % m == 0
     return EvenValuesReport(
-        ok=integral and leading_ok and fujiki_ok,
+        ok=integral and lattice,
         integral_on_even=integral,
-        leading_in_lattice=leading_ok,
-        fujiki_multiple_of_double_factorial=fujiki_ok,
+        leading_in_lattice=lattice,
+        fujiki_multiple_of_double_factorial=lattice,
         c_x=c_x,
     )
 

@@ -10,6 +10,8 @@ from itertools import zip_longest
 from typing import NamedTuple, Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkrr import cnconst, exactpoly, hkprofile, isosolver
 from hkrr.exactpoly import (
@@ -25,6 +27,7 @@ from hkrr.exactpoly import (
     int_horner,
     integer_form,
     integrality_residues,
+    json_echo,
     jsonable,
     poly_compose_affine,
     pseudo_divmod,
@@ -164,6 +167,72 @@ class TestRatSerialization:
     def test_json_refuses_exponent_notation(self, value):
         with pytest.raises(ValueError, match=r"^coeffs\[0\]: exponent notation is not accepted"):
             rat_from_json(value, "coeffs[0]")
+
+
+def former_rat_from_json(value: object, where: str) -> Fraction:
+    """The reader before integer pairs: every value through Fraction(str)."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"{where}: expected an integer or a 'p/q' string, got {json_echo(value)}")
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        raise ValueError(f"{where}: exponent notation is not accepted, got {value!r}")
+    try:
+        return Fraction(value)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    except ZeroDivisionError:
+        raise ValueError(f"{where}: zero denominator in {value!r}") from None
+
+
+def read_outcome(reader, value: object) -> object:
+    """reader(value) as (type, value), or the ValueError's text."""
+    try:
+        x = reader(value, "coeffs[0]")
+    except ValueError as exc:
+        return str(exc)
+    return type(x), x
+
+
+JSON_VALUES = st.one_of(
+    st.text(alphabet="0123456789 -+/._eE\u0663\u00b2", max_size=12),
+    st.from_regex(r"\A-?[0-9]{1,30}(/[0-9]{1,30})?\Z"),
+    st.builds(  # digit strings about the int-to-str limit of 4,300 digits
+        lambda sign, digit, size, den: sign + digit * size + den,
+        st.sampled_from(["", "-"]),
+        st.sampled_from("907"),
+        st.integers(4295, 4310),
+        st.sampled_from(["", "/3", "/0", "/" + "7" * 4301]),
+    ),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.booleans(),
+    st.floats(),
+    st.none(),
+)
+
+
+class TestJsonReader:
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(JSON_VALUES)
+    def test_agrees_with_the_fraction_route(self, value):
+        assert read_outcome(rat_from_json, value) == read_outcome(former_rat_from_json, value)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(JSON_VALUES, max_size=6))
+    def test_poly_from_json_agrees_with_the_fraction_route(self, coeffs):
+        def read(reader):
+            try:
+                return integer_form(Poly(reader(c, f"coeffs[{i}]") for i, c in enumerate(coeffs)))
+            except ValueError as exc:
+                return str(exc)
+
+        try:
+            got = integer_form(Poly.from_json({"coeffs": coeffs}))
+        except ValueError as exc:
+            got = str(exc)
+        assert got == read(former_rat_from_json)
+
+    @pytest.mark.parametrize("value", ["2/4", "+3", " 1/2", "007", "1_0", "1/-2", "-0", "0/7", "\u0663", "\u00b2", "1/00"])
+    def test_non_canonical_spellings(self, value):
+        assert read_outcome(rat_from_json, value) == read_outcome(former_rat_from_json, value)
 
 
 class Pair(NamedTuple):

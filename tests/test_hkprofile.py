@@ -11,8 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkrr.cli import run
-from hkrr.exactpoly import Poly, X, integer_form, poly_compose_affine
+from hkrr.cnconst import cn_value
+from hkrr.exactpoly import ZERO, Poly, X, integer_form, poly_compose_affine
 from hkrr.hkprofile import (
+    DenominatorReport,
+    EvenValuesReport,
     HKProfile,
     ProfileError,
     RootVerdict,
@@ -30,6 +33,10 @@ from hkrr.qkbasis import NotInSpan, _centred, all_roots_real, qk_poly
 class TestDoubleFactorial:
     def test_values(self):
         assert [double_factorial(m) for m in (1, 3, 5, 7)] == [1, 3, 15, 105]
+
+    def test_even_m_multiplies_the_even_integers(self):
+        assert double_factorial(4) == 8
+        assert [double_factorial(m) for m in range(-5, 300)] == [math.prod(range(m, 0, -2)) for m in range(-5, 300)]
 
 
 class TestKnownFamilies:
@@ -291,6 +298,81 @@ class TestEvenValuesCheck:
             assert verdict == sampled_integral_on_even(p), (n, p)
             verdicts.add(verdict)
         assert verdicts == {True, False}
+
+
+def former_denominator_check(n: int, p: Poly, even_form: bool) -> DenominatorReport:
+    """denominator_check as it was, on coefficient Fractions multiplied by C(n)."""
+    if p.degree > n:
+        raise ValueError("polynomial degree exceeds n")
+    cn = cn_value(n).value
+    flags = []
+    for i in range(n + 1):
+        scale = cn * 2**i if even_form else cn
+        flags.append((p.coeff(i) * scale).denominator == 1)
+    fujiki = (p.coeff(n) * 2**n * cn).denominator == 1
+    return DenominatorReport(
+        ok=all(flags), even_form=even_form, c_n=cn, coefficient_ok=tuple(flags), fujiki_in_lattice=fujiki
+    )
+
+
+def former_even_values_check(n: int, p: Poly) -> EvenValuesReport:
+    """even_values_check as it was: both lattice tests and c_x on Fractions.
+
+    integral_on_even is read from even_values_check, whose Polya loop did not change.
+    """
+    if p.degree > n:
+        raise ValueError("polynomial degree exceeds n")
+    integral = even_values_check(n, p).integral_on_even
+    a_n = p.coeff(n)
+    leading_ok = (a_n * math.factorial(n) * 2**n).denominator == 1
+    c_x = math.factorial(2 * n) * a_n
+    fujiki_ok = (c_x / double_factorial(2 * n - 1)).denominator == 1
+    return EvenValuesReport(
+        ok=integral and leading_ok and fujiki_ok,
+        integral_on_even=integral,
+        leading_in_lattice=leading_ok,
+        fujiki_multiple_of_double_factorial=fujiki_ok,
+        c_x=c_x,
+    )
+
+
+DENOMINATORS = st.sampled_from([1, 1, 2, 3, 7, 2**10, 3**6, 7**3, 2**10 * 3**6 * 7**3, 2**5 * 3**3, 5 * 7**3, 11])
+
+
+@st.composite
+def check_inputs(draw) -> tuple[int, Poly]:
+    """(n, p): a family polynomial or zero, scaled, plus terms over the DENOMINATORS, degree at most n."""
+    n = draw(st.integers(1, 14))
+    base = known_family_prr(draw(st.sampled_from(["split", "product"])), n) if draw(st.booleans()) else ZERO
+    base = base * Fraction(draw(st.integers(-6, 6)), draw(DENOMINATORS))
+    terms = draw(st.lists(st.tuples(st.integers(0, n), st.integers(-(10**6), 10**6), DENOMINATORS), max_size=4))
+    return n, sum((X**i * Fraction(a, b) for i, a, b in terms), base)
+
+
+class TestChecksAgainstFractionOracles:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(check_inputs(), st.booleans())
+    def test_denominator_check(self, case, even_form):
+        n, p = case
+        assert denominator_check(n, p, even_form) == former_denominator_check(n, p, even_form)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(check_inputs())
+    def test_even_values_check(self, case):
+        n, p = case
+        assert even_values_check(n, p) == former_even_values_check(n, p)
+
+    def test_both_outcomes_occur(self):
+        rng = random.Random(2902)
+        seen = set()
+        for _ in range(400):
+            n = rng.randint(1, 10)
+            shift = Fraction(rng.randint(-9, 9), rng.choice((1, 2**10, 3**6, 7**3)))
+            p = known_family_prr("split", n) + X ** rng.randint(0, n) * shift
+            den, even = denominator_check(n, p, True), even_values_check(n, p)
+            assert den == former_denominator_check(n, p, True) and even == former_even_values_check(n, p)
+            seen.add((den.ok, den.fujiki_in_lattice, even.leading_in_lattice))
+        assert seen == {(True, True, True), (True, True, False), (False, True, True), (False, False, False)}
 
 
 def sampled_integral_on_even(p: Poly) -> bool:
@@ -600,3 +682,105 @@ def test_profile_poly_reports_digest(tmp_path, capsys):
         "error: no symmetry\n",
     } <= seen
     assert digest.hexdigest() == PROFILE_POLY_REPORTS_DIGEST
+
+
+def _spell(rng: random.Random, c: Fraction) -> object:
+    """c as a JSON coefficient: an int, "p/q", or one of the other spellings the reader accepts."""
+    kind = rng.random()
+    if kind < 0.4:
+        return int(c) if c.denominator == 1 else str(c)
+    if kind < 0.55:
+        k = rng.randint(2, 9)
+        return f"{c.numerator * k}/{c.denominator * k}"
+    if kind < 0.7:
+        return str(c)
+    minus, size = ("-", -c) if c < 0 else ("", c)
+    return rng.choice((f"{minus or '+'}{size}", f" {c} ", f"{minus}00{size}", f"{c}\n"))
+
+
+# Every malformed value that test_cli's TestMalformedInput feeds to a command.
+BAD_COEFFS = [
+    [1.5, 1],
+    [4, 0.25],
+    [True, 1],
+    [2, False],
+    [2, None],
+    ["1/0", 1],
+    [2, "x"],
+    ["1e1000000", 1],
+    [4, "1E3000000"],
+]
+# Spellings that are not "-?digits" or "-?digits/digits", accepted or not.
+ODD_SPELLINGS = ["2/4", "+3", " 1/2", "007", "1_0", "1/-2", "-0", "0/7", "1.5", "-.25", "٣", "1__0", "1/", "/2", "-", ""]
+
+
+def _check_cases() -> list[tuple[str, list[str]]]:
+    """Seeded `check` inputs: (file text, flags after --poly FILE).
+
+    Both families for n <= 40 with and without --even, perturbed ones with
+    denominators such as 2^10, 3^6 and 7^3, degree below n, the zero
+    polynomial, non-canonical spellings, every malformed coefficient and a
+    few malformed files; every eleventh in --markdown.
+    """
+    rng = random.Random(2901)
+    cases = []
+
+    def add(coeffs: object, n: int, even: bool) -> None:
+        flags = ["--n", str(n)] + (["--even"] if even else [])
+        if len(cases) % 11 == 0:
+            flags.append("--markdown")
+        cases.append((json.dumps({"coeffs": coeffs}), flags))
+
+    for kind in ("split", "product"):
+        for n in range(1, 41):
+            p = known_family_prr(kind, n)
+            add([_spell(rng, c) for c in p.coeffs], n, n % 2 == 0)
+            add([int(c) if c.denominator == 1 else str(c) for c in p.coeffs], n, n % 2 == 1)
+    dens = [1, 2, 3, 4, 5, 7, 9, 2**10, 3**6, 7**3, 2**10 * 3**6, 2**4 * 7**3, 11 * 13]
+    for _ in range(160):
+        n = rng.randint(1, 40)
+        p = known_family_prr(rng.choice(("split", "product")), rng.randint(1, n) if rng.random() < 0.2 else n)
+        for _ in range(rng.randint(1, 3)):
+            p = p + X ** rng.randint(0, n) * Fraction(rng.randint(-50, 50), rng.choice(dens))
+        if rng.random() < 0.2:
+            p = p * Fraction(rng.randint(1, 9), rng.choice(dens))
+        add([_spell(rng, c) for c in p.coeffs], n, rng.random() < 0.5)
+    for n in (1, 2, 5):
+        for coeffs in ([], [0], [0, 0, "0/3"], ["-0"], [4, 0, 0]):
+            add(coeffs, n, n != 2)
+    for spelling in ODD_SPELLINGS:
+        add([4, spelling, "1/48"], 3, True)
+        add([spelling], 1, False)
+    for coeffs in BAD_COEFFS:
+        add(coeffs, 1, True)
+        add(coeffs, 3, False)
+    add([4, 1, 1, 1], 2, True)  # degree above n
+    for n in (0, -1):
+        add([], n, True)
+        add([1], n, False)
+    cases.append(('{"coeffs": [4, ' + "9" * 4301 + "]}", ["--n", "1"]))
+    cases.append(('{"coeffs": ["' + "9" * 4301 + '"]}', ["--n", "1"]))
+    cases.append(('{"coeffs": ["1/' + "9" * 4301 + '"]}', ["--n", "1"]))
+    cases.append(('{"coeffs": ["' + "9" * 4300 + '", "1/' + "7" * 4300 + '"]}', ["--n", "1", "--even"]))
+    for text in ("[1, 2]", '{"coeffs": 5}', '{"coeffs": "1"}', "{}", "not json", '{"coeffs": ' + "[" * 50 + "]" * 50 + "}"):
+        cases.append((text, ["--n", "2"]))
+    return cases
+
+
+# sha256 of exit code, stdout and stderr of `hkrr check --poly poly.json` on
+# each of _check_cases(), recorded while the coefficients were read through
+# Fraction(str) and both checks multiplied coefficient Fractions.
+CHECK_REPORTS_DIGEST = "b432b7000e6504eebc00b2049e8f1c42a0cdb2896f483eb2e37c8b6af290ffdf"
+
+
+def test_check_reports_digest(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # error messages name the file; a relative name keeps them fixed
+    digest, seen = hashlib.sha256(), set()
+    for text, flags in _check_cases():
+        (tmp_path / "poly.json").write_text(text)
+        code = run(["check", "--poly", "poly.json", *flags])
+        out, err = capsys.readouterr()
+        digest.update(f"{code}\n{out}\0{err}\0".encode())
+        seen.add(code)
+    assert seen == {0, 1}
+    assert digest.hexdigest() == CHECK_REPORTS_DIGEST
