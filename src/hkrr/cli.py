@@ -1,11 +1,15 @@
 """Command-line surface: every subcommand emits one deterministic report.
 
-A report is {"command", "inputs", "results", "claims"}, made plain by
-``exactpoly.jsonable``.  render_json writes it with the bytes of
-``json.dumps(report, indent=2)``; --markdown renders the same object as
-nested sections instead.  Exit codes: 0 success, 1 validation error, 64
-usage error, 70 internal error (a defect in hkrr, such as a report value
-that cannot be written, reported in one line).
+A report is {"command", "inputs", "results", "claims"}.  run parses a
+request with its command's own parser (the top-level parser takes no
+argv, -h, --version, an unknown command and every usage error); an input
+file is read as bytes and decoded as UTF-8 (a BOM or another encoding is
+refused); render_json writes the report in one pass, with the bytes of
+``json.dumps(exactpoly.jsonable(report), indent=2)``, and --markdown
+renders ``jsonable(report)`` as nested sections instead.  Exit codes: 0
+success, 1 validation error, 64 usage error, 70 internal error (a defect
+in hkrr, such as a report value that cannot be written, reported in one
+line).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Any, Sequence
 from . import __version__
 from .chernrr import ChernData, q_rr_from_chern
 from .cnconst import cn_value
-from .exactpoly import Poly, jsonable, rat_from_json
+from .exactpoly import Poly, json_level, jsonable, rat_from_json
 from .hkprofile import (
     denominator_check,
     even_values_check,
@@ -49,13 +53,16 @@ class _Parser(argparse.ArgumentParser):
     argparse takes a token that starts with "-" for an option unless it
     looks like a negative int or decimal, so ``--shift -3/2`` would leave
     --shift without its value.  A token that starts with "-" and a digit or
-    "." names no option here, so after one of ``rational_options`` it is
-    attached as ``--shift=-3/2`` before parsing.
+    "." names no option here, so after one of ``rational_options`` or its
+    abbreviations (``--s``, ``--sh``, ...) it is attached as ``--shift=-3/2``
+    before parsing.  The top-level parser's ``commands`` maps each name to
+    its command's parser.
     """
 
     def __init__(self, *args: Any, rational_options: tuple[str, ...] = (), **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         self.rational_options = rational_options
+        self.commands: dict[str, _Parser] = {}
 
     def parse_known_args(self, args: Sequence[str] | None = None, namespace: Any = None) -> Any:
         if self.rational_options and args is not None:
@@ -72,8 +79,9 @@ def _attach_negative_values(args: list[str], options: tuple[str, ...]) -> list[s
     for token in tokens:
         if token == "--":
             return out + [token, *tokens]
-        if out and out[-1] in options and token[:1] == "-" and (token[1:2].isdigit() or token[1:2] == "."):
-            token = f"{out.pop()}={token}"
+        if token[:1] == "-" and (token[1:2].isdigit() or token[1:2] == ".") and out and len(out[-1]) > 2:
+            if any(option.startswith(out[-1]) for option in options):
+                token = f"{out.pop()}={token}"
         out.append(token)
     return out
 
@@ -84,7 +92,11 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"hkrr {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    p_cn = sub.add_parser("cn", help="certified gcd constant C(n)")
+    def command(name: str, summary: str, **kwargs: Any) -> _Parser:
+        parser.commands[name] = sub.add_parser(name, help=summary, **kwargs)
+        return parser.commands[name]
+
+    p_cn = command("cn", "certified gcd constant C(n)")
     p_cn.add_argument("n", type=int)
     # Kept so that existing invocations still parse.
     p_cn.add_argument(
@@ -92,37 +104,35 @@ def build_parser() -> _Parser:
     )
     _output_flags(p_cn)
 
-    p_qk = sub.add_parser("qk", help="basis polynomial q_k, roots, Laurent identity")
+    p_qk = command("qk", "basis polynomial q_k, roots, Laurent identity")
     p_qk.add_argument("k", type=int)
     p_qk.add_argument("--roots", action="store_true")
     p_qk.add_argument("--laurent-check", action="store_true")
     _output_flags(p_qk)
 
-    p_qrr = sub.add_parser("qrr", help="Riemann-Roch polynomial from Chern data")
+    p_qrr = command("qrr", "Riemann-Roch polynomial from Chern data")
     p_qrr.add_argument("--chern", required=True, metavar="FILE")
     _output_flags(p_qrr)
 
-    p_profile = sub.add_parser("profile", help="invariant bundle of a candidate polynomial")
+    p_profile = command("profile", "invariant bundle of a candidate polynomial")
     src = p_profile.add_mutually_exclusive_group(required=True)
     src.add_argument("--family", choices=["split", "product"])
     src.add_argument("--poly", metavar="FILE")
     p_profile.add_argument("--n", type=int, default=None)
     _output_flags(p_profile)
 
-    p_dec = sub.add_parser(
-        "decompose", help="decompose into the q_k or shifted-power basis", rational_options=("--shift",)
-    )
+    p_dec = command("decompose", "decompose into the q_k or shifted-power basis", rational_options=("--shift",))
     p_dec.add_argument("--poly", required=True, metavar="FILE")
     p_dec.add_argument("--basis", required=True, choices=["qk", "shifted"])
     p_dec.add_argument("--shift", default=None, metavar="RAT")
     _output_flags(p_dec)
 
-    p_iso = sub.add_parser("isotropic", help="dimension-6 isotropic case analysis")
+    p_iso = command("isotropic", "dimension-6 isotropic case analysis")
     p_iso.add_argument("--n", type=int, required=True)
     p_iso.add_argument("--a", type=int, required=True)
     _output_flags(p_iso)
 
-    p_check = sub.add_parser("check", help="denominator and even-value checks")
+    p_check = command("check", "denominator and even-value checks")
     p_check.add_argument("--poly", required=True, metavar="FILE")
     p_check.add_argument("--n", type=int, required=True)
     p_check.add_argument("--even", action="store_true")
@@ -140,8 +150,11 @@ def _output_flags(parser: argparse.ArgumentParser) -> None:
 
 def _load_json(path: str) -> Any:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        if "\r" in text:  # text mode's universal newlines, which JSON error positions count in
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad JSON, nesting past the depth limit, or a literal past the digit limit
@@ -254,17 +267,18 @@ _HANDLERS = {
 }
 
 
-def render_json(tree: Any) -> str:
-    """``json.dumps(tree, indent=2)``, byte for byte, for a plain tree such as ``jsonable`` gives.
+def render_json(value: Any) -> str:
+    """``json.dumps(jsonable(value), indent=2)``, byte for byte, written in one pass with no tree built.
 
-    json's encoder takes its pure-Python path whenever ``indent`` is set
-    (before Python 3.13); this writer keeps its C string escaper and its
-    rules: ``int.__repr__`` and ``float.__repr__`` (``NaN``, ``Infinity``),
-    a list or tuple as an array, dict keys coerced to str, ``[]`` and ``{}``
-    for empty containers, and the same ``TypeError`` for any other value.
+    Each value is taken through ``json_level`` as it is met.  json's encoder
+    takes its pure-Python path whenever ``indent`` is set (before Python
+    3.13); this writer keeps its C string escaper and its rules:
+    ``int.__repr__`` and ``float.__repr__`` (``NaN``, ``Infinity``), a list
+    or tuple as an array, dict keys coerced to str, ``[]`` and ``{}`` for
+    empty containers, and the same ``TypeError`` for any other value.
     """
     out: list[str] = []
-    _write_json(tree, out, "\n")
+    _write_json(value, out, "\n")
     return "".join(out)
 
 
@@ -312,6 +326,8 @@ def _write_json(value: Any, out: list[str], newline: str) -> None:
 
     A scalar item is written in the loop, by its exact type, with no call of this function.
     """
+    if type(value) not in (dict, list, tuple):  # json_level keeps these as they are
+        value = json_level(value)
     inner = newline + "  "
     if isinstance(value, (list, tuple)):
         if not value:
@@ -375,13 +391,30 @@ def _render_value(value: Any, lines: list[str], depth: int) -> None:
         lines.append(f"{pad}{value}")
 
 
+def _parse(parser: _Parser, argv: Sequence[str]) -> argparse.Namespace:
+    """``parser.parse_args(argv)``, by the command's own parser when argv starts with a command name.
+
+    A usage error is left to the top-level parser: it first reads every
+    token against its own options (``--=x`` is ambiguous there).
+    """
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        try:
+            args = command.parse_args(argv[1:])
+        except _UsageError:
+            return parser.parse_args(argv)
+        args.command = argv[0]
+        return args
+    return parser.parse_args(argv)
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Execute one subcommand; returns the process exit code."""
     # Built on the first call and shared after: building the seven subparsers
     # costs more than most commands, and parsing leaves the parser unchanged.
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, sys.argv[1:] if argv is None else argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(parser.format_usage(), file=sys.stderr, end="")
@@ -393,8 +426,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         inputs, results, claims = _HANDLERS[args.command](args)
-        report = jsonable({"command": args.command, "inputs": inputs, "results": results, "claims": claims})
-        text = render_markdown(report) if args.fmt == "markdown" else render_json(report) + "\n"
+        report = {"command": args.command, "inputs": inputs, "results": results, "claims": claims}
+        text = render_markdown(jsonable(report)) if args.fmt == "markdown" else render_json(report) + "\n"
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -131,22 +131,33 @@ def _int_str(n: int) -> str:
         raise AssertionError(f"inexact decimal join: {exc!r}") from None
 
 
-# One (field name, writer) pair per field of each dataclass type jsonable has met.
-_FIELD_WRITERS: dict[type, tuple[tuple[str, Callable[[object], object]], ...]] = {}
+# One (field name, writer or None) pair per field of each dataclass type json_level has met.
+_FIELD_WRITERS: dict[type, tuple[tuple[str, Callable[[object], object] | None], ...]] = {}
 
 
 def jsonable(value: object) -> object:
-    """The JSON form of a report value; the one place the report format is set.
+    """The JSON form of a report value: ``json_level`` applied at every level."""
+    value = json_level(value)
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {k: jsonable(v) for k, v in value.items()}
+    return value
+
+
+def json_level(value: object) -> object:
+    """One level of a report value's JSON form; the one place the report format is set.
 
     A str, int, bool, float or None is kept as is.  A Fraction becomes
     "p/q", a Poly ``{"coeffs": [...]}``, a set a sorted list, a named tuple
-    an object, any other list or tuple a list, a dict a dict, and a
-    dataclass an object of its fields in declaration order.  A field whose
-    metadata carries ``"json"`` is written by that function instead; the
-    field names and writers are read once per dataclass type.  A Poly's
-    coefficients are written from its integer form: each c/den is reduced
-    by one gcd and written as ``rat_str`` writes it, with no Fraction
-    built.
+    a dict of its fields, a dataclass a dict of its fields in declaration
+    order, and a list, tuple or dict is kept; the items of the result are
+    left for the caller (``jsonable``, or ``cli.render_json`` as it writes).
+    A field whose metadata carries ``"json"`` is given by that function
+    instead; the field names and writers are read once per dataclass type.
+    A Poly's coefficients are written from its integer form: each c/den is
+    reduced by one gcd and written as ``rat_str`` writes it, with no
+    Fraction built.  Any other value is returned as is, for json to refuse.
     """
     if value is None or isinstance(value, (str, int, float)):
         return value
@@ -156,20 +167,18 @@ def jsonable(value: object) -> object:
         den = value._den
         return {"coeffs": [_ratio_str(c // (g := math.gcd(c, den)), den // g) for c in value._nums]}
     if isinstance(value, (set, frozenset)):
-        return jsonable(sorted(value))
+        return sorted(value)
     if isinstance(value, tuple) and hasattr(value, "_fields"):
-        return {name: jsonable(v) for name, v in zip(value._fields, value)}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: jsonable(v) for k, v in value.items()}
+        return dict(zip(value._fields, value))
+    if isinstance(value, (list, tuple, dict)):
+        return value
     cls = type(value)
     writers = _FIELD_WRITERS.get(cls)
     if writers is None:
         if not is_dataclass(cls):
             return value
-        writers = _FIELD_WRITERS[cls] = tuple((f.name, f.metadata.get("json", jsonable)) for f in fields(cls))
-    return {name: write(getattr(value, name)) for name, write in writers}
+        writers = _FIELD_WRITERS[cls] = tuple((f.name, f.metadata.get("json")) for f in fields(cls))
+    return {name: getattr(value, name) if write is None else write(getattr(value, name)) for name, write in writers}
 
 
 class Report:

@@ -1,12 +1,17 @@
+import codecs
+import contextlib
 import decimal
+import io
 import json
 import math
 import os
 import signal
 import subprocess
 import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +21,7 @@ import hkrr.cli
 import hkrr.qkbasis
 from hkrr.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, render_json, render_markdown, run
 from hkrr.cnconst import cn_value
-from hkrr.exactpoly import Poly
+from hkrr.exactpoly import ZERO, Poly, Report, jsonable, rat_str
 from hkrr.hkprofile import denominator_check, known_family_prr, profile_from_prr
 
 
@@ -346,6 +351,18 @@ class TestMalformedInput:
         report = json.loads(outputs[0][1])
         assert report["inputs"]["shift"] == shift and report["results"]["coefficients"] == ["1", "-5/2"]
 
+    @pytest.mark.parametrize("prefix", ["--s", "--sh", "--shi", "--shif", "--shift"])
+    @pytest.mark.parametrize("shift", ["-3/2", "-.5", "-6"])
+    def test_shift_value_attached_after_an_abbreviation(self, capsys, tmp_path, prefix, shift):
+        # argparse takes every prefix of --shift from --s on for it; a negative value follows each.
+        path = write_poly(tmp_path, Poly((Fraction(shift), 1)) ** 3)
+        outputs = []
+        for spelling in ([prefix, shift], [f"--shift={shift}"]):
+            code = run(["decompose", "--poly", path, "--basis", "shifted", *spelling])
+            outputs.append((code, *capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == EXIT_OK and json.loads(outputs[0][1])["results"]["coefficients"] == ["1", "0"]
+
     @pytest.mark.parametrize("shift", ["1e3000000", "6E0", "x", "-1e3", "-3/-2", "-.5e1"])
     def test_bad_shift_either_spelling(self, capsys, tmp_path, shift):
         path = write_poly(tmp_path, self.SPLIT_CUBIC)
@@ -528,7 +545,7 @@ class TestRenderJson:
         assert render_json(tree) == json.dumps(tree, indent=2)
 
     @pytest.mark.parametrize(
-        "tree", [object(), {"x": object()}, [1, Fraction(1, 2)], {(1, 2): 0}, [{"a": {frozenset(): 1}}]]
+        "tree", [object(), {"x": object()}, [1, 0.5j], {(1, 2): 0}, [{"a": {frozenset(): 1}}]]
     )
     def test_unwritable_value_raises_as_json_does(self, tree):
         with pytest.raises(TypeError) as expected:
@@ -536,6 +553,291 @@ class TestRenderJson:
         with pytest.raises(TypeError) as got:
             render_json(tree)
         assert str(got.value) == str(expected.value)
+
+
+class Span(NamedTuple):
+    low: object
+    high: object
+
+
+@dataclass(frozen=True, repr=False)
+class Node(Report):
+    label: Fraction
+    child: object
+    count: int = field(default=0, metadata={"json": rat_str})
+    note: object = field(default=None, metadata={"json": lambda v: f"<{type(v).__name__}>"})
+
+
+FRACTIONS = st.one_of(
+    st.fractions(max_denominator=10**6),
+    st.builds(Fraction, st.integers(-(10**700), 10**700), st.integers(1, 10**700)),
+)
+REPORT_LEAVES = st.one_of(
+    JSON_LEAVES,
+    FRACTIONS,
+    st.just(ZERO),
+    st.lists(FRACTIONS, max_size=6).map(Poly),
+    st.frozensets(st.one_of(st.integers(), FRACTIONS), max_size=4),
+    st.sets(st.text(max_size=3), max_size=4),
+)
+REPORT_VALUES = st.recursive(
+    REPORT_LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=3), st.integers()), kids, max_size=4),
+        st.builds(Span, kids, kids),
+        st.builds(Node, FRACTIONS, kids, st.integers(), kids),
+    ),
+    max_leaves=30,
+)
+
+
+class TestRenderReport:
+    """render_json of a report value against json.dumps(jsonable(value), indent=2), the tree route it replaced."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(value=REPORT_VALUES)
+    def test_equals_the_tree_route(self, value):
+        assert render_json(value) == json.dumps(jsonable(value), indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [1, Fraction(1, 2)],  # unwritable for json.dumps alone; a report value here
+            {"poly": ZERO, "p": Poly((Fraction(-1, 3), 0, 2)), 7: {Fraction(1, 2), 0, -3}},
+            Node(Fraction(2**3000, 3), Span(Node(Fraction(0), [], -(10**5000)), frozenset()), 10**4400, object()),
+            (Span(1, (2, [Fraction(5, 7)])), {"s": {"b", "a"}}),
+        ],
+        ids=["fraction-in-list", "polys-and-set", "nested-nodes", "named-tuples"],
+    )
+    def test_report_values(self, value):
+        assert render_json(value) == json.dumps(jsonable(value), indent=2)
+
+    @pytest.mark.parametrize("value", [Node(Fraction(1), object()), [Span(1, 1j)], {"k": {1: b"x"}}])
+    def test_unwritable_item_raises_as_json_does(self, value):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(jsonable(value), indent=2)
+        with pytest.raises(TypeError) as got:
+            render_json(value)
+        assert str(got.value) == str(expected.value)
+
+
+def former_load_json(path):
+    """The text-mode reader that cli._load_json replaced: the oracle for its values and errors."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"cannot parse {path}: {exc}") from exc
+
+
+def read_outcome(reader, path):
+    try:
+        return "value", reader(path)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+READER_FILES = {
+    "utf8": '{"coeffs": ["1/2", "é😀"]}'.encode(),
+    "utf8-bom": codecs.BOM_UTF8 + b'{"coeffs": [1]}',
+    "utf16-bom": '{"coeffs": [1]}'.encode("utf-16"),
+    "utf16-no-bom": '{"coeffs": [1]}'.encode("utf-16-le"),
+    "utf32-bom": '{"coeffs": [1]}'.encode("utf-32"),
+    "invalid-utf8": b'{"coeffs": ["\xff"]}',
+    "truncated-utf8": b'{"coeffs": ["\xc3',
+    "lone-surrogate": b'{"coeffs": ["\xed\xa0\x80"]}',
+    "escaped-lone-surrogate": b'{"coeffs": ["\\ud800"]}',
+    "crlf": b'{\r\n  "coeffs": [1,\r\n    "2/3"]\r\n}\r\n',
+    "crlf-malformed": b'{\r\n  "coeffs": [1,\r\n    2,\r\n  ]\r\n}\r\n',
+    "cr": b'{\r  "coeffs": [1,\r    "2/3"]\r}\r',
+    "cr-malformed": b'{\r  "coeffs": [1\r    2]\r}',
+    "cr-lf-cr": b'\r\n\r{"coeffs":\n\r\r\n [1, x]}',
+    "cr-in-string": b'{"coeffs": ["1\r\n2"]}',
+    "empty": b"",
+    "nested": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+class TestInputReader:
+    """cli._load_json (bytes, decoded) against the text-mode reader it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(READER_FILES))
+    def test_file_agrees_with_text_mode(self, tmp_path, name):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(READER_FILES[name])
+        got = read_outcome(hkrr.cli._load_json, str(path))
+        assert got == read_outcome(former_load_json, str(path))
+        assert got[0] == "value" or len(got[1].splitlines()) == 1
+
+    @pytest.mark.parametrize("kind", ["directory", "missing"])
+    def test_unreadable_path_agrees_with_text_mode(self, tmp_path, kind):
+        path = tmp_path if kind == "directory" else tmp_path / "nope.json"
+        got = read_outcome(hkrr.cli._load_json, str(path))
+        assert got == read_outcome(former_load_json, str(path))
+        assert got[1].startswith(f"cannot read {path}: ")
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        chunks=st.lists(
+            st.sampled_from(
+                [b"\r", b"\n", b"\r\n", b" ", b"{", b"}", b"[", b"]", b",", b":", b'"', b"1", b"-2", b"a", b"\\",
+                 b"\\n", b"\x00", b"\xff", b"\xc3\xa9", b"\xef\xbb\xbf", b"\xed\xa0\x80", b"\xf0\x9f\x98\x80", b'"k"']
+            ),
+            max_size=24,
+        )
+    )
+    def test_byte_strings_agree_with_text_mode(self, tmp_path_factory, chunks):
+        path = tmp_path_factory.mktemp("reader") / "input.json"
+        path.write_bytes(b"".join(chunks))
+        assert read_outcome(hkrr.cli._load_json, str(path)) == read_outcome(former_load_json, str(path))
+
+    def test_check_reads_crlf_and_cr_files(self, capsys, tmp_path):
+        # The same polynomial with each line ending gives the same report.
+        text = json.dumps(known_family_prr("split", 3).to_json(), indent=1)
+        outputs = []
+        for ending in ("\n", "\r\n", "\r"):
+            path = tmp_path / "poly.json"
+            path.write_bytes(text.replace("\n", ending).encode())
+            outputs.append((run(["check", "--poly", str(path), "--n", "3"]), *capsys.readouterr()))
+        assert outputs[0][0] == EXIT_OK and outputs[1:] == [outputs[0]] * 2
+
+
+def parse_by_the_top_level_parser(parser, argv):
+    return parser.parse_args(argv)
+
+
+README_EXIT_CODES = {EXIT_OK, EXIT_VALIDATION, EXIT_USAGE, EXIT_INTERNAL}
+
+
+@pytest.fixture(scope="class")
+def route_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("routes")
+    files = {
+        "poly": known_family_prr("split", 3).to_json(),
+        "symmetric": Poly((6, 11, 6, 1)).to_json(),
+        "chern": {"n": 1, "values": [{"partition": [1], "value": "-24"}]},
+    }
+    for name, obj in files.items():
+        (root / f"{name}.json").write_text(json.dumps(obj))
+    return {name: str(root / f"{name}.json") for name in [*files, "missing"]}
+
+
+def route_outcome(argv, by_top_level):
+    """(exit code, stdout, stderr) of run(argv), parsed by the command's parser or by the top-level one."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        if by_top_level:
+            patch.setattr(hkrr.cli, "_parse", parse_by_the_top_level_parser)
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# A valid argv per command, changed by route_argv, and the tokens it inserts.
+ROUTE_BASES = {
+    "cn": [["3"], ["5", "--stability", "1", "--markdown"]],
+    "qk": [["4", "--roots", "--laurent-check"]],
+    "qrr": [["--chern", "@chern"]],
+    "profile": [["--family", "split", "--n", "3"], ["--poly", "@poly"]],
+    "decompose": [["--poly", "@symmetric", "--basis", "qk"], ["--poly", "@poly", "--basis", "shifted", "--shift", "-3/2"]],
+    "isotropic": [["--n", "3", "--a", "1"]],
+    "check": [["--poly", "@poly", "--n", "3", "--even"]],
+}
+ROUTE_TOKENS = [
+    *("--stability", "--roots", "--laurent-check", "--chern", "--family", "--poly", "--n", "--basis", "--shift", "--a"),
+    *("--even", "--json", "--markdown", "--", "-h", "--help", "--version", "--frob", "-x", "--=x", "-", "--mark"),
+    *("3", "2", "0", "-1", "-3/2", "6", "1/3", "-.5", "x", "split", "product", "qk", "shifted", "@poly", "@missing"),
+]
+
+
+@st.composite
+def route_argv(draw):
+    """A command's valid argv with options abbreviated or joined to their values, and tokens inserted or dropped."""
+    command = draw(st.sampled_from(sorted(ROUTE_BASES)))
+    tokens = list(draw(st.sampled_from(ROUTE_BASES[command])))
+    for i, token in enumerate(tokens):
+        if token[:2] == "--" and draw(st.booleans()):
+            tokens[i] = token[: draw(st.integers(3, len(token)))]
+    joinable = [i for i in range(len(tokens) - 1) if tokens[i][:2] == "--" and tokens[i + 1][:2] != "--"]
+    if joinable and draw(st.booleans()):
+        i = draw(st.sampled_from(joinable))
+        tokens[i : i + 2] = [f"{tokens[i]}={tokens[i + 1]}"]
+    if tokens and draw(st.integers(0, 3)) == 0:
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+    for _ in range(draw(st.integers(0, 2))):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(ROUTE_TOKENS)))
+    return [command, *tokens]
+
+
+class TestParseRoutes:
+    """run through each command's own parser against the top-level parser, the route it replaced."""
+
+    TABLE = [
+        [],
+        ["-h"],
+        ["--version"],
+        ["--vers"],
+        ["frobnicate"],
+        ["che", "--poly", "@poly", "--n", "3"],
+        ["--", "cn", "3"],
+        *([command, "-h"] for command in ROUTE_BASES),
+        ["check", "--help"],
+        ["cn", "3", "--version"],
+        ["cn", "3", "--stab", "1", "--mark"],
+        ["cn", "--", "3"],
+        ["cn", "3", "--", "--json"],
+        ["cn", "-3"],
+        ["cn", "x"],
+        ["cn"],
+        ["qk", "4", "--ro", "--lau", "--json"],
+        ["qk", "-1", "--roots"],
+        ["qk", "4", "--json", "--markdown"],
+        ["qrr", "--chern=@chern"],
+        ["qrr", "--ch", "@missing"],
+        ["qrr"],
+        ["profile", "--fam", "split", "--n=3"],
+        ["profile", "--family", "split", "--poly", "@poly"],
+        ["profile", "--family", "spl", "--n", "3"],
+        ["profile", "--poly", "@poly", "--n", "-2"],
+        ["profile", "--n", "3"],
+        ["decompose", "--poly", "@symmetric", "--ba", "qk"],
+        ["decompose", "--poly", "@poly", "--basis", "shifted", "--sh", "-3/2"],
+        ["decompose", "--poly", "@poly", "--basis", "shifted", "--s=-6"],
+        ["decompose", "--poly", "@poly", "--basis", "shifted", "--shift", "--", "-3/2"],
+        ["decompose", "--poly", "@poly", "--basis", "shifted", "--shift"],
+        ["decompose", "--poly", "@poly"],
+        ["isotropic", "--n", "3", "--a", "1", "--markdown"],
+        ["isotropic", "--n", "3"],
+        ["isotropic", "--n", "3", "--a", "1", "--frob"],
+        ["isotropic", "--n", "3", "--a", "1", "-x", "extra"],
+        ["check", "--poly", "@poly", "--n", "3", "--ev", "--markdown"],
+        ["check", "--pol=@poly", "--n=3", "--even"],
+        ["check", "--poly", "@poly", "--n", "3", "--=x"],
+        ["check", "--poly", "@poly", "--n"],
+        ["check", "--n", "3"],
+    ]
+
+    @pytest.mark.parametrize("argv", TABLE, ids=" ".join)
+    def test_table(self, route_files, argv):
+        self.assert_routes_agree(route_files, argv)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(argv=route_argv())
+    def test_drawn_argv(self, route_files, argv):
+        self.assert_routes_agree(route_files, argv)
+
+    @staticmethod
+    def assert_routes_agree(files, argv):
+        for name, path in files.items():
+            argv = [token.replace(f"@{name}", path) for token in argv]
+        got = route_outcome(argv, by_top_level=False)
+        assert got == route_outcome(argv, by_top_level=True)
+        code, out, err = got
+        assert code in README_EXIT_CODES and "Traceback" not in err
+        assert (code == EXIT_OK) == (err == "") and (out == "") == (code != EXIT_OK)
 
 
 class TestSharedParser:
@@ -555,6 +857,10 @@ class TestSharedParser:
             ["isotropic", "--n", "3"],
             ["cn", "3"],
             ["--version"],
+            ["decompose", "--poly", poly, "--basis", "shifted", "--sh", "-3/2", "--mark"],
+            ["decompose", "--poly", poly, "--basis", "shifted", "--=x"],
+            ["check", "-h"],
+            ["check", "--poly", poly, "--n", "3"],
         ]
 
         def outcome(argv):
@@ -571,8 +877,8 @@ class TestSharedParser:
             fresh.append(outcome(argv))
         assert shared == fresh
         codes = [code for code, _, _ in shared]
-        assert codes == [EXIT_OK] * 5 + [EXIT_VALIDATION, EXIT_OK, EXIT_USAGE, EXIT_OK, 0]
-        assert shared[-1][1] == f"hkrr {hkrr.__version__}\n"
+        assert codes == [EXIT_OK] * 5 + [EXIT_VALIDATION, EXIT_OK, EXIT_USAGE, EXIT_OK, 0, EXIT_VALIDATION, EXIT_USAGE, 0, 0]
+        assert shared[9][1] == f"hkrr {hkrr.__version__}\n"
 
 
 class TestReportShape:
