@@ -88,7 +88,12 @@ def _attach_negative_values(args: list[str], options: tuple[str, ...]) -> list[s
 
 @cache
 def build_parser() -> _Parser:
-    parser = _Parser(prog="hkrr", description=__doc__)
+    parser = _Parser(
+        prog="hkrr",
+        description="Exact reports on Riemann-Roch polynomials of holomorphic-symplectic manifolds.",
+        epilog=f"exit codes: {EXIT_OK} success, {EXIT_VALIDATION} validation error, "
+        f"{EXIT_USAGE} usage error, {EXIT_INTERNAL} internal error",
+    )
     parser.add_argument("--version", action="version", version=f"hkrr {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
 

@@ -326,9 +326,6 @@ class Poly:
         scale = other._nums[-1] ** len(q) * self._den
         return _poly([c * other._den for c in q], scale), _poly(r, scale)
 
-    def derivative(self) -> "Poly":
-        return _poly([i * c for i, c in enumerate(self._nums)][1:], self._den)
-
     # -- evaluation and serialization ------------------------------------
 
     def __call__(self, x: RatLike) -> Fraction:
@@ -522,9 +519,6 @@ class ResidueSet:
         object.__setattr__(self, "allowed", frozenset(self.allowed))
         if any(not (0 <= r < self.modulus) for r in self.allowed):
             raise ValueError("allowed residues must lie in [0, modulus)")
-
-    def contains(self, q: int) -> bool:
-        return q % self.modulus in self.allowed
 
     def lift(self, modulus: int) -> "ResidueSet":
         """The same set of integers, described modulo a multiple of M."""

@@ -1,13 +1,11 @@
 """Invariant bundles extracted from candidate Riemann-Roch polynomials.
 
-A profile collects the half-dimension n, the integral polynomial P_RR, its
+A profile is derived from the half-dimension n and P_RR alone: the
 normalized form Q_RR, the Fujiki constant c_x, the rescaling data n_x and
-m_x = n_x/2, and the leading invariant a_x of Q_RR.  Extraction reads n_x
-off the top two coefficients and then verifies the full reflection
-symmetry, so inconsistent inputs are rejected rather than silently
-profiled.  The module also houses the two known closed families, the
-denominator bounds against the gcd constants, the even-value integrality
-checks, and real-root classification of Q_RR.
+m_x = n_x/2, and the leading invariant a_x of Q_RR.  A candidate that
+fails a check is refused, never profiled.  The module also houses the two
+known closed families, the denominator bounds against the gcd constants,
+the even-value integrality checks, and real-root classification of Q_RR.
 """
 
 from __future__ import annotations
@@ -60,42 +58,48 @@ def double_factorial(m: int) -> int:
 
 @dataclass(frozen=True, repr=False)
 class HKProfile(Report):
-    """Invariants (n, c_x, n_x, m_x, a_x, P_RR, Q_RR) of one candidate.
+    """Invariants (n, c_x, n_x, m_x, a_x, P_RR, Q_RR) of a degree-n candidate P_RR.
 
-    ``n_x_is_integer`` is a reportable flag; integrality of n_x is
-    observed, never enforced.  ``centred`` (not a field) is P_RR(V - n_x),
-    the one shift ``validate`` checks and ``real_root_classifier`` reads R off.
+    ``HKProfile(n, p_rr)`` derives the rest, n_x = a_{n-1}/(n a_n) first,
+    and checks, in order: n >= 1 (ValueError), the degree, a positive
+    leading coefficient, the constant term n + 1, the reflection symmetry
+    and 0 < a_x < 1 for n > 1.  So every profile is consistent.
+    ``n_x_is_integer`` is observed, never enforced.  ``centred`` (not a
+    field) is P_RR(V - n_x), the one shift the symmetry check makes and
+    ``real_root_classifier`` reads R off.
     """
 
     n: int
-    c_x: Fraction
-    n_x: Fraction
-    m_x: Fraction
-    a_x: Fraction
+    c_x: Fraction = field(init=False)
+    n_x: Fraction = field(init=False)
+    m_x: Fraction = field(init=False)
+    a_x: Fraction = field(init=False)
     n_x_is_integer: bool = field(init=False)
     p_rr: Poly
-    q_rr: Poly
+    q_rr: Poly = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_x_is_integer", self.n_x.denominator == 1)
-
-    @cached_property
-    def centred(self) -> tuple[list[int], int]:
-        return _centred(self.p_rr, self.n_x, self.n % 2)
-
-    def validate(self) -> None:
-        """Check every structural invariant, in order; the first failure raises."""
-        n = self.n
-        fact2n = math.factorial(2 * n)
-        if self.p_rr.leading() != self.c_x / fact2n:
-            raise ProfileError("leading coefficient disagrees with c_x/(2n)!")
-        if self.p_rr.coeff(0) != n + 1:
+        n, p = self.n, self.p_rr
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        if p.degree != n:
+            raise ProfileError(f"polynomial degree {p.degree} != n = {n}")
+        lead = p.leading()
+        if lead <= 0:
+            raise ProfileError("leading coefficient must be positive")
+        if p.coeff(0) != n + 1:
             raise ProfileError("bad constant term")
-        if self.q_rr != poly_compose_affine(self.p_rr, self.m_x, 0):
-            raise ProfileError("q_rr is not p_rr(m_x T)")
-        # Multiplied out, so that m_x = 0 reaches the A_X check below.
-        if self.c_x * self.m_x**n != fact2n * self.a_x:
-            raise ProfileError("c_x, a_x, m_x are inconsistent")
+        n_x = p.coeff(n - 1) / (n * lead)
+        m_x = n_x / 2
+        derived = {
+            "c_x": math.factorial(2 * n) * lead,
+            "n_x": n_x,
+            "m_x": m_x,
+            "a_x": lead * m_x**n,
+            "n_x_is_integer": n_x.denominator == 1,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
         # p(-T - 2 n_x) = (-1)^n p(T) iff p(U - n_x) has only terms of n's parity.
         try:
             self.centred
@@ -103,6 +107,11 @@ class HKProfile(Report):
             raise ProfileError("no symmetry") from None
         if n > 1 and not (0 < self.a_x < 1):
             raise ProfileError("A_X out of range")
+        object.__setattr__(self, "q_rr", poly_compose_affine(p, m_x, 0))
+
+    @cached_property
+    def centred(self) -> tuple[list[int], int]:
+        return _centred(self.p_rr, self.n_x, self.n % 2)
 
 
 def known_family_prr(kind: str, n: int) -> Poly:
@@ -121,32 +130,8 @@ def known_family_prr(kind: str, n: int) -> Poly:
 
 
 def profile_from_prr(n: int, p: Poly) -> HKProfile:
-    """Extract and fully validate the invariant bundle of a degree-n candidate.
-
-    n_x comes from the coefficient ratio a_{n-1}/(n a_n); ``validate`` then
-    checks the constant term, the reflection symmetry and the A_X range, so
-    the whole bundle is consistent.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if p.degree != n:
-        raise ProfileError(f"polynomial degree {p.degree} != n = {n}")
-    if p.leading() <= 0:
-        raise ProfileError("leading coefficient must be positive")
-    n_x = p.coeff(n - 1) / (n * p.leading())
-    m_x = n_x / 2
-    c_x = math.factorial(2 * n) * p.leading()
-    profile = HKProfile(
-        n=n,
-        c_x=c_x,
-        n_x=n_x,
-        m_x=m_x,
-        a_x=c_x * m_x**n / math.factorial(2 * n),
-        p_rr=p,
-        q_rr=poly_compose_affine(p, m_x, 0),
-    )
-    profile.validate()
-    return profile
+    """The invariant bundle of a degree-n candidate: ``HKProfile(n, p)``, which derives and checks it."""
+    return HKProfile(n, p)
 
 
 def cubic_prr(c_x: RatLike, n_x: RatLike) -> Poly:
@@ -273,16 +258,16 @@ def real_root_classifier(profile: HKProfile) -> RootVerdict:
     n = 2 uses the quadratic discriminant 4 a_x (4 a_x - 3); n = 3 first
     verifies the exact factorization Q_RR = (T+2)(a_x (T^2+4T) + 2) and then
     signs 8 a_x (2 a_x - 1).  n >= 4 uses the reflection symmetry
-    Q_RR(-4 - T) = (-1)^n Q_RR(T): Q_RR(U - 2) = U^e R(U^2), e = n mod 2,
-    and a term of the other parity raises ``ProfileError``.  Q_RR's roots
-    are -2 +- sqrt(u) for R's roots u, and -2 when e = 1, so all are real
-    iff R is real-rooted (the Sturm count of all_roots_real) and its
-    coefficients weakly alternate in sign: by Vieta when every root is
-    >= 0, and then R(-u) is a sum of terms of one sign, nonzero for u > 0.
-    When m_x is nonzero, R is read off ``profile.centred``, the
-    P_RR(V - n_x) = V^e R_P(V^2) that ``validate`` built: Q_RR(U - 2) =
-    P_RR(m_x U - n_x) gives R(u) = m_x^e R_P(m_x^2 u): R_P's roots are R's
-    times m_x^2 > 0 and its signs R's, or all flipped, so the same verdict.
+    Q_RR(-4 - T) = (-1)^n Q_RR(T): Q_RR(U - 2) = U^e R(U^2), e = n mod 2.
+    Q_RR's roots are -2 +- sqrt(u) for R's roots u, and -2 when e = 1, so
+    all are real iff R is real-rooted (the Sturm count of all_roots_real)
+    and its coefficients weakly alternate in sign: by Vieta when every root
+    is >= 0, and then R(-u) is a sum of terms of one sign, nonzero for
+    u > 0.  R is read off ``profile.centred``, the P_RR(V - n_x) =
+    V^e R_P(V^2) of the symmetry check: Q_RR(U - 2) = P_RR(m_x U - n_x)
+    gives R(u) = m_x^e R_P(m_x^2 u), and m_x != 0 since 0 < a_x < 1, so
+    R_P's roots are R's times m_x^2 > 0 and its signs R's, or all flipped:
+    the same verdict.
     """
     n, a = profile.n, profile.a_x
     if n == 1:
@@ -296,10 +281,7 @@ def real_root_classifier(profile: HKProfile) -> RootVerdict:
             raise ProfileError("factorization failed")
         disc = 8 * a * (2 * a - 1)
         return RootVerdict(n=3, method="factored-discriminant", all_real=disc >= 0, discriminant=disc)
-    try:
-        r, _ = profile.centred if profile.m_x else _centred(profile.q_rr, 2, n % 2)
-    except NotInSpan:
-        raise ProfileError("no symmetry about -2") from None
+    r, _ = profile.centred
     alternating = len({(c > 0) == (j % 2 == 0) for j, c in enumerate(r) if c}) <= 1
     # Reports name this Sturm count "isolation"; renaming it would change every n >= 4 report.
     return RootVerdict(n=n, method="isolation", all_real=alternating and all_roots_real(Poly(r)))

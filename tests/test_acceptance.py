@@ -181,7 +181,7 @@ def test_criterion_09_residue_oracle_equivalence():
         rs = divisibility_residues(3, c_x, n_x)
         p = cubic_prr(c_x, n_x)
         for q in range(-200, 201):
-            assert rs.contains(q) == (p(q).denominator == 1), (c_x, n_x, q)
+            assert (q % rs.modulus in rs.allowed) == (p(q).denominator == 1), (c_x, n_x, q)
     report(9, "residue criterion equals brute-force integrality on [-200, 200]")
 
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hkrr.cli import run
@@ -87,7 +87,6 @@ class TestProfileExtraction:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_known_families_profile_cleanly(self, kind, n):
         prof = profile_from_prr(n, known_family_prr(kind, n))
-        prof.validate()
         expected_nx = n + 3 if kind == "split" else n + 1
         assert prof.n_x == expected_nx
         if kind == "split":
@@ -121,42 +120,40 @@ class TestProfileExtraction:
             profile_from_prr(2, Poly((3, 0, Fraction(1, 24))))
 
     @pytest.mark.parametrize(
-        "change, message",
+        "p, message",
         [
-            ({"c_x": 16}, "leading coefficient disagrees with c_x/\\(2n\\)!"),
-            ({"q_rr": X}, "q_rr is not p_rr\\(m_x T\\)"),
-            ({"a_x": Fraction(1, 2)}, "c_x, a_x, m_x are inconsistent"),
-            ({"n_x": 5}, "no symmetry"),
-            ({"m_x": 0, "a_x": 0, "q_rr": Poly((4,))}, "A_X out of range"),
+            # The split cubic with its T^2 coefficient moved so that n_x reads 5, not 6.
+            (known_family_prr("split", 3) - X**2 * Fraction(1, 16), "no symmetry"),
+            # A symmetric cubic with a_x = 15 * 12^3 / 720 = 36.
+            (cubic_prr(15, 24), "A_X out of range"),
         ],
     )
-    def test_validate_names_the_broken_invariant(self, change, message):
-        prof = profile_from_prr(3, known_family_prr("split", 3))
+    def test_broken_prr_names_the_invariant(self, p, message):
         with pytest.raises(ProfileError, match=f"^{message}$"):
-            replace(prof, **change).validate()
+            profile_from_prr(3, p)
+        with pytest.raises(ProfileError, match=f"^{message}$"):
+            replace(profile_from_prr(3, known_family_prr("split", 3)), p_rr=p)
 
     def test_symmetry_check_is_the_reflection(self):
-        # validate reads the parity of p(U - n_x); the reflection
-        # p(-T - 2 n_x) = (-1)^n p(T) is the definition, n_x = 0 included.
+        # The profile reads the parity of p(U - n_x), n_x = a_{n-1}/(n a_n);
+        # the reflection p(-T - 2 n_x) = (-1)^n p(T) is the definition, n_x = 0 included.
         rng = random.Random(2602)
         seen = set()
         for _ in range(400):
             n = rng.randint(1, 7)
-            n_x = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-            shifted = Poly((n_x, 1))
+            # A quarter centred at 0: a stray term keeps n_x = 0 unless it is of degree n - 1.
+            shift = Fraction(rng.randint(-6, 6), rng.randint(1, 3)) if rng.random() < 0.75 else Fraction(0)
+            shifted = Poly((shift, 1))
             p = sum((shifted ** (n - 2 * j) * rng.randint(-5, 5) for j in range(1, n // 2 + 1)), shifted**n)
             if rng.random() < 0.5:
                 p = p + X ** rng.randint(0, n - 1) * Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-            if not p.coeff(0):
+            if p.coeff(0) <= 0:  # scaled to constant term n + 1, the leading coefficient must stay positive
                 continue
             p = p * (n + 1) / p.coeff(0)
-            c_x = math.factorial(2 * n) * p.leading()
-            m_x = n_x / 2
-            a_x = c_x * m_x**n / math.factorial(2 * n)
-            prof = HKProfile(n=n, c_x=c_x, n_x=n_x, m_x=m_x, a_x=a_x, p_rr=p, q_rr=poly_compose_affine(p, m_x, 0))
+            n_x = p.coeff(n - 1) / (n * p.leading())
             reflected = poly_compose_affine(p, -1, -2 * n_x) == p * (-1) ** n
             try:
-                prof.validate()
+                profile_from_prr(n, p)
                 broken = None
             except ProfileError as exc:
                 broken = str(exc)
@@ -413,18 +410,11 @@ class TestRealRootClassifier:
         assert not verdict.all_real and verdict.discriminant < 0
 
     def test_n3_inconsistent_profile_raises(self):
+        # A built profile is consistent; the check still catches one corrupted afterwards.
         prof = profile_from_prr(3, known_family_prr("split", 3))
-        broken = HKProfile(
-            n=3,
-            p_rr=prof.p_rr,
-            q_rr=prof.q_rr + X,
-            c_x=prof.c_x,
-            n_x=prof.n_x,
-            m_x=prof.m_x,
-            a_x=prof.a_x,
-        )
+        object.__setattr__(prof, "q_rr", prof.q_rr + X)
         with pytest.raises(ProfileError, match="factorization failed"):
-            real_root_classifier(broken)
+            real_root_classifier(prof)
 
     @pytest.mark.parametrize("kind", ["split", "product"])
     @pytest.mark.parametrize("n", [4, 5, 6])
@@ -451,12 +441,10 @@ class TestRealRootClassifier:
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_asymmetric_profile_raises(self, n):
-        # P_RR + T and Q_RR + m_x T: still Q_RR = P_RR(m_x T), but neither is symmetric.
-        prof = profile_from_prr(n, known_family_prr("split", n))
-        broken = replace(prof, p_rr=prof.p_rr + X, q_rr=prof.q_rr + X * prof.m_x)
-        assert broken.q_rr == poly_compose_affine(broken.p_rr, broken.m_x, 0)
-        with pytest.raises(ProfileError, match="^no symmetry about -2$"):
-            real_root_classifier(broken)
+        # P_RR + T keeps n_x, the constant term and the leading coefficient, but
+        # is symmetric about no point: no profile, so no verdict, is made of it.
+        with pytest.raises(ProfileError, match="^no symmetry$"):
+            profile_from_prr(n, known_family_prr("split", n) + X)
 
     @pytest.mark.parametrize("kind", ["split", "product"])
     def test_families_agree_with_full_degree_sturm(self, kind):
@@ -465,41 +453,32 @@ class TestRealRootClassifier:
             assert real_root_classifier(prof).all_real == all_roots_real(prof.q_rr), n
 
 
-def _hand_built(q: Poly, m_x: Fraction = Fraction(1)) -> HKProfile:
-    """A profile with Q_RR = q and P_RR = q(T/m_x), n_x = 2 m_x, that skips validate.
+def _profile_of_q(q: Poly, m_x: Fraction) -> HKProfile:
+    """The profile of P_RR = q(T/m_x), q scaled to q(0) = n + 1; a draw that gives no valid profile is rejected.
 
-    The n >= 4 verdict reads only n, m_x and, when m_x is nonzero,
-    P_RR(V - n_x); otherwise Q_RR.  m_x = 0 keeps P_RR = Q_RR = q.
+    Its Q_RR is the scaled q, whose leading coefficient is a_x when q is
+    symmetric about -2; for odd n, m_x > 0 keeps P_RR's leading coefficient positive.
     """
-    one = Fraction(1)
-    p = poly_compose_affine(q, 1 / m_x, 0) if m_x else q
-    return HKProfile(n=q.degree, c_x=one, n_x=2 * m_x, m_x=m_x, a_x=one / 2, p_rr=p, q_rr=q)
+    n = q.degree
+    assume(q.coeff(0) != 0)
+    q = q * Fraction(n + 1) / q.coeff(0)
+    assume(0 < q.leading() < 1)
+    return profile_from_prr(n, poly_compose_affine(q, 1 / (abs(m_x) if n % 2 else m_x), 0))
 
 
 def _verdict_by_q_shift(profile: HKProfile) -> RootVerdict:
-    """The n >= 4 verdict by the former route: R off Q_RR(U - 2), rescaled by m_x^2 when m_x is nonzero."""
+    """The n >= 4 verdict by the former route: R off Q_RR(U - 2), rescaled by m_x^2."""
     n = profile.n
-    try:
-        r, _ = _centred(profile.q_rr, 2, n % 2)
-    except NotInSpan:
-        raise ProfileError("no symmetry about -2") from None
-    if profile.m_x:  # m_x^2 = num/den: r_j den^j num^(d-j) = num^d R(v/m_x^2)
-        num, den, d = profile.m_x.numerator ** 2, profile.m_x.denominator ** 2, len(r) - 1
-        r = [c * den**j * num ** (d - j) for j, c in enumerate(r)]
+    r, _ = _centred(profile.q_rr, 2, n % 2)
+    num, den, d = profile.m_x.numerator ** 2, profile.m_x.denominator ** 2, len(r) - 1
+    r = [c * den**j * num ** (d - j) for j, c in enumerate(r)]  # m_x^2 = num/den: num^d R(v/m_x^2)
     alternating = len({(c > 0) == (j % 2 == 0) for j, c in enumerate(r) if c}) <= 1
     return RootVerdict(n=n, method="isolation", all_real=alternating and all_roots_real(Poly(r)))
 
 
-def _outcome(classify, profile: HKProfile) -> RootVerdict | str:
-    try:
-        return classify(profile)
-    except ProfileError as exc:
-        return str(exc)
-
-
 RATIONALS = st.fractions(min_value=-8, max_value=8, max_denominator=6)
-# The verdict reads R in P_RR's variable when m_x is nonzero: any sign, and 0, give Q_RR's own verdict.
-M_X = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-50, max_value=50, max_denominator=30))
+# The verdict reads R in P_RR's variable: any nonzero m_x gives Q_RR's own verdict.
+M_X = st.fractions(min_value=-50, max_value=50, max_denominator=30).filter(bool)
 ORACLE_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
@@ -512,7 +491,7 @@ class TestRootVerdictOracle:
         # Each q_{n-2i} has Q_RR's reflection symmetry, so every such sum does.
         bs = [data.draw(RATIONALS.filter(bool))] + data.draw(st.lists(RATIONALS, max_size=n // 2))
         q = sum((qk_poly(n - 2 * i) * b for i, b in enumerate(bs)), Poly())
-        assert real_root_classifier(_hand_built(q, m_x)).all_real == all_roots_real(q)
+        assert real_root_classifier(_profile_of_q(q, m_x)).all_real == all_roots_real(q)
 
     @ORACLE_SETTINGS
     @given(
@@ -535,20 +514,25 @@ class TestRootVerdictOracle:
         if q.degree < 4:
             q = q * w
         want = min(us) >= 0 and not pairs
-        assert real_root_classifier(_hand_built(q, m_x)).all_real == all_roots_real(q) == want
+        assert real_root_classifier(_profile_of_q(q, m_x)).all_real == all_roots_real(q) == want
 
     @ORACLE_SETTINGS
     @given(n=st.integers(4, 12), m_x=M_X, data=st.data())
     def test_agrees_with_the_q_shift_route(self, n, m_x, data):
-        # Consistent profiles, Q_RR = P_RR(m_x T): signed q_k sums, and with
-        # a stray term mostly not symmetric about -2.  Verdict or error, the
-        # reading of P_RR(V - n_x) and the former Q_RR(U - 2) route agree.
+        # Signed q_k sums, and with a stray term mostly not symmetric about -2:
+        # on every profile built, the reading of P_RR(V - n_x) and the former
+        # Q_RR(U - 2) route agree, and a refused one is not symmetric about -2.
         bs = [data.draw(RATIONALS.filter(bool))] + data.draw(st.lists(RATIONALS, max_size=n // 2))
         q = sum((qk_poly(n - 2 * i) * b for i, b in enumerate(bs)), Poly())
         if data.draw(st.booleans()):
             q = q + X ** data.draw(st.integers(0, n - 1)) * data.draw(RATIONALS.filter(bool))
-        prof = _hand_built(q, m_x)
-        assert _outcome(real_root_classifier, prof) == _outcome(_verdict_by_q_shift, prof)
+        try:
+            prof = _profile_of_q(q, m_x)
+        except ProfileError:
+            with pytest.raises(NotInSpan):
+                _centred(q, 2, n % 2)
+            return
+        assert real_root_classifier(prof) == _verdict_by_q_shift(prof)
 
     @pytest.mark.parametrize("kind", ["split", "product"])
     @pytest.mark.parametrize("n", [4, 6, 10, 24])
@@ -564,13 +548,13 @@ class TestRootVerdictOracle:
 
 @pytest.mark.parametrize("family", ["split", "product"])
 def test_profile_shifts_once(family, monkeypatch):
-    # validate centres P_RR at n_x and the root verdict reads R off that
-    # same shift: one Taylor shift per profile.
-    shifts = []
+    # The symmetry check centres P_RR at n_x and the root verdict reads R
+    # off that same shift, and Q_RR = P_RR(m_x T) is built once: one Taylor
+    # shift and one rescale per profile.
+    shifts, rescales = [], []
 
     def counting(p, a, b, compose=poly_compose_affine):
-        if b:
-            shifts.append(b)
+        (shifts if b else rescales).append((a, b))
         return compose(p, a, b)
 
     for name, module in list(sys.modules.items()):
@@ -578,8 +562,9 @@ def test_profile_shifts_once(family, monkeypatch):
             monkeypatch.setattr(module, "poly_compose_affine", counting)
     for n in range(4, 13):
         shifts.clear()
+        rescales.clear()
         assert run(["profile", "--family", family, "--n", str(n)]) == 0
-        assert len(shifts) == 1, (n, shifts)
+        assert len(shifts) == 1 and len(rescales) == 1, (n, shifts, rescales)
 
 
 # sha256 of the stdout of `hkrr profile --family F --n N` for F = split, then

@@ -439,8 +439,12 @@ class TestRootMachinery:
 # -- the former Fraction isolation: the oracle for the Sturm chains and qk_roots --
 
 
+def _derivative(p: Poly) -> Poly:
+    return Poly([i * c for i, c in enumerate(p.coeffs)][1:])
+
+
 def _fraction_squarefree_part(p: Poly) -> Poly:
-    g = _fraction_gcd(p, p.derivative())
+    g = _fraction_gcd(p, _derivative(p))
     if g.degree < 1:
         return p
     q, r = divmod(p, g)
@@ -457,7 +461,7 @@ def _fraction_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def fraction_sturm_chain(p: Poly) -> list[Poly]:
-    chain = [p, p.derivative()]
+    chain = [p, _derivative(p)]
     while not chain[-1].is_zero() and chain[-1].degree > 0:
         rem = divmod(chain[-2], chain[-1])[1]
         if rem.is_zero():
@@ -653,7 +657,7 @@ class TestIntegerIsolationAgainstFractionOracle:
         # The one chain's count rests on gcd(p, p') changing no sign count,
         # also when the gcd has non-real roots.
         repeated = oracle_cases()[-30:]
-        gcds = [_fraction_gcd(p, p.derivative()) for p in repeated]
+        gcds = [_fraction_gcd(p, _derivative(p)) for p in repeated]
         assert sum(not fraction_all_roots_real(g) for g in gcds) == 24
         assert {fraction_all_roots_real(p) for p in repeated} == {True, False}
 
