@@ -566,17 +566,17 @@ def _prime_factors(m: int) -> set[int]:
 
 
 def integrality_residues(p: Poly) -> ResidueSet:
-    """The exact residue criterion for p to take an integer value.
+    """The exact residue criterion for p to take an integer value, in canonical form.
 
-    Returns (M, S) with M the lcm of the coefficient denominators and
-    S = {q mod M : p(q) is an integer}; then p(q) in Z iff q mod M in S,
-    since p(q + M) - p(q) is always an integer.
-
-    With (N, M) = ``integer_form(p)``, p(q) is an integer iff every prime
-    power l^e exactly dividing M divides N(q), and N(q + l^e) = N(q) mod l^e.
-    So S is built one prime power at a time, S_l = {r < l^e : l^e | N(r)},
-    and the S_l are joined by the Chinese remainder theorem.  The cost is
-    sum(l^e) integer evaluations plus |S| joins, instead of M rational ones.
+    Returns S = {q : p(q) is an integer} at its least period, as ``ResidueSet.reduce``
+    gives it.  With (N, M) = ``integer_form(p)``, p(q) is an integer iff every prime
+    power l^e exactly dividing M divides N(q), and N(q + l^e) = N(q) mod l^e.  So S is
+    built one prime power at a time, S_l = {r < l^e : l^e | N(r)}, each S_l is cut to
+    its least period by ``reduce``'s size test, and the cut parts are joined by the
+    Chinese remainder theorem.  S is the product of its parts, so a divisor d of M is
+    a period of S iff l^v_l(d) is one of every nonempty S_l: the least period of S is
+    the product of the parts' least periods.  An empty part gives (1, {}) at once.
+    The cost is sum(l^e) integer evaluations plus |S| joins, instead of M rational ones.
     """
     coeffs, m = integer_form(p)
     modulus, allowed = 1, [0]
@@ -586,8 +586,14 @@ def integrality_residues(p: Poly) -> ResidueSet:
             q *= ell
         reduced = [c % q for c in coeffs]
         s_ell = [r for r in range(q) if int_horner(reduced, r) % q == 0]
-        # x = a (mod modulus) and x = b (mod q): x = a + modulus * ((b - a) / modulus mod q).
-        inv = pow(modulus, -1, q)
-        allowed = [a + modulus * ((b - a) * inv % q) for a in allowed for b in s_ell]
-        modulus *= q
-    return ResidueSet(m, frozenset(allowed))
+        if not s_ell:
+            return ResidueSet(1, frozenset())
+        # s_ell lies in the preimage of its projection mod q/l, of l * |proj| members.
+        while q > 1 and len(s_ell) == ell * len(proj := {r % (q // ell) for r in s_ell}):
+            q, s_ell = q // ell, proj
+        if q > 1:
+            # x = a (mod modulus) and x = b (mod q): x = a + modulus * ((b - a) / modulus mod q).
+            inv = pow(modulus, -1, q)
+            allowed = [a + modulus * ((b - a) * inv % q) for a in allowed for b in s_ell]
+            modulus *= q
+    return ResidueSet(modulus, frozenset(allowed))

@@ -207,16 +207,14 @@ def pairing_congruence(n: int, a: int, q_lm: int) -> PairingCongruence:
 def divisibility_residues(n: int, c_x: Fraction | int, n_x: int) -> ResidueSet:
     """Exact residues q for which the degree-3 candidate takes integer values.
 
-    The raw modulus is the lcm of the coefficient denominators; the result
-    is returned canonically reduced, with every modulus reduction verified
-    to preserve membership (nothing is assumed about which prime parts of
-    the modulus actually constrain).
+    The set is returned in ``integrality_residues``' canonical form, at its
+    least period, a divisor of the lcm of the coefficient denominators.
     """
     if n != 3:
         raise UnsupportedCase("divisibility residues are defined for n = 3")
     if n_x < 1:
         raise ValueError("n_x must be a positive integer")
-    return integrality_residues(cubic_prr(c_x, n_x)).reduce()
+    return integrality_residues(cubic_prr(c_x, n_x))
 
 
 def square_closure(rs: ResidueSet) -> ResidueSet:
@@ -345,7 +343,7 @@ def _analyze_candidate(
     value_word = "half-value" if halved else "value"
     trace: list[TraceStep] = []
 
-    reduced = integrality_residues(sieve_poly).reduce()
+    reduced = integrality_residues(sieve_poly)
     trace.append(TraceStep("divisibility", f"P integral on {value_word}s {_residue_summary(reduced)}"))
     work = math.lcm(reduced.modulus, 16)
     rs = reduced.lift(work)

@@ -627,15 +627,13 @@ class TestIntegralityResidues:
         assert (rs.modulus, set(rs.allowed)) == (2, {0})
 
     def test_cubic_candidate_reduces_to_mod_16(self):
-        # The (c_x, n_x) = (15, 1) candidate: modulus 48, and the odd part
-        # imposes nothing, so membership is mod 16: {0, 6, 8, 14, 15}.
+        # The (c_x, n_x) = (15, 1) candidate: the raw modulus is 48, and the
+        # odd part imposes nothing, so the canonical set is mod 16.
         from hkrr.hkprofile import cubic_prr
 
-        rs = integrality_residues(cubic_prr(15, 1))
-        assert rs.modulus == 48
-        mod16 = {r % 16 for r in rs.allowed}
-        assert mod16 == {0, 6, 8, 14, 15}
-        assert set(rs.allowed) == {q for q in range(48) if q % 16 in mod16}
+        p = cubic_prr(15, 1)
+        assert scanned_residues(p).modulus == 48
+        assert integrality_residues(p) == ResidueSet(16, frozenset({0, 6, 8, 14, 15}))
 
     def test_equals_full_period_scan(self):
         # Denominators mix the prime powers 2^4, 3^2, 5 and 7, so M runs
@@ -646,10 +644,36 @@ class TestIntegralityResidues:
         for i in range(80):
             deg = rng.randint(-1, 4) if i % 4 else 0
             p = Poly(Fraction(rng.randint(-30, 30), rng.choice(denominators)) for _ in range(deg + 1))
-            rs = integrality_residues(p)
-            assert rs == scanned_residues(p), p
-            moduli.add(rs.modulus)
+            scanned = scanned_residues(p)
+            assert integrality_residues(p) == scanned.reduce(), p
+            moduli.add(scanned.modulus)
         assert 1 in moduli and max(moduli) >= 720
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_is_the_reduced_scan(self, data):
+        # N / D of degree -1..6 for D among prime powers up to 2^10, their
+        # products and 2^5 3^3; N has repeated linear factors and a content
+        # that may cancel part of D.
+        d = data.draw(st.sampled_from(RESIDUE_DENOMINATORS))
+        roots = data.draw(st.lists(st.integers(-3, 3), max_size=6))
+        rest = data.draw(st.lists(st.integers(-500, 500), max_size=7 - len(roots)))
+        p = Poly(rest) * data.draw(st.sampled_from((1, 2, 3, 4, 7, 9, 8 * 27)))
+        for r in roots:
+            p = p * (X - r)
+        p = p / d
+        rs = integrality_residues(p)
+        assert rs.reduce() == rs
+        assert rs == scanned_residues(p).reduce(), p
+        for q in data.draw(st.lists(st.integers(-(10**9), 10**9), min_size=5, max_size=5)):
+            assert (q % rs.modulus in rs.allowed) == (p(q).denominator == 1), (p, q)
+
+    def test_explicit_cases(self):
+        assert integrality_residues(ZERO) == ResidueSet(1, frozenset({0}))
+        assert integrality_residues(Poly((Fraction(1, 2),))) == ResidueSet(1, frozenset())
+        # The part at 2 allows the even q, the part at 3 nothing: S is empty.
+        p = X / 2 + Fraction(1, 3) + X**2 / 5
+        assert integrality_residues(p) == ResidueSet(1, frozenset()) == scanned_residues(p).reduce()
 
     def test_sound_and_complete_on_random_integers(self):
         rng = random.Random(7)
@@ -677,10 +701,22 @@ def scanned_reduce(rs: ResidueSet) -> ResidueSet:
     return ResidueSet(m, allowed)
 
 
+# 2^10 3^6 7^3 itself is left out: its M of 2.6e8 is past any scan.
+RESIDUE_DENOMINATORS = (2**10, 3**6, 7**3, 2**10 * 3**6, 2**10 * 7**3, 3**6 * 7**3, 2**5 * 3**3)
+
+
 def scanned_residues(p: Poly) -> ResidueSet:
-    """The former criterion: every q in range(M), evaluated over Fraction."""
+    """The former criterion: every q in range(M), with M p(q) taken mod M by Horner's rule."""
     m = math.lcm(1, *(c.denominator for c in p.coeffs))
-    return ResidueSet(m, frozenset(q for q in range(m) if p(q).denominator == 1))
+    nums = [int(c * m) for c in reversed(p.coeffs)]
+
+    def allowed(q: int) -> bool:
+        acc = 0
+        for c in nums:
+            acc = (acc * q + c) % m
+        return not acc
+
+    return ResidueSet(m, frozenset(filter(allowed, range(m))))
 
 
 class TestIntegerForm:

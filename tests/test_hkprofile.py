@@ -196,6 +196,16 @@ class TestCubicPrr:
             hits += 1
         assert hits > 20
 
+    def test_equals_the_divided_integer_form(self):
+        # cubic_prr normalizes its integer form once; the former route divided
+        # Poly(integer form) by d through a Fraction.
+        for c_x, n_x in self.definition_cases():
+            c, n = Fraction(c_x), Fraction(n_x)
+            c1, c2, n1, n2 = c.numerator, c.denominator, n.numerator, n.denominator
+            d = 720 * c2 * n1 * n2**2
+            former = Poly((4 * d, 2 * c1 * n1**3 + 2880 * c2 * n2**3, 3 * c1 * n1**2 * n2, c1 * n1 * n2**2)) / d
+            assert integer_form(cubic_prr(c_x, n_x)) == integer_form(former), (c_x, n_x)
+
     def test_zero_shift_rejected(self):
         for zero in (0, Fraction(0), "0/5"):
             with pytest.raises(ValueError, match="n_x must be nonzero"):
@@ -409,12 +419,17 @@ class TestRealRootClassifier:
         verdict = real_root_classifier(prof)
         assert not verdict.all_real and verdict.discriminant < 0
 
-    def test_n3_inconsistent_profile_raises(self):
-        # A built profile is consistent; the check still catches one corrupted afterwards.
-        prof = profile_from_prr(3, known_family_prr("split", 3))
-        object.__setattr__(prof, "q_rr", prof.q_rr + X)
-        with pytest.raises(ProfileError, match="factorization failed"):
-            real_root_classifier(prof)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 10**4), st.integers(1, 10**4), st.integers(1, 500), st.integers(1, 30))
+    def test_n3_profiles_factor(self, k, extra, n1, n2):
+        # Every built cubic profile has Q_RR = (T+2)(a_x (T^2+4T) + 2), so the
+        # n = 3 verdict is the sign of the quadratic factor's discriminant.
+        # c_x = 5760 a_x / n_x^3 puts a_x anywhere in (0, 1).
+        a_x, n_x = Fraction(k, k + extra), Fraction(n1, n2)
+        prof = profile_from_prr(3, cubic_prr(5760 * a_x / n_x**3, n_x))
+        assert prof.a_x == a_x
+        assert prof.q_rr == Poly((2, 1)) * (Poly((0, 4, 1)) * a_x + 2)
+        assert real_root_classifier(prof).all_real == all_roots_real(prof.q_rr)
 
     @pytest.mark.parametrize("kind", ["split", "product"])
     @pytest.mark.parametrize("n", [4, 5, 6])

@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from hkrr import isosolver
 from hkrr.exactpoly import Poly, ResidueSet, X, integrality_residues
 from hkrr.hkprofile import cubic_prr, denominator_check, even_values_check, known_family_prr
 from hkrr.isosolver import (
@@ -453,6 +454,33 @@ def test_analyze_candidate_grid_digest():
             analysis = _analyze_candidate(q_lm, c_x, value, cong, assumed_even)
             digest.update(json.dumps(analysis.to_json()).encode() + b"\n")
     assert digest.hexdigest() == ANALYSIS_GRID_DIGEST
+
+
+def test_sieve_scans_once(monkeypatch):
+    # integrality_residues returns the canonical set, so divisibility_residues
+    # and _analyze_candidate make one scan per candidate and no second reduction.
+    scans, reductions = [], []
+
+    def scanning(p, residues=integrality_residues):
+        scans.append(p)
+        return residues(p)
+
+    def reducing(rs, reduce=ResidueSet.reduce):
+        reductions.append(rs)
+        return reduce(rs)
+
+    monkeypatch.setattr(isosolver, "integrality_residues", scanning)
+    monkeypatch.setattr(ResidueSet, "reduce", reducing)
+    for c_x, n_x in product((15, 30, 60, Fraction(15, 8), Fraction(15, 4)), range(1, 17)):
+        scans.clear()
+        divisibility_residues(3, c_x, n_x)
+        assert len(scans) == 1 and not reductions, (c_x, n_x, reductions)
+    for a, q_lm in product((1, 2), (1, 2, 4)):
+        c_x, cong = fujiki_from_pairing(3, a, q_lm), pairing_congruence(3, a, q_lm)
+        for value in range(1, 9):
+            scans.clear()
+            _analyze_candidate(q_lm, c_x, value, cong, None)
+            assert len(scans) == 1 and not reductions, (a, q_lm, value, reductions)
 
 
 class TestUnsupportedCases:
