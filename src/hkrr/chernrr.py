@@ -41,7 +41,11 @@ def partitions(n: int) -> list[Partition]:
 
 
 def _canonical_key(key: Iterable[int]) -> Partition:
-    return tuple(sorted(int(k) for k in key))
+    parts = tuple(key)
+    ints = tuple(map(int, parts))
+    if ints != parts:
+        raise ValueError(f"partition {key!r} must consist of integers")
+    return tuple(sorted(ints))
 
 
 def _values_json(values: dict[Partition, Fraction]) -> list[dict]:
@@ -63,6 +67,8 @@ class ChernData(Report):
     values: dict[Partition, Fraction] = field(metadata={"json": _values_json})
 
     def __post_init__(self) -> None:
+        if int(self.n) != self.n:
+            raise ValueError(f"half-dimension n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError("half-dimension n must be >= 1")
         self.n = int(self.n)

@@ -53,17 +53,17 @@ __all__ = [
 
 @dataclass(frozen=True, repr=False)
 class CnCertificate(Report):
-    """A certified gcd-constant value and its factorization over p <= 2n-1."""
+    """A gcd-constant factorization over p <= 2n-1 and the value it multiplies to."""
 
     n: int
-    value: int = field(metadata={"json": rat_str})
+    value: int = field(init=False, metadata={"json": rat_str})
     factorization: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if _tree_product([p**e for p, e in self.factorization]) != self.value:
-            raise ValueError("factorization does not multiply to value")
-        if any(p > 2 * self.n - 1 for p, _ in self.factorization):
-            raise ValueError("a factor prime exceeds 2n-1")
+        support = cn_prime_support(self.n)
+        if any(e < 0 or p not in support for p, e in self.factorization):
+            raise ValueError("factorization must be over primes <= 2n-1 with exponents >= 0")
+        object.__setattr__(self, "value", _tree_product([p**e for p, e in self.factorization]))
 
 
 def tuple_product(rs: Sequence[int]) -> int:
@@ -111,20 +111,17 @@ def cn_value(n: int) -> CnCertificate:
     """C(n) from the witness tuple (0, 1, ..., n), every prime exponent certified.
 
     Each exponent of the witness over ``cn_prime_support(n)`` comes from
-    Legendre's formula, and the certificate checks the product of those
-    prime powers against the witness; each exponent is then proved minimal
-    by one ``min_padic_valuation`` call (see the module docstring).  A
-    product that misses the witness, or an exponent the residue minimum
-    does not meet, is a defect and raises AssertionError.
+    Legendre's formula, the certificate's value is the product of those
+    prime powers, and that value is checked against the witness; each
+    exponent is then proved minimal by one ``min_padic_valuation`` call
+    (see the module docstring).  A product that misses the witness, or an
+    exponent the residue minimum does not meet, is a defect and raises
+    AssertionError.
     """
-    support = cn_prime_support(n)
-    witness = abs(tuple_product(range(n + 1)))
-    fact = tuple((p, _witness_exponent(n, p)) for p in support)
-    try:
-        cert = CnCertificate(n=n, value=witness, factorization=fact)
-    except ValueError as err:
-        raise AssertionError(f"Legendre exponents for n={n} do not multiply to the witness") from err
-    for p, e in fact:
+    cert = CnCertificate(n, tuple((p, _witness_exponent(n, p)) for p in cn_prime_support(n)))
+    if cert.value != abs(tuple_product(range(n + 1))):
+        raise AssertionError(f"Legendre exponents for n={n} do not multiply to the witness")
+    for p, e in cert.factorization:
         _certify_exponent(n, p, e)
     return cert
 

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Collection, Iterable, Sequence, Union
 
 RatLike = Union[Fraction, int, str]
 _STR_BITS = 2000  # at most 603 digits, below 640, the lowest int-to-str limit an interpreter accepts
@@ -539,18 +539,19 @@ class ResidueSet:
         """
         m, allowed = self.modulus, self.allowed
         for p in sorted(_prime_factors(m)):
-            while m % p == 0:
-                m2 = m // p
-                proj = frozenset(r % m2 for r in allowed)
-                # allowed lies inside the preimage of proj, which has
-                # p * |proj| members, so equal sizes mean equal sets.
-                if len(allowed) != p * len(proj):
-                    break
-                m, allowed = m2, proj
+            m, allowed = _divide_out(m, p, allowed)
         return ResidueSet(m, allowed)
 
     def sorted_residues(self) -> list[int]:
         return sorted(self.allowed)
+
+
+def _divide_out(m: int, p: int, allowed: Collection[int]) -> tuple[int, Collection[int]]:
+    """m and ``allowed`` mod m, with p divided out of m while ``allowed`` is the full preimage of its projection."""
+    # allowed lies inside the preimage of its projection mod m / p, of p * |projection| members.
+    while m % p == 0 and len(allowed) == p * len(proj := {r % (m // p) for r in allowed}):
+        m, allowed = m // p, proj
+    return m, allowed
 
 
 def _prime_factors(m: int) -> set[int]:
@@ -572,7 +573,7 @@ def integrality_residues(p: Poly) -> ResidueSet:
     gives it.  With (N, M) = ``integer_form(p)``, p(q) is an integer iff every prime
     power l^e exactly dividing M divides N(q), and N(q + l^e) = N(q) mod l^e.  So S is
     built one prime power at a time, S_l = {r < l^e : l^e | N(r)}, each S_l is cut to
-    its least period by ``reduce``'s size test, and the cut parts are joined by the
+    its least period by the size test ``reduce`` makes, and the cut parts are joined by the
     Chinese remainder theorem.  S is the product of its parts, so a divisor d of M is
     a period of S iff l^v_l(d) is one of every nonempty S_l: the least period of S is
     the product of the parts' least periods.  An empty part gives (1, {}) at once.
@@ -588,9 +589,7 @@ def integrality_residues(p: Poly) -> ResidueSet:
         s_ell = [r for r in range(q) if int_horner(reduced, r) % q == 0]
         if not s_ell:
             return ResidueSet(1, frozenset())
-        # s_ell lies in the preimage of its projection mod q/l, of l * |proj| members.
-        while q > 1 and len(s_ell) == ell * len(proj := {r % (q // ell) for r in s_ell}):
-            q, s_ell = q // ell, proj
+        q, s_ell = _divide_out(q, ell, s_ell)
         if q > 1:
             # x = a (mod modulus) and x = b (mod q): x = a + modulus * ((b - a) / modulus mod q).
             inv = pow(modulus, -1, q)

@@ -31,7 +31,7 @@ report can be audited step by step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -276,17 +276,45 @@ class CandidateAnalysis(Report):
 
 @dataclass(repr=False)
 class PairingBranch(Report):
-    q_lm: int
-    c_x: Fraction
-    form_even_forced: bool
+    """One pairing value's sweep, derived from its congruence; ``assumed_even`` as in ``IsotropicCase``."""
+
+    q_lm: int = field(init=False)
+    c_x: Fraction = field(init=False)
+    form_even_forced: bool = field(init=False)
     congruence: PairingCongruence
-    mx_bounds: MxBounds
-    sweep_var: str
-    sweep_max: int
-    candidates: list[CandidateAnalysis]
-    survivors: list[int]  # surviving n_x values
-    parity_verdict: str  # "even" | "not-even" | "contradiction"
-    status: str  # "survives" | "rejected"
+    assumed_even: InitVar[Optional[bool]]
+    mx_bounds: MxBounds = field(init=False)
+    sweep_var: str = field(init=False)
+    sweep_max: int = field(init=False)
+    candidates: list[CandidateAnalysis] = field(init=False)
+    survivors: list[int] = field(init=False)  # surviving n_x values
+    parity_verdict: str = field(init=False)  # "even" | "not-even" | "undetermined" | "contradiction"
+    status: str = field(init=False)  # "survives" | "rejected"
+
+    def __post_init__(self, assumed_even: Optional[bool]) -> None:
+        cong = self.congruence
+        self.q_lm = cong.q_lm
+        self.c_x = fujiki_from_pairing(cong.n, cong.a, cong.q_lm)
+        self.form_even_forced = cong.form_even_forced
+        self.mx_bounds = mx_upper_bounds(cong.n, cong.a, cong.q_lm)
+        halved = cong.q_lm == 2
+        if halved and not cong.mx_integral:
+            raise AssertionError("halved branch requires integral m_x")
+        if not halved and not cong.nx_integral:
+            raise AssertionError("integer sweep requires integral n_x")
+        self.sweep_var = "m_x" if halved else "n_x"
+        # The largest integer strictly below: n_x < 2 * bound, or m_x < bound when halved.
+        bound = self.mx_bounds.pairing_bound
+        self.sweep_max = math.ceil(bound if halved else 2 * bound) - 1
+        self.candidates = [_analyze_candidate(self.c_x, v, cong, assumed_even) for v in range(1, self.sweep_max + 1)]
+        self.survivors = [c.n_x for c in self.candidates if c.status == "survives"]
+        if not self.survivors:
+            self.parity_verdict = "contradiction"
+        elif all(c.parity == "even" for c in self.candidates if c.status == "survives"):
+            self.parity_verdict = "even"
+        else:
+            self.parity_verdict = "not-even" if assumed_even is False else "undetermined"
+        self.status = "survives" if self.survivors else "rejected"
 
 
 class Survivor(NamedTuple):
@@ -296,18 +324,27 @@ class Survivor(NamedTuple):
 
 @dataclass(repr=False)
 class IsotropicCase(Report):
-    """Full case report: branches per pairing value, traces, and survivors."""
+    """The full elimination for n = 3, a in {1, 2}: a branch per pairing value, traces, and survivors.
+
+    ``assumed_even`` None leaves the parity of the quadratic form open (the
+    default); True assumes it even; False assumes it not even, which
+    restricts the pairing candidates and turns an all-even conclusion into
+    a contradiction.
+    """
 
     n: int
     a: int
-    assumed_even: Optional[bool]
-    branches: list[PairingBranch]
+    assumed_even: Optional[bool] = None
+    branches: list[PairingBranch] = field(init=False)
     survivors: list[Survivor] = field(init=False)
 
     def __post_init__(self) -> None:
-        for branch in self.branches:
-            if branch.c_x * branch.q_lm**self.n != self.a * double_factorial(2 * self.n - 1):
-                raise ValueError("branch violates c_x q_lm^n = a (2n-1)!!")
+        if self.n != 3 or self.a not in (1, 2):
+            raise UnsupportedCase("unsupported case: the full elimination covers n=3, a in {1, 2}")
+        self.branches = [
+            PairingBranch(pairing_congruence(self.n, self.a, q_lm), self.assumed_even)
+            for q_lm in pairing_candidates(self.n, self.a, even_form=self.assumed_even is not False)
+        ]
         self.survivors = [Survivor(b.q_lm, nx) for b in self.branches for nx in b.survivors]
 
 
@@ -327,13 +364,12 @@ def _odd_part(m: int) -> int:
 
 
 def _analyze_candidate(
-    q_lm: int,
     c_x: Fraction,
     sweep_value: int,
     cong: PairingCongruence,
     assumed_even: Optional[bool],
 ) -> CandidateAnalysis:
-    halved = q_lm == 2
+    halved = cong.q_lm == 2
     n_x = 2 * sweep_value if halved else sweep_value
     term, coupling, sweep_var = (
         ("q(m)/2", cong.half_congruence, "m_x") if halved else ("q(m)", cong.qm_plus_nx_congruence, "n_x")
@@ -444,51 +480,5 @@ def _analyze_candidate(
 
 
 def solve_case(n: int, a: int, even_form: Optional[bool] = None) -> IsotropicCase:
-    """Run the full elimination for n = 3, a in {1, 2}.
-
-    ``even_form`` None leaves the parity of the quadratic form open (the
-    default); True assumes it even; False assumes it not even, which
-    restricts the pairing candidates and turns an all-even conclusion into
-    a contradiction.
-    """
-    if n != 3 or a not in (1, 2):
-        raise UnsupportedCase("unsupported case: the full elimination covers n=3, a in {1, 2}")
-    branches: list[PairingBranch] = []
-    for q_lm in pairing_candidates(n, a, even_form=even_form is not False):
-        c_x = fujiki_from_pairing(n, a, q_lm)
-        cong = pairing_congruence(n, a, q_lm)
-        bounds = mx_upper_bounds(n, a, q_lm)
-        halved = q_lm == 2
-        if halved and not cong.mx_integral:
-            raise AssertionError("halved branch requires integral m_x")
-        if not halved and not cong.nx_integral:
-            raise AssertionError("integer sweep requires integral n_x")
-        # The largest integer strictly below: n_x < 2 * bound, or m_x < bound when halved.
-        sweep_max = math.ceil(bounds.pairing_bound if halved else 2 * bounds.pairing_bound) - 1
-        candidates = [
-            _analyze_candidate(q_lm, c_x, value, cong, even_form)
-            for value in range(1, sweep_max + 1)
-        ]
-        survivors = [c.n_x for c in candidates if c.status == "survives"]
-        if not survivors:
-            verdict = "contradiction"
-        elif all(c.parity == "even" for c in candidates if c.status == "survives"):
-            verdict = "even"
-        else:
-            verdict = "not-even" if even_form is False else "undetermined"
-        branches.append(
-            PairingBranch(
-                q_lm=q_lm,
-                c_x=c_x,
-                form_even_forced=cong.form_even_forced,
-                congruence=cong,
-                mx_bounds=bounds,
-                sweep_var="m_x" if halved else "n_x",
-                sweep_max=sweep_max,
-                candidates=candidates,
-                survivors=survivors,
-                parity_verdict=verdict,
-                status="survives" if survivors else "rejected",
-            )
-        )
-    return IsotropicCase(n=n, a=a, assumed_even=even_form, branches=branches)
+    """Run the full elimination for n = 3, a in {1, 2}: ``IsotropicCase(n, a, even_form)``."""
+    return IsotropicCase(n, a, even_form)

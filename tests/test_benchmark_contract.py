@@ -1,20 +1,26 @@
 """What the benchmark in perfbench/ needs of hkrr: every name it reaches for exists.
 
-perfbench wraps methods by name, calls library functions by name and sends
-fixed command lines.  A deleted method would make ``tracing.install`` raise
-KeyError, and a deleted option would make every request that sends it exit
-64, in the benchmark and not in this suite.  These tests only read
+perfbench wraps methods by name, calls library functions by name, reads
+attributes of their results in its ``tracing.AFTER`` hooks and sends fixed
+command lines.  A deleted method would make ``tracing.install`` raise
+KeyError, a reshaped result would make a hook raise AttributeError, and a
+deleted option would make every request that sends it exit 64, in the
+benchmark and not in this suite.  These tests only read
 perfbench/: they import its modules as its own tests do and restore
 ``sys.path`` after.
 """
 
 import importlib
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from hkrr import cli
+from hkrr.cnconst import cn_value
+from hkrr.exactpoly import Poly
+from hkrr.isosolver import solve_case
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -53,3 +59,25 @@ def test_requests_reach_hkrr(workload):
             argvs.append(req["argv"])
     if workload == "certify":
         assert any(argv[0] == "cn" and "--stability" in argv for argv in argvs)
+
+
+# The counter each AFTER hook feeds, and a real result of its span's function.
+HOOK_RESULTS = {
+    "exactpoly.Poly.mul": ("exactpoly.Poly.max_coeff_bits", lambda: Poly((1, 2)) * Poly((Fraction(1, 3), 5))),
+    "exactpoly.Poly.divmod": ("exactpoly.Poly.max_coeff_bits", lambda: divmod(Poly((1, 0, 3)), Poly((1, 2)))),
+    "cnconst.cn_value": ("cnconst.certified_primes", lambda: cn_value(3)),
+    "isosolver.solve_case": ("isosolver.candidates", lambda: solve_case(3, 1)),
+}
+
+
+@pytest.mark.parametrize("span", sorted(tracing.AFTER))
+def test_after_hook_counts_a_real_result(span):
+    layer, name = span.split(".", 1)
+    if span not in HOOK_RESULTS:
+        # A hook on a function hkrr no longer has is never installed.
+        assert not hasattr(importlib.import_module(f"hkrr.{layer}"), name), span
+        return
+    counter, make_result = HOOK_RESULTS[span]
+    tracer = tracing.Tracer()
+    tracing.AFTER[span](tracer, (), make_result())
+    assert tracer.observed[counter] > 0, span

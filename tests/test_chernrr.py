@@ -113,6 +113,19 @@ class TestChernData:
         with pytest.raises(ValueError):
             ChernData(2, {(0, 2): 1})
 
+    @pytest.mark.parametrize(
+        "n, values, message",
+        [
+            (2.9, {(2,): 3}, "half-dimension n must be an integer, got 2.9"),
+            (3, {(1.5, 1.5): 3}, r"partition \(1.5, 1.5\) must consist of integers"),
+            (3, {"12": 3}, "partition '12' must consist of integers"),
+        ],
+    )
+    def test_rejects_non_integers(self, n, values, message):
+        # int() would truncate each of these to a valid half-dimension or partition.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ChernData(n, values)
+
     def test_rejects_duplicate_partitions(self):
         with pytest.raises(ValueError):
             ChernData(2, {(1, 2): 1, (2, 1): 2})

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from itertools import accumulate, combinations
@@ -5,7 +6,7 @@ from itertools import accumulate, combinations
 import pytest
 
 from hkrr import cnconst
-from hkrr.cli import run
+from hkrr.cli import render_json, run
 from hkrr.cnconst import (
     CnCertificate,
     cn_prime_support,
@@ -337,10 +338,12 @@ class TestCnValue:
         assert captured.err.startswith("error: internal: AssertionError: min-plus table is not convex")
 
     def test_certificate_validates_factorization(self):
-        with pytest.raises(ValueError):
-            CnCertificate(n=2, value=12, factorization=((2, 1),))
-        with pytest.raises(ValueError):
-            CnCertificate(n=2, value=5, factorization=((5, 1),))
+        assert CnCertificate(2, ((2, 1),)).value == 2
+        for n, fact in [(2, ((5, 1),)), (3, ((2, -1),)), (3, ((4, 1),)), (3, ((1, 1),)), (3, ((-3, 1),))]:
+            with pytest.raises(ValueError, match="^factorization must be over primes <= 2n-1 with exponents >= 0$"):
+                CnCertificate(n, fact)
+        for n in range(1, 41):
+            assert CnCertificate(n, cn_value(n).factorization) == cn_value(n)
 
     def test_one_computation_per_effective_arguments(self, capsys):
         # pairing_candidates calls cn_value(3); the cn command, whatever its
@@ -359,3 +362,15 @@ class TestCnValue:
         assert blob["value"] == "4320"
         assert blob["factorization"] == [[2, 5], [3, 3], [5, 1]]
         assert set(blob) == {"n", "value", "factorization"}
+
+
+# sha256 of the JSON and repr of cn_value(n) for n = 1..60, one report a line pair.
+CN_REPORTS_DIGEST = "cc5c43139085ffac63f0eacafd06d0233a77fe5b52a1d4c0dcf1c3da62c2b759"
+
+
+def test_cn_reports_digest():
+    digest = hashlib.sha256()
+    for n in range(1, 61):
+        cert = cn_value(n)
+        digest.update(f"{render_json(cert)}\n{cert!r}\n".encode())
+    assert digest.hexdigest() == CN_REPORTS_DIGEST

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from hkrr import isosolver
+from hkrr.cli import render_json
 from hkrr.exactpoly import Poly, ResidueSet, X, integrality_residues
 from hkrr.hkprofile import cubic_prr, denominator_check, even_values_check, known_family_prr
 from hkrr.isosolver import (
@@ -451,9 +452,22 @@ def test_analyze_candidate_grid_digest():
         c_x = fujiki_from_pairing(3, a, q_lm)
         cong = pairing_congruence(3, a, q_lm)
         for value, assumed_even in product(range(1, 41), (None, True, False)):
-            analysis = _analyze_candidate(q_lm, c_x, value, cong, assumed_even)
+            analysis = _analyze_candidate(c_x, value, cong, assumed_even)
             digest.update(json.dumps(analysis.to_json()).encode() + b"\n")
     assert digest.hexdigest() == ANALYSIS_GRID_DIGEST
+
+
+# sha256 of the JSON and repr of the six solve_case(3, a, even_form) reports,
+# a in {1, 2} under each parity assumption: every branch, trace and verdict.
+ISOTROPIC_REPORTS_DIGEST = "03ee96f5896878394c5534ee87026acbead2342cbdd4ebfa7d0c1d4e75c6e2a1"
+
+
+def test_isotropic_reports_digest():
+    digest = hashlib.sha256()
+    for a, even_form in product((1, 2), (None, True, False)):
+        case = solve_case(3, a, even_form)
+        digest.update(f"{render_json(case)}\n{case!r}\n".encode())
+    assert digest.hexdigest() == ISOTROPIC_REPORTS_DIGEST
 
 
 def test_sieve_scans_once(monkeypatch):
@@ -479,7 +493,7 @@ def test_sieve_scans_once(monkeypatch):
         c_x, cong = fujiki_from_pairing(3, a, q_lm), pairing_congruence(3, a, q_lm)
         for value in range(1, 9):
             scans.clear()
-            _analyze_candidate(q_lm, c_x, value, cong, None)
+            _analyze_candidate(c_x, value, cong, None)
             assert len(scans) == 1 and not reductions, (a, q_lm, value, reductions)
 
 
