@@ -7,9 +7,10 @@ file is read as bytes and decoded as UTF-8 (a BOM or another encoding is
 refused); render_json writes the report in one pass, with the bytes of
 ``json.dumps(exactpoly.jsonable(report), indent=2)``, and --markdown
 renders ``jsonable(report)`` as nested sections instead.  Exit codes: 0
-success, 1 validation error, 64 usage error, 70 internal error (a defect
-in hkrr, such as a report value that cannot be written, reported in one
-line).
+success, 1 validation error, 64 usage error (also an n above ``CN_MAX_N``
+for ``cn`` or ``check``, reported in one line), 70 internal error (a
+defect in hkrr, such as a report value that cannot be written, reported in
+one line).
 """
 
 from __future__ import annotations
@@ -41,6 +42,11 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70  # EX_SOFTWARE
+
+# The largest n whose C(n) `cn` certifies and writes within about 60 s (fresh
+# process, 2-core VM, Python 3.11); `cn` and `check`, which reads C(n), refuse
+# a larger n as a usage error before any work.
+CN_MAX_N = 2700
 
 
 class _UsageError(Exception):
@@ -166,7 +172,13 @@ def _load_json(path: str) -> Any:
         raise ValueError(f"cannot parse {path}: {exc}") from exc
 
 
+def _check_cn_ceiling(n: int) -> None:
+    if n > CN_MAX_N:
+        raise _UsageError(f"n={n} is above the ceiling {CN_MAX_N} for C(n)")
+
+
 def _cmd_cn(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
+    _check_cn_ceiling(args.n)
     return (
         {"n": args.n},
         cn_value(args.n),
@@ -250,6 +262,7 @@ def _cmd_isotropic(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
 
 
 def _cmd_check(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
+    _check_cn_ceiling(args.n)
     p = Poly.from_json(_load_json(args.poly))
     den = denominator_check(args.n, p, even_form=args.even)
     even_vals = even_values_check(args.n, p)
@@ -433,6 +446,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         inputs, results, claims = _HANDLERS[args.command](args)
         report = {"command": args.command, "inputs": inputs, "results": results, "claims": claims}
         text = render_markdown(jsonable(report)) if args.fmt == "markdown" else render_json(report) + "\n"
+    except _UsageError as exc:  # a size above a command's ceiling
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

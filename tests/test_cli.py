@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hkrr.cli
+import hkrr.hkprofile
 import hkrr.qkbasis
 from hkrr.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, render_json, render_markdown, run
 from hkrr.cnconst import cn_value
@@ -461,6 +462,27 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_size_above_the_cn_ceiling_is_usage(self, capsys, monkeypatch, tmp_path):
+        # Above the ceiling cn and check stop before any work; at it they go
+        # on to C(n), here a stub that fails.
+        def refuse(n):
+            raise RuntimeError(f"cn_value({n}) called")
+
+        monkeypatch.setattr(hkrr.cli, "cn_value", refuse)
+        monkeypatch.setattr(hkrr.hkprofile, "cn_value", refuse)
+        top = hkrr.cli.CN_MAX_N
+        poly = write_poly(tmp_path, Poly((1, 2, 3)))
+        for n, code in ((top + 1, EXIT_USAGE), (10**6, EXIT_USAGE), (top, EXIT_INTERNAL)):
+            for argv in (["cn", str(n)], ["check", "--poly", poly, "--n", str(n), "--even"]):
+                assert run(argv) == code
+                captured = capsys.readouterr()
+                assert captured.out == "" and len(captured.err.splitlines()) == 1
+                if code == EXIT_USAGE:
+                    assert captured.err == f"error: n={n} is above the ceiling {top} for C(n)\n"
+                else:
+                    assert captured.err == f"error: internal: RuntimeError: cn_value({n}) called\n"
+        assert run(["check", "--poly", str(tmp_path / "missing.json"), "--n", str(top + 1)]) == EXIT_USAGE
 
     @pytest.mark.parametrize("argv", [["--version"], ["-h"], ["cn", "--help"]])
     def test_version_and_help_return_zero(self, capsys, argv):

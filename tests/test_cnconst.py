@@ -178,34 +178,51 @@ class TestPadicMinimization:
             min_padic_valuation(p, 3, 2)
 
     @staticmethod
-    def seeded_tables(convex):
-        # Running sums of seeded nondecreasing steps, mostly not convex;
-        # the same steps sorted give a convex table.
+    def seeded_slopes(convex):
+        # Seeded steps, mostly not nondecreasing; the same steps sorted are
+        # the slopes of a convex table.
         rng = random.Random(12)
         for size in (1, 2, 5, 9, 17):
-            steps = [0] + [rng.randint(0, 9) for _ in range(size - 1)]
-            yield list(accumulate(sorted(steps) if convex else steps))
+            steps = [rng.randint(0, 9) for _ in range(size - 1)]
+            yield sorted(steps) if convex else steps
 
     def test_convex_closed_forms_match_quadratic_fold(self):
-        tables = list(self.seeded_tables(convex=True))
-        for a in tables:
+        slopes = list(self.seeded_slopes(convex=True))
+        for s in slopes:
+            a = list(accumulate(s, initial=0))
             for k in range(1, 41):
-                assert cnconst._even_split(a, k) == minplus_fold(a, k), (a, k)
-            for b in tables:
-                if len(b) >= len(a):
-                    assert cnconst._minplus(a, b) == quadratic_minplus(a, b), (a, b)
+                assert list(accumulate(cnconst._even_split(s, k), initial=0)) == minplus_fold(a, k), (s, k)
+            for r in slopes:
+                if len(r) >= len(s):
+                    b = list(accumulate(r, initial=0))
+                    assert list(accumulate(cnconst._minplus(s, r), initial=0)) == quadratic_minplus(a, b), (s, r)
 
     def test_non_convex_tables_are_defects(self):
-        tables = self.seeded_tables(convex=False)
-        bent = [a for a in tables if any(2 * y > x + z for x, y, z in zip(a, a[1:], a[2:]))]
+        slopes = self.seeded_slopes(convex=False)
+        bent = [s for s in slopes if s != sorted(s)]
         assert len(bent) == 3
-        for a in bent:
+        for s in bent:
+            table = list(accumulate(s, initial=0))
+            assert any(2 * y > x + z for x, y, z in zip(table, table[1:], table[2:]))
             with pytest.raises(AssertionError, match="not convex"):
-                cnconst._even_split(a, 2)
+                cnconst._minplus(s, sorted(s))
             with pytest.raises(AssertionError, match="not convex"):
-                cnconst._minplus(a, a)
+                cnconst._minplus(sorted(s), s)
             with pytest.raises(AssertionError, match="not convex"):
-                cnconst._minplus([0] * len(a), a)
+                cnconst._minplus([0] * len(s), s)
+
+    def test_matches_digest(self):
+        # Every p <= 31, points <= 40 and depth <= 60; the certification
+        # calls of n = 100, 200, 300; and a prime whose (p - 1)/2-fold split
+        # would not fit in memory if it were built out.
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+        calls = [(p, t, d) for p in primes for t in range(1, 41) for d in range(1, 61)]
+        calls += [(p, n + 1, e + 1) for n in (100, 200, 300) for p, e in cn_value(n).factorization]
+        calls.append((1_000_000_007, 5, 3))
+        digest = hashlib.sha256()
+        for p, t, d in calls:
+            digest.update(f"{p} {t} {d} {min_padic_valuation(p, t, d)}\n".encode())
+        assert digest.hexdigest() == MIN_PADIC_DIGEST
 
     def test_monotone_in_depth(self):
         vals = [min_padic_valuation(2, 4, d) for d in range(1, 9)]
@@ -248,6 +265,33 @@ class TestPadicMinimization:
             )
 
         assert min_padic_valuation(p, points, depth) == best([0] * len(squares), 0, points)
+
+
+class TestWitnessTally:
+    def test_multiplies_to_the_witness(self):
+        for n in range(1, 201):
+            tally = cnconst._witness_tally(n)
+            assert list(tally) == cn_prime_support(n)
+            assert math.prod(p**e for p, e in tally.items()) == abs(tuple_product(range(n + 1))), n
+
+    def test_bit_split_equals_tree_product(self):
+        rng = random.Random(34)
+        primes = cn_prime_support(60)
+        cases = [(), ((2, 0),), ((7, 1),), ((113, 1000),), ((3, 0), (5, 0)), ((2, 2), (3, 1))]
+        for _ in range(200):
+            chosen = sorted(rng.sample(primes, rng.randint(1, len(primes))))
+            cases.append(tuple((p, rng.choice((0, 1, rng.randint(0, 70), rng.randint(0, 2**12)))) for p in chosen))
+        for fact in cases:
+            assert cnconst._bit_split_product(fact) == cnconst._tree_product([p**e for p, e in fact]), fact
+
+    def test_one_sieve_per_certificate(self):
+        cn_value.cache_clear()
+        cnconst._smallest_prime_factors.cache_clear()
+        try:
+            cn_value(40)
+        finally:
+            cn_value.cache_clear()
+        assert cnconst._smallest_prime_factors.cache_info().misses == 1
 
 
 class TestCnValue:
@@ -327,7 +371,7 @@ class TestCnValue:
     def test_non_convex_table_is_a_defect(self, capsys, monkeypatch):
         # A wrong table must stop the certificate, not give a wrong minimum.
         even_split = cnconst._even_split
-        monkeypatch.setattr(cnconst, "_even_split", lambda a, k: even_split(a, k)[:-2] + [0, 1])
+        monkeypatch.setattr(cnconst, "_even_split", lambda s, k: even_split(s, k)[:-2] + [1, 0])
         cn_value.cache_clear()
         try:
             assert run(["cn", "5"]) == 70
@@ -364,13 +408,28 @@ class TestCnValue:
         assert set(blob) == {"n", "value", "factorization"}
 
 
+# sha256 of "p points depth minimum" lines over the calls of TestPadicMinimization.test_matches_digest.
+MIN_PADIC_DIGEST = "ebac74be63e73d720b92859908a4635de7f44dcd64e2e0d8ac157493c8329989"
+
 # sha256 of the JSON and repr of cn_value(n) for n = 1..60, one report a line pair.
 CN_REPORTS_DIGEST = "cc5c43139085ffac63f0eacafd06d0233a77fe5b52a1d4c0dcf1c3da62c2b759"
 
 
-def test_cn_reports_digest():
+def reports_digest(ns) -> str:
     digest = hashlib.sha256()
-    for n in range(1, 61):
+    for n in ns:
         cert = cn_value(n)
         digest.update(f"{render_json(cert)}\n{cert!r}\n".encode())
-    assert digest.hexdigest() == CN_REPORTS_DIGEST
+    return digest.hexdigest()
+
+
+def test_cn_reports_digest():
+    assert reports_digest(range(1, 61)) == CN_REPORTS_DIGEST
+
+
+# The same for n = 100, 200, ..., 500.
+CN_LARGE_REPORTS_DIGEST = "14356727cff4cd82dade39359a9904c31d437ee8261c48cadf9190cdaea53ecc"
+
+
+def test_cn_large_reports_digest():
+    assert reports_digest(range(100, 501, 100)) == CN_LARGE_REPORTS_DIGEST
