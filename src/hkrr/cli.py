@@ -8,7 +8,8 @@ refused); render_json writes the report in one pass, with the bytes of
 ``json.dumps(exactpoly.jsonable(report), indent=2)``, and --markdown
 renders ``jsonable(report)`` as nested sections instead.  Exit codes: 0
 success, 1 validation error, 64 usage error (also an n above ``CN_MAX_N``
-for ``cn`` or ``check``, reported in one line), 70 internal error (a
+for ``cn`` or ``check`` and one above ``QRR_MAX_N`` for ``qrr``, reported
+in one line), 70 internal error (a
 defect in hkrr, such as a report value that cannot be written, reported in
 one line).
 """
@@ -47,6 +48,9 @@ EXIT_INTERNAL = 70  # EX_SOFTWARE
 # process, 2-core VM, Python 3.11); `cn` and `check`, which reads C(n), refuse
 # a larger n as a usage error before any work.
 CN_MAX_N = 2700
+# The same for `qrr`: the largest n, the size of its largest possible part,
+# whose polynomial it builds and writes within about 60 s.
+QRR_MAX_N = 3100
 
 
 class _UsageError(Exception):
@@ -172,13 +176,13 @@ def _load_json(path: str) -> Any:
         raise ValueError(f"cannot parse {path}: {exc}") from exc
 
 
-def _check_cn_ceiling(n: int) -> None:
-    if n > CN_MAX_N:
-        raise _UsageError(f"n={n} is above the ceiling {CN_MAX_N} for C(n)")
+def _check_ceiling(n: int, top: int, what: str) -> None:
+    if n > top:
+        raise _UsageError(f"n={n} is above the ceiling {top} for {what}")
 
 
 def _cmd_cn(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
-    _check_cn_ceiling(args.n)
+    _check_ceiling(args.n, CN_MAX_N, "C(n)")
     return (
         {"n": args.n},
         cn_value(args.n),
@@ -204,6 +208,7 @@ def _cmd_qk(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
 
 def _cmd_qrr(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     data = ChernData.from_json(_load_json(args.chern))
+    _check_ceiling(data.n, QRR_MAX_N, "qrr")
     q = q_rr_from_chern(data)
     return (
         {"chern": data},
@@ -262,7 +267,7 @@ def _cmd_isotropic(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
 
 
 def _cmd_check(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
-    _check_cn_ceiling(args.n)
+    _check_ceiling(args.n, CN_MAX_N, "C(n)")
     p = Poly.from_json(_load_json(args.poly))
     den = denominator_check(args.n, p, even_form=args.even)
     even_vals = even_values_check(args.n, p)

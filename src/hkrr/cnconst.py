@@ -72,7 +72,7 @@ class CnCertificate(Report):
 
     def __post_init__(self) -> None:
         support = set(cn_prime_support(self.n))
-        if any(e < 0 or p not in support for p, e in self.factorization):
+        if any(type(p) is not int or type(e) is not int or e < 0 or p not in support for p, e in self.factorization):
             raise ValueError("factorization must be over primes <= 2n-1 with exponents >= 0")
         object.__setattr__(self, "value", _bit_split_product(self.factorization))
 

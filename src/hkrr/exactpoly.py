@@ -6,8 +6,10 @@ hashing is free.  ``Poly`` is an immutable dense univariate polynomial
 over Q, stored as integer numerators over one positive denominator in
 lowest terms, so its arithmetic is integer arithmetic with one gcd per
 result.  ``int_horner`` is the one evaluator: the homogeneous integer
-Horner sum c_i a^i b^(d-i), which gives every exact value and every sign;
-``pseudo_divmod`` is the one division, integer pseudo-division.
+Horner sum c_i a^i b^(d-i), which gives every exact value and every sign,
+with no scale for b = 1 and by shifts for b = 2^m; ``pseudo_divmod`` is
+the one division, integer pseudo-division, in one pass for the normal
+step deg a = deg b + 1; ``poly_compose_affine`` shifts by suffix sums.
 Everything in this module is pure and exact; there is no floating point
 and no epsilon anywhere.
 """
@@ -19,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from typing import Callable, Collection, Iterable, Sequence, Union
 
 RatLike = Union[Fraction, int, str]
@@ -422,12 +424,23 @@ def int_horner(coeffs: Sequence[int], a: int, b: int = 1) -> int:
     """sum c_i a^i b^(d-i), d = len(coeffs) - 1: b^d times the value at a/b.
 
     The one evaluator: ``Poly.__call__`` divides it by den * b^d, and with
-    b > 0 its sign is the sign of the value at a/b.
+    b > 0 its sign is the sign of the value at a/b.  Horner's rule takes
+    c_(d-j) b^j at step j: with no scale for b = 1, as c << m j for
+    b = 2^m, and by a running power of b otherwise.
     """
-    acc, scale = 0, 1
-    for c in reversed(coeffs):
-        acc = acc * a + c * scale
-        scale *= b
+    acc = 0
+    if b == 1:
+        for c in reversed(coeffs):
+            acc = acc * a + c
+    elif b > 1 and not b & (b - 1):
+        m = b.bit_length() - 1
+        for j, c in enumerate(reversed(coeffs)):
+            acc = acc * a + (c << m * j)
+    else:
+        scale = 1
+        for c in reversed(coeffs):
+            acc = acc * a + c * scale
+            scale *= b
     return acc
 
 
@@ -438,47 +451,69 @@ def pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[i
     coefficient l; s = max(0, len(a) - len(b) + 1) is the number of
     division steps, len(r) < len(b) and r has no trailing zero.  This is
     the one division loop: ``Poly.__divmod__`` scales q and r, and the
-    Sturm chain of ``all_roots_real`` keeps r only, made primitive.
+    Sturm chain of ``all_roots_real`` keeps r only, made primitive.  When
+    deg a = deg b + 1, the normal step of a Sturm chain, the two steps are
+    one pass: q = l a_m T + (l a_(m-1) - a_m b_(m-2)), m = deg a, and
+    r = l^2 a - q b with its top two terms, which cancel, dropped.
     """
     lead = b[-1]
-    r = list(a)
-    q = []
-    for k in range(len(r) - len(b), -1, -1):
-        top = r.pop()
-        q.append(top * lead**k)  # the k later steps would each scale it by lead
-        r = [lead * c for c in r]
-        for j, c in enumerate(b[:-1], k):
-            r[j] -= top * c
+    if len(a) == len(b) + 1:
+        q1 = lead * a[-1]
+        q0 = lead * a[-2] - a[-1] * (b[-2] if len(b) > 1 else 0)
+        sq = lead * lead
+        r = [sq * x - q0 * y - q1 * z for x, y, z in zip(a, b[:-1], (0, *b))]
+        q = [q0, q1]
+    else:
+        r = list(a)
+        q = []
+        for k in range(len(r) - len(b), -1, -1):
+            top = r.pop()
+            q.append(top * lead**k)  # the k later steps would each scale it by lead
+            r = [lead * c for c in r]
+            for j, c in enumerate(b[:-1], k):
+                r[j] -= top * c
+        q.reverse()
     while r and not r[-1]:
         r.pop()
-    return q[::-1], r
+    return q, r
 
 
 def poly_compose_affine(p: Poly, a: RatLike, b: RatLike) -> Poly:
     """The polynomial T -> p(a*T + b), computed exactly.
 
-    With a = a1/a2, b = b1/b2 and p = N/M of degree d, the result is
-    sum n_i (b1 a2 + a1 b2 T)^i (a2 b2)^(d-i) over M (a2 b2)^d, built on
-    integers.  A pure rescaling (b = 0) is the O(d) map
-    n_i -> n_i a1^i a2^(d-i); otherwise Horner's rule in b1 a2 + a1 b2 T.
+    With a = a1/a2, b = b1/b2 and p = N/M of degree d, a pure rescaling
+    (b = 0) is the O(d) map n_i -> n_i a1^i a2^(d-i) over M a2^d.
+    Otherwise p(aT + b) = p(b (U + 1)) with U = aT/b, and the result is
+    built on integers in four passes: scale n_i by b1^i b2^(d-i), which
+    gives b2^d N(bU); shift U -> U + 1 in d passes of suffix sums, which
+    need only additions (von zur Gathen and Gerhard, ISSAC 1997); divide
+    the coefficient of U^i by b1^i, exactly; and map U -> aT/b, which
+    multiplies it by (a1 b2)^i a2^(d-i), over M (a2 b2)^d.
     """
     a, b = as_rat(a), as_rat(b)
     nums, d = p._nums, p.degree
     if d < 0:
         return ZERO
+    a1, a2 = a.numerator, a.denominator
     if b == 0:
-        up, down = [1], [1]
-        for _ in range(d):
-            up.append(up[-1] * a.numerator)
-            down.append(down[-1] * a.denominator)
-        return _poly([c * up[i] * down[d - i] for i, c in enumerate(nums)], p._den * down[d])
-    u, v, w = b.numerator * a.denominator, a.numerator * b.denominator, a.denominator * b.denominator
-    acc, scale = [], 1
-    for c in reversed(nums):
-        acc = [x * u + y * v for x, y in zip(acc + [0], [0] + acc)]
-        acc[0] += c * scale
-        scale *= w
-    return _poly(acc, p._den * w**d)
+        return _poly([c * u * v for c, u, v in zip(nums, _powers(a1, d), reversed(_powers(a2, d)))], p._den * a2**d)
+    b1, b2 = b.numerator, b.denominator
+    up = _powers(b1, d)
+    acc = [c * u * v for c, u, v in zip(reversed(nums), reversed(up), _powers(b2, d))]  # descending in U
+    shifted = []
+    while acc:  # a pass of prefix sums, descending, fixes the lowest coefficient left
+        acc = list(accumulate(acc))
+        shifted.append(acc.pop())
+    out = zip(shifted, up, _powers(a1 * b2, d), reversed(_powers(a2, d)))
+    return _poly([c // u * v * w for c, u, v, w in out], p._den * (a2 * b2) ** d)
+
+
+def _powers(x: int, d: int) -> list[int]:
+    """[1, x, x^2, ..., x^d]."""
+    out = [1]
+    for _ in range(d):
+        out.append(out[-1] * x)
+    return out
 
 
 def binomial_poly(n: int, scale: RatLike, shift: RatLike) -> Poly:

@@ -24,8 +24,12 @@ having degree k, exactly one, simple, and none lies outside.  Each root's
 enclosure is the cell holding it of one grid over (-B, B), B the Cauchy
 bound: x_j = -B + j 2B/2^M, M the least such that 2B/2^M <= 10^-10, or
 (x_j, x_j) for a root at a grid point.  The sign of q_k at a/b is that of
-the integer b^k q_k(a/b).  Floats appear only in choosing the separators
-and the first cell tried, and in the returned midpoints.
+the integer b^k q_k(a/b), b a power of two, so int_horner scales by shifts.
+The guess, the cell ends and the midpoints stay integers over the grid's
+2^M until each midpoint is one int division, (lo + hi)/2^(M+1), the same
+correctly rounded float as float(Fraction).  Floats appear only in
+choosing the separators and the first cell tried, and in the returned
+midpoints.
 """
 
 from __future__ import annotations
@@ -108,10 +112,11 @@ def qk_roots(k: int) -> list[float]:
         raise AssertionError(f"q_{k} does not alternate in sign at {k + 1} ascending separators")
     bound = 1 + max(ps)  # Cauchy's, q_k being monic
     grid = _grid(-bound, bound, Fraction(1, 10**10))
+    half = grid[2] << 1
     roots = []
     for c, guess in enumerate(closed[1:-1]):
         lo, hi = _root_cell(ps, grid, seps[c : c + 2], signs[c : c + 2], guess)
-        roots.append(float((lo + hi) / 2))
+        roots.append((lo + hi) / half)  # one correctly rounded int division, as float(Fraction) is
     for got, want in zip(roots, closed[1:-1]):
         if abs(got - want) > ROOT_TOLERANCE:
             raise AssertionError(f"root {got} deviates from {want} by more than {ROOT_TOLERANCE}")
@@ -247,14 +252,17 @@ def _grid(lo: int, hi: int, tol: Fraction) -> tuple[int, int, int]:
 
 def _root_cell(
     p: list[int], grid: tuple[int, int, int], bracket: list[Fraction], ends: list[int], guess: float
-) -> tuple[Fraction, Fraction]:
-    """The cell (x_j, x_j+1) of grid holding p's one root in bracket, where p has signs ends."""
+) -> tuple[int, int]:
+    """The cell (x_j, x_j+1) of grid holding p's one root in bracket, where p has signs ends.
+
+    The cell is returned as the numerators of its ends over the grid's den.
+    """
     base, step, den = grid
 
-    def cell(x: Fraction) -> int:  # the j with x_j <= x < x_j+1
-        return (x.numerator * den - base * x.denominator) // (step * x.denominator)
+    def cell(num: int, d: int) -> int:  # the j with x_j <= num/d < x_j+1
+        return (num * den - base * d) // (step * d)
 
-    first, last = cell(bracket[0]), cell(bracket[1])
+    first, last = (cell(x.numerator, x.denominator) for x in bracket)
 
     def sign(j: int) -> int:  # p's at x_j, or a separator's where x_j is not inside the bracket
         if j <= first:
@@ -263,7 +271,7 @@ def _root_cell(
             return ends[1]
         return _sign(int_horner(p, base + j * step, den))
 
-    lo = cell(Fraction(guess))
+    lo = cell(*guess.as_integer_ratio())
     hi = lo + 1
     if sign(lo) * sign(hi) >= 0:
         lo, hi = first, last + 1
@@ -271,6 +279,6 @@ def _root_cell(
             mid = (lo + hi) // 2
             s = sign(mid)
             if s == 0:
-                return Fraction(base + mid * step, den), Fraction(base + mid * step, den)
+                return base + mid * step, base + mid * step
             lo, hi = (mid, hi) if s == ends[0] else (lo, mid)
-    return Fraction(base + lo * step, den), Fraction(base + hi * step, den)
+    return base + lo * step, base + hi * step

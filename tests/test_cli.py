@@ -98,7 +98,8 @@ class TestQkCommand:
         [
             ("_separators", lambda seps: seps[1:], "q_3 does not alternate in sign at 4 ascending separators"),
             ("_separators", lambda seps: [t / 2 for t in seps], "q_3 does not alternate in sign at 4 ascending separators"),
-            ("_root_cell", lambda cell: tuple(x + Fraction(1, 10**6) for x in cell), "root "),
+            # The cell's ends are numerators over q_3's grid den, 2^38: each moves by 10^-6.
+            ("_root_cell", lambda cell: tuple(x + Fraction(2**38, 10**6) for x in cell), "root "),
         ],
         ids=["count", "alternation", "closed-form"],
     )
@@ -484,6 +485,24 @@ class TestExitCodes:
                     assert captured.err == f"error: internal: RuntimeError: cn_value({n}) called\n"
         assert run(["check", "--poly", str(tmp_path / "missing.json"), "--n", str(top + 1)]) == EXIT_USAGE
 
+    def test_size_above_the_qrr_ceiling_is_usage(self, capsys, monkeypatch, tmp_path):
+        # Above the ceiling qrr stops before q_rr_from_chern, which would allocate
+        # n + 1 coefficients even for no values; at it, it goes on, here to a stub that fails.
+        def refuse(data):
+            raise RuntimeError(f"q_rr_from_chern(n={data.n}) called")
+
+        monkeypatch.setattr(hkrr.cli, "q_rr_from_chern", refuse)
+        top = hkrr.cli.QRR_MAX_N
+        for n, code in ((top + 1, EXIT_USAGE), (top, EXIT_INTERNAL)):
+            for values in ([], [{"partition": [n], "value": 1}], [{"partition": [1] * n, "value": "-1/2"}]):
+                assert run(["qrr", "--chern", _write(tmp_path, {"n": n, "values": values})]) == code
+                captured = capsys.readouterr()
+                assert captured.out == "" and len(captured.err.splitlines()) == 1
+                if code == EXIT_USAGE:
+                    assert captured.err == f"error: n={n} is above the ceiling {top} for qrr\n"
+                else:
+                    assert captured.err == f"error: internal: RuntimeError: q_rr_from_chern(n={n}) called\n"
+
     @pytest.mark.parametrize("argv", [["--version"], ["-h"], ["cn", "--help"]])
     def test_version_and_help_return_zero(self, capsys, argv):
         # argparse ends these with parser.exit(); run returns the code instead.
@@ -864,6 +883,103 @@ class TestParseRoutes:
         code, out, err = got
         assert code in README_EXIT_CODES and "Traceback" not in err
         assert (code == EXIT_OK) == (err == "") and (out == "") == (code != EXIT_OK)
+
+
+# Each command that reads a file, with the file's place marked "@file".
+FILE_ARGV = {
+    "check": [["check", "--poly", "@file", "--n", "3"], ["check", "--poly", "@file", "--n", "2", "--even"]],
+    "profile": [["profile", "--poly", "@file"], ["profile", "--poly", "@file", "--n", "4"]],
+    "decompose": [
+        ["decompose", "--poly", "@file", "--basis", "qk"],
+        ["decompose", "--poly", "@file", "--basis", "shifted", "--shift", "-3/2"],
+    ],
+    "qrr": [["qrr", "--chern", "@file"]],
+}
+POLY_COMMANDS = ("check", "profile", "decompose")
+
+# Well-formed JSON of the wrong shape: (commands, file content).
+MALFORMED_FILES = [
+    *((POLY_COMMANDS, {"coeffs": coeffs}) for coeffs in (5, "1", None, {}, {"0": 1}, [1.5], [2, 0.25], [True, 1])),
+    *((POLY_COMMANDS, {"coeffs": coeffs}) for coeffs in ([[1], 2], [1, [2, 3]], ["1/0"], [1, "1e5"], ["2E3"], [])),
+    *((POLY_COMMANDS, {"coeffs": coeffs}) for coeffs in ([0], [0, 0], [3], ["1/2", 0, "-1/3"], [1, 0, 0, 0, 0, 1])),
+    *((POLY_COMMANDS, obj) for obj in ([], [1, 2], 3, "x", None, {"coeff": [1, 2]})),
+    (("qrr",), {"n": 1, "values": [{"value": 1}]}),
+    (("qrr",), {"n": 2, "values": [{"partition": [0, 2], "value": 1}]}),
+    (("qrr",), {"n": 2, "values": [{"partition": [-1, 3], "value": 1}]}),
+    (("qrr",), {"n": 2, "values": [{"partition": [1], "value": 1}]}),
+    (("qrr",), {"n": 2, "values": [{"partition": [], "value": 1}]}),
+    (("qrr",), {"n": 2, "values": [{"partition": [1.5, 0.5], "value": 1}]}),
+    (("qrr",), {"n": 2, "values": [{"partition": "2", "value": 1}]}),
+    (("qrr",), {"n": 2, "values": [{"partition": [[2]], "value": 1}]}),
+    (("qrr",), {"n": 2, "values": [{"partition": [2], "value": "1/0"}]}),
+    (("qrr",), {"n": 2, "values": [{"partition": [2], "value": [1]}]}),
+    (("qrr",), {"n": 2, "values": [[2]]}),
+    (("qrr",), {"n": 2, "values": {}}),
+    (("qrr",), {"n": 2}),
+    (("qrr",), {"n": 0, "values": []}),
+    (("qrr",), {"n": -1, "values": []}),
+    (("qrr",), {"n": "2", "values": []}),
+    (("qrr",), {"n": 3, "values": []}),
+    (("qrr",), []),
+]
+
+_ITEM = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["1/0", "1e5", "2E3", "-3/4", "x", "", "1/2", "0/5", "-0", "1.5", "+3", " 4", "1/-2"]),
+    st.lists(st.integers(-3, 3), max_size=2),
+)
+
+
+def _mostly(usual, other):
+    """usual three times in four, other (the wrong type) once."""
+    return st.one_of(usual, usual, usual, other)
+
+
+@st.composite
+def malformed_file(draw):
+    """(command, file content): a polynomial or Chern data file, mostly of the right shape, with wrong items."""
+    command = draw(st.sampled_from(sorted(FILE_ARGV)))
+    if command != "qrr":
+        coeffs = draw(_mostly(st.lists(_mostly(st.integers(-9, 9), _ITEM), max_size=6), _ITEM))
+        return command, draw(st.sampled_from([{"coeffs": coeffs}, {"coeffs": coeffs}, {"coeffs": coeffs, "x": 1}, coeffs]))
+    entry = _mostly(
+        st.fixed_dictionaries(
+            {"partition": _mostly(st.lists(_mostly(st.integers(-1, 4), _ITEM), max_size=4), _ITEM), "value": _ITEM}
+        ),
+        st.one_of(st.fixed_dictionaries({"value": _ITEM}), _ITEM),
+    )
+    n = draw(_mostly(st.integers(-1, 4), _ITEM))
+    return command, {"n": n, "values": draw(_mostly(st.lists(entry, max_size=3), _ITEM))}
+
+
+class TestMalformedFiles:
+    """Well-formed JSON of the wrong shape, through run, for every command that reads a file."""
+
+    @pytest.mark.parametrize("commands, obj", MALFORMED_FILES, ids=lambda v: json.dumps(v)[:60])
+    def test_table(self, tmp_path, commands, obj):
+        for command in commands:
+            self.assert_classified(tmp_path, command, obj)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=malformed_file())
+    def test_drawn(self, tmp_path_factory, case):
+        self.assert_classified(tmp_path_factory.mktemp("malformed"), *case)
+
+    @staticmethod
+    def assert_classified(root, command, obj):
+        path = root / "input.json"
+        path.write_text(json.dumps(obj))
+        for argv in FILE_ARGV[command]:
+            argv = [str(path) if token == "@file" else token for token in argv]
+            code, out, err = route_outcome(argv, by_top_level=False)
+            assert code in README_EXIT_CODES and code != EXIT_INTERNAL, (argv, obj, err)
+            assert "Traceback" not in err and len(err.splitlines()) == (code != EXIT_OK), (argv, obj, err)
+            assert (code == EXIT_OK) == (out != ""), (argv, obj)
+            if out:
+                assert json.loads(out)["command"] == command
 
 
 class TestSharedParser:

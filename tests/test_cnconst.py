@@ -383,7 +383,10 @@ class TestCnValue:
 
     def test_certificate_validates_factorization(self):
         assert CnCertificate(2, ((2, 1),)).value == 2
-        for n, fact in [(2, ((5, 1),)), (3, ((2, -1),)), (3, ((4, 1),)), (3, ((1, 1),)), (3, ((-3, 1),))]:
+        refused = [(2, ((5, 1),)), (3, ((2, -1),)), (3, ((4, 1),)), (3, ((1, 1),)), (3, ((-3, 1),))]
+        # A prime or an exponent whose type is not exactly int, bool included.
+        refused += [(3, ((2, 1.5),)), (3, ((2.0, 1),)), (3, ((2, "1"),)), (3, ((2, True),))]
+        for n, fact in refused:
             with pytest.raises(ValueError, match="^factorization must be over primes <= 2n-1 with exponents >= 0$"):
                 CnCertificate(n, fact)
         for n in range(1, 41):

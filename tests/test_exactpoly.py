@@ -973,3 +973,139 @@ class TestCanonicalForm:
                 p / zero
         with pytest.raises(ZeroDivisionError):
             divmod(p, ZERO)
+
+
+# -- the integer kernels against the loops they replaced --
+
+
+def former_int_horner(coeffs, a, b=1):
+    """int_horner's former loop: one running power of b for every b."""
+    acc, scale = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * a + c * scale
+        scale *= b
+    return acc
+
+
+def former_compose_affine(p: Poly, a, b) -> Poly:
+    """poly_compose_affine's former loop: Horner's rule in b1 a2 + a1 b2 T, for every b."""
+    a, b = as_rat(a), as_rat(b)
+    nums, den = integer_form(p)
+    u, v, w = b.numerator * a.denominator, a.numerator * b.denominator, a.denominator * b.denominator
+    acc, scale = [], 1
+    for c in reversed(nums):
+        acc = [x * u + y * v for x, y in zip(acc + [0], [0] + acc)]
+        acc[0] += c * scale
+        scale *= w
+    return Poly(Fraction(c, den * w ** max(p.degree, 0)) for c in acc)
+
+
+def former_pseudo_divmod(a, b):
+    """pseudo_divmod's former loop: one division step per quotient term, for every degree."""
+    lead = b[-1]
+    r = list(a)
+    q = []
+    for k in range(len(r) - len(b), -1, -1):
+        top = r.pop()
+        q.append(top * lead**k)
+        r = [lead * c for c in r]
+        for j, c in enumerate(b[:-1], k):
+            r[j] -= top * c
+    while r and not r[-1]:
+        r.pop()
+    return q[::-1], r
+
+
+def rand_ints(rng: random.Random, length: int, bits: int = 40) -> list[int]:
+    return [rng.randint(-(1 << bits), 1 << bits) for _ in range(length)]
+
+
+class TestKernelsAgainstFormerLoops:
+    def test_evaluation(self):
+        # b = 1, b = 2^m up to m = 80 and other b; negative a; empty and all-zero lists.
+        rng = random.Random(3501)
+        lists = [[], [0], [0, 0, 0], [5], [-3, 0, 0, 0]] + [rand_ints(rng, rng.randint(1, 40)) for _ in range(200)]
+        for coeffs in lists:
+            a = rng.randint(-(1 << 70), 1 << 70)
+            bs = [1, 2, 3, 6, -1, -2, 0, rng.randint(2, 10**9)] + [1 << m for m in (1, 2, 7, 34, 63, 64, 80)]
+            for x in (a, -abs(a) or -1, 0, 1, -1):
+                for b in bs:
+                    assert int_horner(coeffs, x, b) == former_int_horner(coeffs, x, b), (coeffs, x, b)
+
+    def test_evaluation_on_every_power_of_two_exponent(self):
+        # Each m from 0 to 80, so that c << m*j cannot be off by a step.
+        rng = random.Random(3502)
+        for m in range(81):
+            coeffs = rand_ints(rng, rng.randint(2, 12))
+            a = rng.randint(-(1 << 90), 1 << 90)
+            assert int_horner(coeffs, a, 1 << m) == former_int_horner(coeffs, a, 1 << m), m
+
+    def test_shift(self):
+        # a and b rational of both signs, b = 0 and a = 1 among them, degrees 0 to 60.
+        rng = random.Random(3503)
+        values = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2), Fraction(7, 3)]
+        for d in range(61):
+            p = Poly(Fraction(rng.randint(-(10**9), 10**9), rng.choice((1, 2, 3, 48, 97))) for _ in range(d + 1))
+            for _ in range(4):
+                a = rng.choice(values + [rand_rat(rng) or Fraction(5, 4)])
+                b = rng.choice(values + [rand_rat(rng)])
+                got = poly_compose_affine(p, a, b)
+                assert integer_form(got) == integer_form(former_compose_affine(p, a, b)), (d, a, b)
+        assert poly_compose_affine(ZERO, 3, -2) == ZERO == former_compose_affine(ZERO, 3, -2)
+
+    def test_shift_of_the_family_polynomials(self):
+        # The profile's own shift, P_RR(V - n_x), on both families.
+        for kind in ("split", "product"):
+            for n in range(1, 61):
+                p = hkprofile.known_family_prr(kind, n)
+                n_x = hkprofile.profile_from_prr(n, p).n_x
+                assert poly_compose_affine(p, 1, -n_x) == former_compose_affine(p, 1, -n_x), (kind, n)
+
+    def test_division_one_degree_apart(self):
+        # deg a = deg b + 1, the normal step of a Sturm chain, with leading coefficients of both signs.
+        rng = random.Random(3504)
+        for i in range(800):
+            b = rand_ints(rng, rng.randint(0, 30), bits=rng.choice((3, 60))) + [rng.choice((-1, 1)) * rng.randint(1, 99)]
+            a = rand_ints(rng, len(b), bits=rng.choice((3, 60))) + [rng.choice((-1, 1)) * rng.randint(1, 99)]
+            if i % 5 == 0:
+                a[-2] = 0  # a_(m-1) = 0
+            assert pseudo_divmod(a, b) == former_pseudo_divmod(a, b), (a, b)
+
+    def test_division_at_other_degrees(self):
+        rng = random.Random(3505)
+        for _ in range(400):
+            b = rand_ints(rng, rng.randint(0, 8), bits=8) + [rng.choice((-7, -1, 1, 4))]
+            a = rand_ints(rng, rng.randint(0, 14), bits=8)
+            assert pseudo_divmod(a, b) == former_pseudo_divmod(a, b), (a, b)
+
+    @staticmethod
+    def sturm_pairs():
+        """(label, integer coefficients) of each polynomial whose Sturm chains are compared."""
+        for kind in ("split", "product"):
+            for n in range(1, 81):
+                prof = hkprofile.profile_from_prr(n, hkprofile.known_family_prr(kind, n))
+                yield f"{kind} R {n}", list(prof.centred[0])
+                if n <= 40:
+                    yield f"{kind} P_RR {n}", list(integer_form(prof.p_rr)[0])
+        rng = random.Random(3506)
+        for i in range(60):  # products with repeated roots, real and complex
+            p = Poly((rng.choice((-3, -1, 2, 5)),))
+            for _ in range(rng.randint(1, 4)):
+                root = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                p = p * Poly((-root, 1)) ** rng.randint(1, 4)
+            if i % 2:
+                p = p * Poly((rng.randint(1, 9), rng.randint(-4, 4), 1)) ** rng.randint(1, 3)
+            yield f"product {i}", list(integer_form(p)[0])
+
+    def test_sturm_chains(self, monkeypatch):
+        from hkrr import qkbasis
+
+        for label, ints in self.sturm_pairs():
+            if len(ints) < 2:
+                continue
+            ints = qkbasis._primitive(ints)
+            got = qkbasis._sturm_chain(ints)
+            with monkeypatch.context() as patch:
+                patch.setattr(qkbasis, "pseudo_divmod", former_pseudo_divmod)
+                want = qkbasis._sturm_chain(ints)
+            assert got == want, label

@@ -108,6 +108,11 @@ def _q3_certificate():
     return ps, seps, [qkbasis._sign(qkbasis.int_horner(ps, t.numerator, t.denominator)) for t in seps]
 
 
+def _cell_fractions(cell: tuple[int, int], grid: tuple[int, int, int]) -> tuple[Fraction, Fraction]:
+    """The ends of a cell that _root_cell returns as numerators over the grid's den."""
+    return Fraction(cell[0], grid[2]), Fraction(cell[1], grid[2])
+
+
 def _qk_cauchy_bound(k: int) -> int:
     """B = 1 + the largest coefficient of q_k, without building q_k.
 
@@ -190,7 +195,7 @@ class TestQkRootCertificate:
         calls = []
         horner = qkbasis.int_horner
         monkeypatch.setattr(qkbasis, "int_horner", lambda *args: calls.append(args) or horner(*args))
-        assert qkbasis._root_cell(ps, grid, seps[2:], signs[2:], guess) == want
+        assert _cell_fractions(qkbasis._root_cell(ps, grid, seps[2:], signs[2:], guess), grid) == want
         assert (len(calls) > 2) == (cells != 0)
 
     def test_root_on_the_grid_falls_back_to_refine(self):
@@ -199,7 +204,8 @@ class TestQkRootCertificate:
         ps, seps, signs = _q3_certificate()
         grid = qkbasis._grid(-3, -1, Fraction(1, 10**10))
         for guess in (-2.0, -2.5, -1.3):
-            assert qkbasis._root_cell(ps, grid, seps[1:3], signs[1:3], guess) == (Fraction(-2), Fraction(-2))
+            cell = qkbasis._root_cell(ps, grid, seps[1:3], signs[1:3], guess)
+            assert _cell_fractions(cell, grid) == (Fraction(-2), Fraction(-2))
 
     @pytest.mark.parametrize("guess", [-4.0, -1.0, -0.25, 0.0])
     def test_guess_outside_its_cell_is_bisected_inside_the_bracket(self, guess):
@@ -212,7 +218,7 @@ class TestQkRootCertificate:
         tol = Fraction(1, 10**10)
         grid = qkbasis._grid(-4, 4, tol)
         want = _fraction_refine(Poly(ps), Fraction(-1), Fraction(0), tol)
-        assert qkbasis._root_cell(ps, grid, seps[2:], signs[2:], guess) == want
+        assert _cell_fractions(qkbasis._root_cell(ps, grid, seps[2:], signs[2:], guess), grid) == want
 
     def test_a_cell_across_a_separator_reads_the_separator(self, monkeypatch):
         # 2^40 T - 2^38 - 1 has its root 1/4 + 2^-40 in the grid cell
@@ -224,6 +230,7 @@ class TestQkRootCertificate:
         horner = qkbasis.int_horner
         monkeypatch.setattr(qkbasis, "int_horner", lambda *args: calls.append(args) or horner(*args))
         cell = qkbasis._root_cell(ps, grid, [Fraction(1, 4) + Fraction(1, 2**41), Fraction(1)], [-1, 1], 0.25)
+        cell = _cell_fractions(cell, grid)
         assert cell == (Fraction(1, 4), Fraction(1, 4) + Fraction(1, 2**34))
         assert len(calls) == 1
         assert cell == _fraction_refine(Poly(ps), Fraction(-4), Fraction(4), tol)
