@@ -1,29 +1,32 @@
 """Command-line surface: every subcommand emits one deterministic report.
 
-A report is {"command", "inputs", "results", "claims"}.  run parses a
-request with its command's own parser (the top-level parser takes no
-argv, -h, --version, an unknown command and every usage error); an input
-file is read as bytes and decoded as UTF-8 (a BOM or another encoding is
-refused); render_json writes the report in one pass, with the bytes of
+A report is {"command", "inputs", "results", "claims"}.  Each command's
+arguments are declared once, in ``_COMMANDS``.  run reads a well-formed
+request by the table parser ``_parse_canonical`` alone, into the namespace
+argparse would return; every argv it declines (help, --version,
+abbreviations, ``--opt=value``, negative values, usage errors) goes to the
+argparse parser that ``build_parser`` makes from the same table, imported
+and built on the first such argv of a process.  An input file is read as
+bytes and decoded as UTF-8 (a BOM or another encoding is refused);
+render_json writes the report in one pass, with the bytes of
 ``json.dumps(exactpoly.jsonable(report), indent=2)``, and --markdown
 renders ``jsonable(report)`` as nested sections instead.  Exit codes: 0
 success, 1 validation error, 64 usage error (also an n above ``CN_MAX_N``
 for ``cn`` or ``check`` and one above ``QRR_MAX_N`` for ``qrr``, reported
-in one line), 70 internal error (a
-defect in hkrr, such as a report value that cannot be written, reported in
-one line).
+in one line), 70 internal error (a defect in hkrr, such as a report value
+that cannot be written, reported in one line).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
 from dataclasses import fields
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from typing import Any, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
 from . import __version__
 from .chernrr import ChernData, q_rr_from_chern
@@ -38,6 +41,9 @@ from .hkprofile import (
 )
 from .isosolver import solve_case
 from .qkbasis import ROOT_TOLERANCE, qk_laurent_check, qk_poly, qk_roots, decompose_qk, decompose_shifted
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -57,32 +63,6 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that raises on a usage error and reads negative rationals.
-
-    argparse takes a token that starts with "-" for an option unless it
-    looks like a negative int or decimal, so ``--shift -3/2`` would leave
-    --shift without its value.  A token that starts with "-" and a digit or
-    "." names no option here, so after one of ``rational_options`` or its
-    abbreviations (``--s``, ``--sh``, ...) it is attached as ``--shift=-3/2``
-    before parsing.  The top-level parser's ``commands`` maps each name to
-    its command's parser.
-    """
-
-    def __init__(self, *args: Any, rational_options: tuple[str, ...] = (), **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self.rational_options = rational_options
-        self.commands: dict[str, _Parser] = {}
-
-    def parse_known_args(self, args: Sequence[str] | None = None, namespace: Any = None) -> Any:
-        if self.rational_options and args is not None:
-            args = _attach_negative_values(list(args), self.rational_options)
-        return super().parse_known_args(args, namespace)
-
-    def error(self, message: str) -> None:  # noqa: A003 - argparse hook
-        raise _UsageError(message)
-
-
 def _attach_negative_values(args: list[str], options: tuple[str, ...]) -> list[str]:
     out: list[str] = []
     tokens = iter(args)
@@ -96,8 +76,214 @@ def _attach_negative_values(args: list[str], options: tuple[str, ...]) -> list[s
     return out
 
 
+class _Arg(NamedTuple):
+    """One argument of a command, with argparse's meaning for each field.
+
+    ``name`` is an option spelled in full, or a positional's dest.  An
+    option with a ``const`` takes no value and stores the const; any other
+    argument takes one value, read by ``type`` (the token itself when None)
+    and checked against ``choices``.
+    """
+
+    name: str
+    type: Callable[[str], Any] | None = None
+    choices: tuple[str, ...] | None = None
+    const: Any = None
+    default: Any = None
+    dest: str | None = None
+    required: bool = False
+    metavar: str | None = None
+    help: str | None = None
+
+
+class _Group(NamedTuple):
+    """Mutually exclusive options; one of them is needed when required."""
+
+    required: bool
+    args: tuple[_Arg, ...]
+
+
+class _Command(NamedTuple):
+    summary: str
+    args: tuple[_Arg | _Group, ...]
+    # Options whose value may be a negative rational in its own token (see build_parser).
+    rational_options: tuple[str, ...] = ()
+
+
+def _switch(name: str) -> _Arg:
+    """An option that stores True when given and False otherwise (argparse's store_true)."""
+    return _Arg(name, const=True, default=False)
+
+
+_OUTPUT_FORMAT = _Group(
+    False,
+    (
+        _Arg("--json", const="json", default="json", dest="fmt"),
+        _Arg("--markdown", const="markdown", default="json", dest="fmt"),
+    ),
+)
+
+# Every command's arguments, in the order its help lists them: the one
+# declaration that both the table parser and build_parser read.
+_COMMANDS = {
+    "cn": _Command(
+        "certified gcd constant C(n)",
+        (
+            _Arg("n", type=int),
+            # Kept so that existing invocations still parse.
+            _Arg("--stability", type=int, help="ignored: C(n) is certified from its witness tuple, with no search"),
+            _OUTPUT_FORMAT,
+        ),
+    ),
+    "qk": _Command(
+        "basis polynomial q_k, roots, Laurent identity",
+        (_Arg("k", type=int), _switch("--roots"), _switch("--laurent-check"), _OUTPUT_FORMAT),
+    ),
+    "qrr": _Command(
+        "Riemann-Roch polynomial from Chern data",
+        (_Arg("--chern", required=True, metavar="FILE"), _OUTPUT_FORMAT),
+    ),
+    "profile": _Command(
+        "invariant bundle of a candidate polynomial",
+        (
+            _Group(True, (_Arg("--family", choices=("split", "product")), _Arg("--poly", metavar="FILE"))),
+            _Arg("--n", type=int),
+            _OUTPUT_FORMAT,
+        ),
+    ),
+    "decompose": _Command(
+        "decompose into the q_k or shifted-power basis",
+        (
+            _Arg("--poly", required=True, metavar="FILE"),
+            _Arg("--basis", required=True, choices=("qk", "shifted")),
+            _Arg("--shift", metavar="RAT"),
+            _OUTPUT_FORMAT,
+        ),
+        rational_options=("--shift",),
+    ),
+    "isotropic": _Command(
+        "dimension-6 isotropic case analysis",
+        (_Arg("--n", type=int, required=True), _Arg("--a", type=int, required=True), _OUTPUT_FORMAT),
+    ),
+    "check": _Command(
+        "denominator and even-value checks",
+        (
+            _Arg("--poly", required=True, metavar="FILE"),
+            _Arg("--n", type=int, required=True),
+            _switch("--even"),
+            _OUTPUT_FORMAT,
+        ),
+    ),
+}
+
+
+def _members(item: _Arg | _Group) -> tuple[_Arg, ...]:
+    return item.args if isinstance(item, _Group) else (item,)
+
+
 @cache
-def build_parser() -> _Parser:
+def _layout(name: str) -> tuple[dict[str, _Arg], tuple[_Arg, ...]]:
+    """A command's options by name, and its positionals in order."""
+    args = [arg for item in _COMMANDS[name].args for arg in _members(item)]
+    return {arg.name: arg for arg in args if arg.name[0] == "-"}, tuple(arg for arg in args if arg.name[0] != "-")
+
+
+def _parse_canonical(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace argparse returns for argv, if argv is in the canonical spelling; None otherwise.
+
+    Canonical: a command's name, then its positionals and options in any
+    order; each option spelled in full and given at most once; each value
+    a token of its own that does not start with "-"; as many positionals as
+    the command declares; every value of its declared type and choices;
+    every required option and group present, and at most one option of a
+    group.  Abbreviations, ``--opt=value``, ``--``, -h, --version, negative
+    values and repeated options are left to argparse, which reads them or
+    reports the usage error.
+    """
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    options, positionals = _layout(argv[0])
+    positionals = iter(positionals)
+    given: dict[str, Any] = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            arg = next(positionals, None)
+        else:
+            arg = options.get(token)
+            if arg is not None and arg.const is None:
+                token = next(tokens, "-")  # its value
+                if token[:1] == "-":
+                    return None
+        if arg is None or arg.name in given:
+            return None
+        if arg.const is not None:
+            given[arg.name] = arg.const
+            continue
+        try:
+            value = token if arg.type is None else arg.type(token)
+        except ValueError:
+            return None
+        if arg.choices is not None and value not in arg.choices:
+            return None
+        given[arg.name] = value
+    namespace = {"command": argv[0]}
+    for item in command.args:
+        members = _members(item)
+        count = sum(arg.name in given for arg in members)
+        required = item.required or members[0].name[0] != "-"  # a positional is required
+        if count > 1 or (required and count == 0):
+            return None
+        for arg in members:
+            dest = arg.dest or arg.name.lstrip("-").replace("-", "_")
+            if arg.name in given or dest not in namespace:
+                namespace[dest] = given.get(arg.name, arg.default)
+    return SimpleNamespace(**namespace)
+
+
+def _add_argument(target: Any, arg: _Arg) -> None:
+    kwargs = {key: value for key, value in arg._asdict().items() if value is not None and key != "name"}
+    if not arg.required:  # argparse refuses required= on a positional
+        del kwargs["required"]
+    target.add_argument(arg.name, action="store" if arg.const is None else "store_const", **kwargs)
+
+
+@cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of ``_COMMANDS``: help, --version and every argv the table parser declines.
+
+    Built on the first call and shared after, since building the seven
+    subparsers costs more than most commands and parsing leaves the parser
+    unchanged.  The top-level parser's ``commands`` maps each name to its
+    command's parser.
+    """
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """An ArgumentParser that raises on a usage error and reads negative rationals.
+
+        argparse takes a token that starts with "-" for an option unless it
+        looks like a negative int or decimal, so ``--shift -3/2`` would leave
+        --shift without its value.  A token that starts with "-" and a digit or
+        "." names no option here, so after one of ``rational_options`` or its
+        abbreviations (``--s``, ``--sh``, ...) it is attached as ``--shift=-3/2``
+        before parsing.
+        """
+
+        def __init__(self, *args: Any, rational_options: tuple[str, ...] = (), **kwargs: Any) -> None:
+            super().__init__(*args, **kwargs)
+            self.rational_options = rational_options
+            self.commands: dict[str, _Parser] = {}
+
+        def parse_known_args(self, args: Sequence[str] | None = None, namespace: Any = None) -> Any:
+            if self.rational_options and args is not None:
+                args = _attach_negative_values(list(args), self.rational_options)
+            return super().parse_known_args(args, namespace)
+
+        def error(self, message: str) -> None:  # noqa: A003 - argparse hook
+            raise _UsageError(message)
+
     parser = _Parser(
         prog="hkrr",
         description="Exact reports on Riemann-Roch polynomials of holomorphic-symplectic manifolds.",
@@ -106,61 +292,18 @@ def build_parser() -> _Parser:
     )
     parser.add_argument("--version", action="version", version=f"hkrr {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    def command(name: str, summary: str, **kwargs: Any) -> _Parser:
-        parser.commands[name] = sub.add_parser(name, help=summary, **kwargs)
-        return parser.commands[name]
-
-    p_cn = command("cn", "certified gcd constant C(n)")
-    p_cn.add_argument("n", type=int)
-    # Kept so that existing invocations still parse.
-    p_cn.add_argument(
-        "--stability", type=int, help="ignored: C(n) is certified from its witness tuple, with no search"
-    )
-    _output_flags(p_cn)
-
-    p_qk = command("qk", "basis polynomial q_k, roots, Laurent identity")
-    p_qk.add_argument("k", type=int)
-    p_qk.add_argument("--roots", action="store_true")
-    p_qk.add_argument("--laurent-check", action="store_true")
-    _output_flags(p_qk)
-
-    p_qrr = command("qrr", "Riemann-Roch polynomial from Chern data")
-    p_qrr.add_argument("--chern", required=True, metavar="FILE")
-    _output_flags(p_qrr)
-
-    p_profile = command("profile", "invariant bundle of a candidate polynomial")
-    src = p_profile.add_mutually_exclusive_group(required=True)
-    src.add_argument("--family", choices=["split", "product"])
-    src.add_argument("--poly", metavar="FILE")
-    p_profile.add_argument("--n", type=int, default=None)
-    _output_flags(p_profile)
-
-    p_dec = command("decompose", "decompose into the q_k or shifted-power basis", rational_options=("--shift",))
-    p_dec.add_argument("--poly", required=True, metavar="FILE")
-    p_dec.add_argument("--basis", required=True, choices=["qk", "shifted"])
-    p_dec.add_argument("--shift", default=None, metavar="RAT")
-    _output_flags(p_dec)
-
-    p_iso = command("isotropic", "dimension-6 isotropic case analysis")
-    p_iso.add_argument("--n", type=int, required=True)
-    p_iso.add_argument("--a", type=int, required=True)
-    _output_flags(p_iso)
-
-    p_check = command("check", "denominator and even-value checks")
-    p_check.add_argument("--poly", required=True, metavar="FILE")
-    p_check.add_argument("--n", type=int, required=True)
-    p_check.add_argument("--even", action="store_true")
-    _output_flags(p_check)
-
+    for name, command in _COMMANDS.items():
+        target = parser.commands[name] = sub.add_parser(
+            name, help=command.summary, rational_options=command.rational_options
+        )
+        for item in command.args:
+            if isinstance(item, _Group):
+                group = target.add_mutually_exclusive_group(required=item.required)
+                for arg in item.args:
+                    _add_argument(group, arg)
+            else:
+                _add_argument(target, item)
     return parser
-
-
-def _output_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--json", dest="fmt", action="store_const", const="json")
-    group.add_argument("--markdown", dest="fmt", action="store_const", const="markdown")
-    parser.set_defaults(fmt="json")
 
 
 def _load_json(path: str) -> Any:
@@ -181,7 +324,7 @@ def _check_ceiling(n: int, top: int, what: str) -> None:
         raise _UsageError(f"n={n} is above the ceiling {top} for {what}")
 
 
-def _cmd_cn(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
+def _cmd_cn(args: SimpleNamespace) -> tuple[dict, Any, list[str]]:
     _check_ceiling(args.n, CN_MAX_N, "C(n)")
     return (
         {"n": args.n},
@@ -190,7 +333,7 @@ def _cmd_cn(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     )
 
 
-def _cmd_qk(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
+def _cmd_qk(args: SimpleNamespace) -> tuple[dict, Any, list[str]]:
     results: dict[str, Any] = {"k": args.k, "poly": qk_poly(args.k)}
     claims = [f"basis polynomial of degree {args.k}"]
     if args.roots:
@@ -206,7 +349,7 @@ def _cmd_qk(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     )
 
 
-def _cmd_qrr(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
+def _cmd_qrr(args: SimpleNamespace) -> tuple[dict, Any, list[str]]:
     data = ChernData.from_json(_load_json(args.chern))
     _check_ceiling(data.n, QRR_MAX_N, "qrr")
     q = q_rr_from_chern(data)
@@ -217,7 +360,7 @@ def _cmd_qrr(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     )
 
 
-def _cmd_profile(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
+def _cmd_profile(args: SimpleNamespace) -> tuple[dict, Any, list[str]]:
     if args.family:
         if args.n is None:
             raise ValueError("--family requires --n")
@@ -234,7 +377,7 @@ def _cmd_profile(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     return inputs, results, ["invariant bundle extracted and validated"]
 
 
-def _cmd_decompose(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
+def _cmd_decompose(args: SimpleNamespace) -> tuple[dict, Any, list[str]]:
     p = Poly.from_json(_load_json(args.poly))
     if args.basis == "qk":
         if args.shift is not None:
@@ -256,7 +399,7 @@ def _cmd_decompose(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     )
 
 
-def _cmd_isotropic(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
+def _cmd_isotropic(args: SimpleNamespace) -> tuple[dict, Any, list[str]]:
     case = solve_case(args.n, args.a)
     survivors = ", ".join(str(nx) for _, nx in case.survivors)
     return (
@@ -266,7 +409,7 @@ def _cmd_isotropic(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     )
 
 
-def _cmd_check(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
+def _cmd_check(args: SimpleNamespace) -> tuple[dict, Any, list[str]]:
     _check_ceiling(args.n, CN_MAX_N, "C(n)")
     p = Poly.from_json(_load_json(args.poly))
     den = denominator_check(args.n, p, even_form=args.even)
@@ -414,39 +557,45 @@ def _render_value(value: Any, lines: list[str], depth: int) -> None:
         lines.append(f"{pad}{value}")
 
 
-def _parse(parser: _Parser, argv: Sequence[str]) -> argparse.Namespace:
+def _parse(parser: argparse.ArgumentParser, argv: Sequence[str]) -> SimpleNamespace:
     """``parser.parse_args(argv)``, by the command's own parser when argv starts with a command name.
 
-    A usage error is left to the top-level parser: it first reads every
-    token against its own options (``--=x`` is ambiguous there).
+    run calls it only for an argv the table parser declines.  A usage
+    error is left to the top-level parser: it first reads every token
+    against its own options (``--=x`` is ambiguous there).
     """
     command = parser.commands.get(argv[0]) if argv else None
     if command is not None:
         try:
-            args = command.parse_args(argv[1:])
+            args = command.parse_args(argv[1:], SimpleNamespace())
         except _UsageError:
-            return parser.parse_args(argv)
+            return parser.parse_args(argv, SimpleNamespace())
         args.command = argv[0]
         return args
-    return parser.parse_args(argv)
+    return parser.parse_args(argv, SimpleNamespace())
 
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Execute one subcommand; returns the process exit code."""
-    # Built on the first call and shared after: building the seven subparsers
-    # costs more than most commands, and parsing leaves the parser unchanged.
-    parser = build_parser()
-    try:
-        args = _parse(parser, sys.argv[1:] if argv is None else argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(parser.format_usage(), file=sys.stderr, end="")
-        return EXIT_USAGE
-    except SystemExit as exc:  # --version and -h print, then call parser.exit()
-        return exc.code or EXIT_OK
-    if args.command is None:
-        print(parser.format_usage(), file=sys.stderr, end="")
-        return EXIT_USAGE
+    if argv is None:
+        argv = sys.argv[1:]
+    # Two routes to one namespace: the table parser reads a well-formed
+    # request with no argparse; any argv it declines builds the shared
+    # argparse parser (once per process) and goes to _parse.
+    args = _parse_canonical(argv)
+    if args is None:
+        parser = build_parser()
+        try:
+            args = _parse(parser, argv)
+        except _UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            print(parser.format_usage(), file=sys.stderr, end="")
+            return EXIT_USAGE
+        except SystemExit as exc:  # --version and -h print, then call parser.exit()
+            return exc.code or EXIT_OK
+        if args.command is None:
+            print(parser.format_usage(), file=sys.stderr, end="")
+            return EXIT_USAGE
     try:
         inputs, results, claims = _HANDLERS[args.command](args)
         report = {"command": args.command, "inputs": inputs, "results": results, "claims": claims}

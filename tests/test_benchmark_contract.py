@@ -61,6 +61,20 @@ def test_requests_reach_hkrr(workload):
         assert any(argv[0] == "cn" and "--stability" in argv for argv in argvs)
 
 
+@pytest.mark.parametrize("workload", [*workloads.WORKLOADS, "beyond-frontier"])
+def test_command_lines_take_the_table_route(workload):
+    # Every command line the benchmark sends is read by the table parser,
+    # with no argparse, into the namespace argparse would return: the
+    # benchmark measures the route a well-formed request takes.
+    requests = workloads.beyond_frontier() if workload == "beyond-frontier" else workloads.build(workload, 1, 0)
+    for req in requests:
+        if "argv" in req:
+            argv = [a[1:] if a.startswith("@") else a for a in req["argv"]]
+            args = cli._parse_canonical(argv)
+            assert args is not None, argv
+            assert vars(args) == vars(cli.build_parser().parse_args(argv)), argv
+
+
 # The counter each AFTER hook feeds, and a real result of its span's function.
 HOOK_RESULTS = {
     "exactpoly.Poly.mul": ("exactpoly.Poly.max_coeff_bits", lambda: Poly((1, 2)) * Poly((Fraction(1, 3), 5))),

@@ -771,17 +771,25 @@ def route_files(tmp_path_factory):
     return {name: str(root / f"{name}.json") for name in [*files, "missing"]}
 
 
-def route_outcome(argv, by_top_level):
-    """(exit code, stdout, stderr) of run(argv), parsed by the command's parser or by the top-level one."""
+def route_outcome(argv, by_top_level, by_table=True):
+    """(exit code, stdout, stderr) of run(argv).
+
+    The table parser reads argv first unless by_table is false; what it
+    declines is parsed by the command's argparse parser, or by the
+    top-level one when by_top_level is set.
+    """
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         if by_top_level:
             patch.setattr(hkrr.cli, "_parse", parse_by_the_top_level_parser)
+        if not by_table:
+            patch.setattr(hkrr.cli, "_parse_canonical", lambda argv: None)
         code = run(argv)
     return code, out.getvalue(), err.getvalue()
 
 
-# A valid argv per command, changed by route_argv, and the tokens it inserts.
+# A valid argv per command, changed by route_argv, and the spellings it
+# inserts: a token, or a tuple of tokens inserted together.
 ROUTE_BASES = {
     "cn": [["3"], ["5", "--stability", "1", "--markdown"]],
     "qk": [["4", "--roots", "--laurent-check"]],
@@ -795,6 +803,11 @@ ROUTE_TOKENS = [
     *("--stability", "--roots", "--laurent-check", "--chern", "--family", "--poly", "--n", "--basis", "--shift", "--a"),
     *("--even", "--json", "--markdown", "--", "-h", "--help", "--version", "--frob", "-x", "--=x", "-", "--mark"),
     *("3", "2", "0", "-1", "-3/2", "6", "1/3", "-.5", "x", "split", "product", "qk", "shifted", "@poly", "@missing"),
+    # Spellings the table parser must decline or read as argparse does: a
+    # repeated option, the empty token (a value to argparse), a value that
+    # names an option, a full name joined to its value, and a non-ASCII
+    # digit, which int and argparse read as 3.
+    *(("--n", "3", "--n", "4"), "", ("--poly", "--n"), "--n=3", "\u0663", ("--n", "\u0663")),
 ]
 
 
@@ -813,12 +826,18 @@ def route_argv(draw):
     if tokens and draw(st.integers(0, 3)) == 0:
         del tokens[draw(st.integers(0, len(tokens) - 1))]
     for _ in range(draw(st.integers(0, 2))):
-        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(ROUTE_TOKENS)))
+        spelling = draw(st.sampled_from(ROUTE_TOKENS))
+        at = draw(st.integers(0, len(tokens)))
+        tokens[at:at] = spelling if isinstance(spelling, tuple) else [spelling]
     return [command, *tokens]
 
 
 class TestParseRoutes:
-    """run through each command's own parser against the top-level parser, the route it replaced."""
+    """run by the table parser first, then by each command's own parser, against the top-level parser alone.
+
+    The top-level parser is the route the others replaced.  Whatever argv
+    the table parser takes, its namespace is argparse's.
+    """
 
     TABLE = [
         [],
@@ -878,8 +897,12 @@ class TestParseRoutes:
     def assert_routes_agree(files, argv):
         for name, path in files.items():
             argv = [token.replace(f"@{name}", path) for token in argv]
+        args = hkrr.cli._parse_canonical(argv)
+        if args is not None:
+            assert vars(args) == vars(hkrr.cli.build_parser().parse_args(argv))
         got = route_outcome(argv, by_top_level=False)
-        assert got == route_outcome(argv, by_top_level=True)
+        assert got == route_outcome(argv, by_top_level=False, by_table=False)
+        assert got == route_outcome(argv, by_top_level=True, by_table=False)
         code, out, err = got
         assert code in README_EXIT_CODES and "Traceback" not in err
         assert (code == EXIT_OK) == (err == "") and (out == "") == (code != EXIT_OK)
@@ -1021,6 +1044,158 @@ class TestSharedParser:
         codes = [code for code, _, _ in shared]
         assert codes == [EXIT_OK] * 5 + [EXIT_VALIDATION, EXIT_OK, EXIT_USAGE, EXIT_OK, 0, EXIT_VALIDATION, EXIT_USAGE, 0, 0]
         assert shared[9][1] == f"hkrr {hkrr.__version__}\n"
+
+
+class TestParserBuilds:
+    """A well-formed request is read by the table parser alone; argparse is built only for what it declines."""
+
+    @staticmethod
+    def run_quietly(argv):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return run(argv)
+
+    def test_well_formed_requests_build_no_parser(self, route_files):
+        hkrr.cli.build_parser.cache_clear()
+        for command, bases in ROUTE_BASES.items():
+            for base in bases:
+                if "-3/2" in base:  # a negative value is argparse's to read
+                    continue
+                argv = [command, *(route_files[t[1:]] if t[:1] == "@" else t for t in base)]
+                assert hkrr.cli._parse_canonical(argv) is not None, argv
+                self.run_quietly(argv)
+        assert hkrr.cli.build_parser.cache_info().misses == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["--version"],
+            ["cn", "x"],
+            ["qk", "4", "--ro"],
+            ["profile", "--family", "split", "--n", "3", "--n", "4"],
+            ["cn", "3", "--stability", "-1"],
+            ["qk", "-1"],
+            ["isotropic", "--n=3", "--a", "1"],
+            ["decompose", "--poly", "@poly", "--basis", "shifted", "--shift", "-3/2"],
+        ],
+        ids=" ".join,
+    )
+    def test_other_argv_builds_the_parser_once(self, route_files, argv):
+        # Among these, an abbreviation, a repeated option and a value that
+        # starts with "-" parse, by argparse, to a valid namespace.
+        argv = [route_files[t[1:]] if t[:1] == "@" else t for t in argv]
+        hkrr.cli.build_parser.cache_clear()
+        self.run_quietly(argv)
+        assert hkrr.cli.build_parser.cache_info().misses == 1
+
+    def test_well_formed_request_imports_no_argparse(self):
+        code = (
+            "import sys; from hkrr.cli import run; run(['qk', '3', '--roots']); seen = ['argparse' in sys.modules];"
+            " run(['qk', '3', '--ro']); print(seen + ['argparse' in sys.modules])"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(hkrr.cli.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[False, True]"
+
+
+def former_parsers():
+    """The hand-written argparse declarations that the option table replaced: {name: parser}, "" the top level.
+
+    They are declared on the class of cli's parser, which raises on a usage
+    error and attaches a negative value to ``decompose --shift``.
+    """
+    parser = type(hkrr.cli.build_parser())(
+        prog="hkrr",
+        description="Exact reports on Riemann-Roch polynomials of holomorphic-symplectic manifolds.",
+        epilog="exit codes: 0 success, 1 validation error, 64 usage error, 70 internal error",
+    )
+    parser.add_argument("--version", action="version", version=f"hkrr {hkrr.__version__}")
+    sub = parser.add_subparsers(dest="command", metavar="command")
+    parsers = {"": parser}
+
+    def command(name, summary, *arguments, **kwargs):
+        parsers[name] = p = sub.add_parser(name, help=summary, **kwargs)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        return p
+
+    def output_flags(p):
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--json", dest="fmt", action="store_const", const="json")
+        group.add_argument("--markdown", dest="fmt", action="store_const", const="markdown")
+        p.set_defaults(fmt="json")
+
+    cn = command("cn", "certified gcd constant C(n)", (["n"], {"type": int}))
+    cn.add_argument("--stability", type=int, help="ignored: C(n) is certified from its witness tuple, with no search")
+    output_flags(cn)
+    qk = command("qk", "basis polynomial q_k, roots, Laurent identity", (["k"], {"type": int}))
+    qk.add_argument("--roots", action="store_true")
+    qk.add_argument("--laurent-check", action="store_true")
+    output_flags(qk)
+    output_flags(
+        command("qrr", "Riemann-Roch polynomial from Chern data", (["--chern"], {"required": True, "metavar": "FILE"}))
+    )
+    profile = command("profile", "invariant bundle of a candidate polynomial")
+    source = profile.add_mutually_exclusive_group(required=True)
+    source.add_argument("--family", choices=["split", "product"])
+    source.add_argument("--poly", metavar="FILE")
+    profile.add_argument("--n", type=int, default=None)
+    output_flags(profile)
+    output_flags(
+        command(
+            "decompose",
+            "decompose into the q_k or shifted-power basis",
+            (["--poly"], {"required": True, "metavar": "FILE"}),
+            (["--basis"], {"required": True, "choices": ["qk", "shifted"]}),
+            (["--shift"], {"default": None, "metavar": "RAT"}),
+            rational_options=("--shift",),
+        )
+    )
+    output_flags(
+        command(
+            "isotropic",
+            "dimension-6 isotropic case analysis",
+            (["--n"], {"type": int, "required": True}),
+            (["--a"], {"type": int, "required": True}),
+        )
+    )
+    check = command(
+        "check",
+        "denominator and even-value checks",
+        (["--poly"], {"required": True, "metavar": "FILE"}),
+        (["--n"], {"type": int, "required": True}),
+    )
+    check.add_argument("--even", action="store_true")
+    output_flags(check)
+    return parsers
+
+
+class TestOptionTable:
+    """The argparse parser built from the option table against the declarations it replaced."""
+
+    def test_help_and_usage_equal_the_former_parser(self):
+        former, built = former_parsers(), hkrr.cli.build_parser()
+        assert sorted(former) == sorted(["", *built.commands])
+        for name, parser in former.items():
+            got = built.commands[name] if name else built
+            assert (got.format_help(), got.format_usage()) == (parser.format_help(), parser.format_usage()), name
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(argv=route_argv())
+    def test_namespaces_equal_the_former_parser(self, argv):
+        # Each argv is parsed by both top-level parsers, with no file read;
+        # an argv one refuses the other refuses too.
+        argv = [token.replace("@", "") for token in argv]
+        outcomes = []
+        for parser in (former_parsers()[""], hkrr.cli.build_parser()):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    outcomes.append(vars(parser.parse_args(argv)))
+                except (SystemExit, hkrr.cli._UsageError):
+                    outcomes.append(None)
+        assert outcomes[0] == outcomes[1]
 
 
 class TestReportShape:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from hkrr.cli import EXIT_OK, run
+from hkrr.cli import EXIT_OK, _parse_canonical, build_parser, run
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -66,3 +66,16 @@ def test_readme_example_report_is_byte_identical(argv, capsys, monkeypatch):
 @pytest.mark.parametrize("argv", EXTRA_EXAMPLES, ids=" ".join)
 def test_extra_report_is_byte_identical(argv, capsys, monkeypatch):
     check_report(argv, capsys, monkeypatch)
+
+
+def test_examples_take_the_table_route(capsys, monkeypatch):
+    # Every example is read by the table parser, into argparse's namespace,
+    # and running them all builds no argparse parser.
+    build_parser.cache_clear()
+    for argv in readme_examples() + EXTRA_EXAMPLES:
+        args = _parse_canonical(argv)
+        assert args is not None, argv
+        check_report(argv, capsys, monkeypatch)
+    assert build_parser.cache_info().misses == 0
+    for argv in readme_examples() + EXTRA_EXAMPLES:
+        assert vars(_parse_canonical(argv)) == vars(build_parser().parse_args(argv)), argv
